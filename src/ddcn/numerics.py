@@ -17,6 +17,8 @@ between threads freely.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -531,31 +533,49 @@ def save_checkpoint(path, named_params):
             f.write(arr.tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+# Parameters are at most rank 5 (3D convolution weights); the cap leaves room
+# and rejects a corrupt rank field before its dims are read.
+CHECKPOINT_MAX_RANK = 8
+
+
+def _read_exact(f, n: int, end: int, what: str) -> bytes:
+    # Checked against the file size first, so a corrupt length field fails
+    # here instead of asking read() for an allocation of that size.
+    if n > end - f.tell():
         raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return buf
+    return f.read(n)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a DDCNCKPT v1 container into a name -> float32 array mapping."""
+    """Read a DDCNCKPT v1 container into a name -> float32 array mapping.
+
+    Any malformed input raises CheckpointFormatError.
+    """
     with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", _read_exact(f, 8, "header"))
+        version, count = struct.unpack("<II", _read_exact(f, 8, end, "header"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims")) if rank else ()
-            n_elem = 1
-            for d in dims:
-                n_elem *= d
-            payload = _read_exact(f, 4 * n_elem, f"payload of {name!r}")
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, end, "name length"))
+            raw_name = _read_exact(f, name_len, end, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(f"parameter name is not UTF-8: {raw_name!r}") from exc
+            if name in out:
+                raise CheckpointFormatError(f"duplicate parameter name {name!r}")
+            (rank,) = struct.unpack("<I", _read_exact(f, 4, end, "rank"))
+            if rank > CHECKPOINT_MAX_RANK:
+                raise CheckpointFormatError(
+                    f"rank {rank} of {name!r} exceeds the maximum {CHECKPOINT_MAX_RANK}"
+                )
+            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, end, "dims"))
+            n_elem = math.prod(dims)
+            payload = _read_exact(f, 4 * n_elem, end, f"payload of {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         return out

@@ -7,7 +7,11 @@ locations), 3D involution over (T, H, W) volumes, and patch embed/back.
 Forward accumulation orders are fixed and documented per operation so that
 independent nested-loop oracles can reproduce outputs bit-for-bit; backward
 passes are free to use faster reductions since gradients are validated
-against finite differences rather than an exact summation order.
+against finite differences rather than an exact summation order. Backward
+channel contractions run as BLAS ``matmul``, and the deformable convolution
+scatters its input gradient through the transpose of each tap's sparse
+bilinear sampling matrix. Both sum in the same order on every call for a
+fixed thread count, so training stays bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .numerics import (
     F32,
@@ -137,8 +142,8 @@ def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp(g):
         g2 = g.reshape(n, c_out, -1)
         x2 = xd.reshape(n, c_in, -1)
-        gx = np.einsum("nos,oi->nis", g2, wd).reshape(xd.shape)
-        gw = np.einsum("nos,nis->oi", g2, x2)
+        gx = np.matmul(wd.T, g2).reshape(xd.shape)
+        gw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0)
         if b is None:
             return (gx, gw)
         gb = g.sum(axis=(0,) + spatial_axes)
@@ -217,13 +222,12 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1
         gxpad = np.zeros_like(xpad)
         g2 = g.reshape(n, c_out, -1)
         for tap, sl in zip(taps, window_slices):
-            window = xpad[(slice(None), slice(None)) + sl]
-            gw[(slice(None), slice(None)) + tap] = np.einsum(
-                "nos,nis->oi", g2, window.reshape(n, c_in, -1)
+            window = xpad[(slice(None), slice(None)) + sl].reshape(n, c_in, -1)
+            tap_w = (slice(None), slice(None)) + tap
+            gw[tap_w] = np.matmul(g2, window.transpose(0, 2, 1)).sum(axis=0)
+            gxpad[(slice(None), slice(None)) + sl] += np.matmul(wd[tap_w].T, g2).reshape(
+                (n, c_in) + out_spatial
             )
-            gxpad[(slice(None), slice(None)) + sl] += np.einsum(
-                "nos,oi->nis", g2, wd[(slice(None), slice(None)) + tap]
-            ).reshape((n, c_in) + out_spatial)
         gx = gxpad[(slice(None), slice(None)) + center]
         if b is None:
             return (gx, gw)
@@ -424,6 +428,7 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         return v, mask
 
     out = np.zeros_like(xd)
+    out_g = out.reshape(n, groups, rep, h, w)
     saved = []
     probe = probing_active()
     worst = np.inf
@@ -455,10 +460,8 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
             + v10 * w10[..., None]
             + v11 * w11[..., None]
         )
-        kern = np.repeat(kd[:, :, tap], rep, axis=1)
-        out += kern * sampled.transpose(0, 3, 1, 2)
-        saved.append((r0i, q0i, wr, wq, (v00, v01, v10, v11),
-                      (m00, m01, m10, m11), sampled, kern))
+        out_g += kd[:, :, tap, None] * sampled.transpose(0, 3, 1, 2).reshape(n, groups, rep, h, w)
+        saved.append((r0i, q0i, wr, wq, (v00, v01, v10, v11), (m00, m01, m10, m11), sampled))
     add_flops(10 * n * c * h * w * kk)
     if probe:
         probe_kink("bilinear_coord", worst)
@@ -466,30 +469,40 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     result = Tensor._wrap(out)
 
     def vjp(g):
-        gx_t = np.zeros_like(xt)
+        # Gradients are formed in the (n, h, w, c) gather layout. The input
+        # gradient of each tap is S.T @ gs, where S is that tap's bilinear
+        # sampling matrix: one row per output position, four entries per row,
+        # columns indexing flattened input positions plus one dummy column
+        # that absorbs out-of-bounds corners and is dropped at the end.
+        npos = n * h * w
+        g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, h, w, groups, rep)
+        gx_flat = np.zeros((npos + 1, c), dtype=dtype)
         g_off = np.zeros_like(od)
         g_kern = np.empty_like(kd)
         one = dtype.type(1)
-        for tap, (r0i, q0i, wr, wq, corners, masks, sampled, kern) in enumerate(saved):
+        indptr = np.arange(0, 4 * npos + 1, 4)
+        corner_cols = np.empty((npos, 4), dtype=np.int64)
+        corner_wts = np.empty((npos, 4), dtype=dtype)
+        for tap, (r0i, q0i, wr, wq, corners, masks, sampled) in enumerate(saved):
             v00, v01, v10, v11 = corners
-            m00, m01, m10, m11 = masks
-            sampled_nchw = sampled.transpose(0, 3, 1, 2)
-            g_kern[:, :, tap] = (g * sampled_nchw).reshape(n, groups, rep, h, w).sum(axis=2)
-            gs = (g * kern).transpose(0, 2, 3, 1)  # (n, h, w, c)
-            w00, w01, w10, w11 = _corner_weights(wr, wq, dtype)
-            for (ri, qi), wt, m in (
-                ((r0i, q0i), w00, m00),
-                ((r0i, q0i + 1), w01, m01),
-                ((r0i + 1, q0i), w10, m10),
-                ((r0i + 1, q0i + 1), w11, m11),
-            ):
-                gv = np.where(m[..., None], gs * wt[..., None], 0)
-                np.add.at(gx_t, (bidx, np.clip(ri, 0, h - 1), np.clip(qi, 0, w - 1)), gv)
+            g_kern[:, :, tap] = (
+                (g_t * sampled.reshape(n, h, w, groups, rep)).sum(axis=4).transpose(0, 3, 1, 2)
+            )
+            gs = (g_t * kd[:, :, tap].transpose(0, 2, 3, 1)[..., None]).reshape(n, h, w, c)
+            base = (bidx * h + r0i) * w + q0i
+            for k, (shift, m) in enumerate(zip((0, 1, w, w + 1), masks)):
+                corner_cols[:, k] = np.where(m, base + shift, npos).reshape(-1)
+            for k, wt in enumerate(_corner_weights(wr, wq, dtype)):
+                corner_wts[:, k] = wt.reshape(-1)
+            sampling = sparse.csr_array(
+                (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, npos + 1)
+            )
+            gx_flat += sampling.T @ gs.reshape(npos, c)
             dr = (v10 - v00) * (one - wq)[..., None] + (v11 - v01) * wq[..., None]
             dq = (v01 - v00) * (one - wr)[..., None] + (v11 - v10) * wr[..., None]
             g_off[:, 2 * tap] = (gs * dr).sum(axis=3)
             g_off[:, 2 * tap + 1] = (gs * dq).sum(axis=3)
-        gx = np.ascontiguousarray(gx_t.transpose(0, 3, 1, 2))
+        gx = np.ascontiguousarray(gx_flat[:npos].reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return (gx, g_off, g_kern)
 
     record((x, offsets, kernels), result, vjp)
@@ -534,12 +547,11 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     slices = [
         (slice(dt, dt + t), slice(dy, dy + h), slice(dx, dx + w)) for dt, dy, dx in taps
     ]
+    xpad_g = xpad.reshape((n, groups, rep) + xpad.shape[2:])
     out = np.zeros_like(xd)
-    kerns = []
+    out_g = out.reshape(n, groups, rep, t, h, w)
     for tap_idx, sl in enumerate(slices):
-        kern = np.repeat(kd[:, :, tap_idx], rep, axis=1)
-        out += kern * xpad[(slice(None), slice(None)) + sl]
-        kerns.append(kern)
+        out_g += kd[:, :, tap_idx, None] * xpad_g[(slice(None),) * 3 + sl]
     out += bias.data.reshape(1, c, 1, 1, 1)
     add_flops(2 * xd.size * k3)
 
@@ -548,10 +560,12 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     def vjp(g):
         g_kern = np.empty_like(kd)
         gxpad = np.zeros_like(xpad)
+        gxpad_g = gxpad.reshape(xpad_g.shape)
+        g_g = g.reshape(n, groups, rep, t, h, w)
         for tap_idx, sl in enumerate(slices):
-            window = xpad[(slice(None), slice(None)) + sl]
-            g_kern[:, :, tap_idx] = (g * window).reshape(n, groups, rep, t, h, w).sum(axis=2)
-            gxpad[(slice(None), slice(None)) + sl] += g * kerns[tap_idx]
+            window = xpad_g[(slice(None),) * 3 + sl]
+            g_kern[:, :, tap_idx] = (g_g * window).sum(axis=2)
+            gxpad_g[(slice(None),) * 3 + sl] += g_g * kd[:, :, tap_idx, None]
         gx = gxpad[:, :, half : half + t, half : half + h, half : half + w]
         gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, g_kern, gb)

@@ -237,6 +237,53 @@ def test_checkpoint_roundtrip_and_errors(tmp_path):
         load_checkpoint(truncated)
 
 
+def _raw_checkpoint(tmp_path, entries):
+    """A DDCNCKPT file from (raw name bytes, dims, payload bytes) entries."""
+    import struct
+
+    blob = b"DDCNCKPT" + struct.pack("<II", 1, len(entries))
+    for name, dims, payload in entries:
+        blob += struct.pack("<I", len(name)) + name
+        blob += struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload
+    path = tmp_path / "raw.ckpt"
+    path.write_bytes(blob)
+    return path
+
+
+def test_checkpoint_huge_dims_rejected_before_allocation(tmp_path):
+    from ddcn.numerics import CheckpointFormatError
+
+    path = _raw_checkpoint(tmp_path, [(b"w", (2 ** 20, 2 ** 20), b"\x00" * 16)])
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rank_above_cap_rejected(tmp_path):
+    from ddcn.numerics import CHECKPOINT_MAX_RANK, CheckpointFormatError
+
+    dims = (1,) * (CHECKPOINT_MAX_RANK + 1)
+    path = _raw_checkpoint(tmp_path, [(b"w", dims, b"\x00" * 4)])
+    with pytest.raises(CheckpointFormatError, match="rank"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_name_rejected(tmp_path):
+    from ddcn.numerics import CheckpointFormatError
+
+    path = _raw_checkpoint(tmp_path, [(b"\xff\xfe", (1,), b"\x00" * 4)])
+    with pytest.raises(CheckpointFormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_name_rejected(tmp_path):
+    from ddcn.numerics import CheckpointFormatError
+
+    entry = (b"w", (1,), b"\x00" * 4)
+    path = _raw_checkpoint(tmp_path, [entry, entry])
+    with pytest.raises(CheckpointFormatError, match="duplicate"):
+        load_checkpoint(path)
+
+
 def test_param_names_and_uniqueness():
     from ddcn.numerics import Module
 

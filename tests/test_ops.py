@@ -125,6 +125,25 @@ def test_standard_conv_stride_two():
     assert np.array_equal(strided, full[:, :, ::2, ::2])
 
 
+def test_standard_conv_stride_two_gradients_match_finite_differences():
+    rng = np.random.default_rng(27)
+    x = _t(rng, (2, 2, 5, 5))
+    w = _t(rng, (3, 2, 3, 3))
+    b = _t(rng, (3,))
+    proj = _t(rng, (2, 3, 3, 3))
+
+    def run():
+        return reduce_sum(mul(ops.standard_conv(x, w, b, stride=2), proj))
+
+    with Tape() as tape:
+        loss = run()
+    backward(loss, tape)
+    fd = finite_difference(lambda: run().item(), [x.data, w.data, b.data])
+    assert max_relative_error(x.grad, fd[0]) < 1e-6
+    assert max_relative_error(w.grad, fd[1]) < 1e-6
+    assert max_relative_error(b.grad, fd[2]) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Shared-filter convolution
 # ---------------------------------------------------------------------------
@@ -270,6 +289,37 @@ def test_ddc_gradients_match_finite_differences():
     offsets = Tensor(rng.uniform(-1, 1, (1, 18, 5, 5)), dtype=np.float64)
     kernels = Tensor(rng.uniform(-1, 1, (1, 1, 9, 5, 5)), dtype=np.float64)
     proj = Tensor(rng.uniform(-1, 1, (1, 1, 5, 5)), dtype=np.float64)
+
+    def run():
+        return reduce_sum(mul(ops.ddc_forward(x, offsets, kernels, 3), proj))
+
+    with Tape() as tape:
+        loss = run()
+    backward(loss, tape)
+    fd = finite_difference(lambda: run().item(), [x.data, offsets.data, kernels.data])
+    assert max_relative_error(x.grad, fd[0]) < 1e-4
+    assert max_relative_error(offsets.grad, fd[1]) < 1e-4
+    assert max_relative_error(kernels.grad, fd[2]) < 1e-4
+
+
+def test_ddc_gradients_batched_grouped_far_offsets():
+    # Offsets up to 3 cells: some taps sample wholly outside the grid and
+    # several taps land on one cell, across two batch items and two groups.
+    rng = np.random.default_rng(28)
+    n, c, h, w = 2, 4, 4, 4
+    x = _t(rng, (n, c, h, w))
+    offsets = _t(rng, (n, 18, h, w), lo=-3.0, hi=3.0)
+    kernels = _t(rng, (n, 2, 9, h, w), lo=-1.0, hi=1.0)
+    proj = _t(rng, (n, c, h, w), lo=-1.0, hi=1.0)
+
+    taps = np.arange(9).reshape(1, 9, 1, 1)
+    r = np.arange(h).reshape(1, 1, h, 1) + taps // 3 - 1 + offsets.data[:, 0::2]
+    q = np.arange(w).reshape(1, 1, 1, w) + taps % 3 - 1 + offsets.data[:, 1::2]
+    outside = (r < -1) | (r >= h) | (q < -1) | (q >= w)
+    assert outside.any() and not outside.all()
+    batch = np.broadcast_to(np.arange(n).reshape(n, 1, 1, 1), r.shape)
+    cells = np.stack([batch[~outside], np.floor(r[~outside]), np.floor(q[~outside])], axis=1)
+    assert np.unique(cells, axis=0, return_counts=True)[1].max() > 1
 
     def run():
         return reduce_sum(mul(ops.ddc_forward(x, offsets, kernels, 3), proj))
