@@ -215,9 +215,8 @@ def cmd_eval(args) -> int:
     parts = data_mod.split(windows)
     stats = data_mod.stats_from_windows(parts.train)
     part = getattr(parts, args.split)
-    report = train_mod.eval_metrics(model, part, stats, train_cfg.batch_size,
+    l1, report = train_mod.evaluate(model, part, stats, train_cfg.batch_size,
                                     args.mape_threshold)
-    l1 = train_mod.eval_l1(model, part, stats, train_cfg.batch_size)
     print(f"split {args.split}: {report.format()}")
     print(f"normalized L1 {l1:.6f}")
     out_path = Path(args.out) if args.out else ckpt.parent / f"eval_{args.split}.json"

@@ -51,6 +51,7 @@ __all__ = [
     "prefetch_batches",
     "eval_l1",
     "eval_metrics",
+    "evaluate",
     "train_loop",
     "GradCheckResult",
     "GradCheckReport",
@@ -242,6 +243,25 @@ def eval_metrics(model: DDCN, windows: Sequence[WindowSample], stats: ChannelSta
     return compute_metrics(np.concatenate(preds), np.concatenate(actuals), mask_threshold)
 
 
+def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
+             batch_size: int, mask_threshold: float = 1e-6) -> tuple[float, MetricsReport]:
+    """``eval_l1`` and ``eval_metrics`` from one forward pass per batch.
+
+    Both score the same batches of the same normalized inputs, so one
+    prediction serves the normalized L1 and the denormalized metrics, with
+    values equal to the two separate calls.
+    """
+    total = 0.0
+    preds = []
+    for xb, yb in iter_batches(windows, stats, batch_size, dtype=model.dtype):
+        pred = model.predict(xb)
+        total += float(np.abs(pred - yb).sum())
+        preds.append(minmax_denormalize(pred, stats))
+    pred = np.concatenate(preds)
+    actual = np.stack([s.target for s in windows])
+    return total / pred.size, compute_metrics(pred, actual, mask_threshold)
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -295,10 +315,8 @@ def _first_nonfinite_param(model: DDCN) -> str:
 
 
 def _split_report(model, windows, stats, batch_size, mask_threshold):
-    return {
-        "l1_normalized": eval_l1(model, windows, stats, batch_size),
-        "metrics": eval_metrics(model, windows, stats, batch_size, mask_threshold).to_dict(),
-    }
+    l1, report = evaluate(model, windows, stats, batch_size, mask_threshold)
+    return {"l1_normalized": l1, "metrics": report.to_dict()}
 
 
 def train_loop(

@@ -144,6 +144,61 @@ def test_standard_conv_stride_two_gradients_match_finite_differences():
     assert max_relative_error(b.grad, fd[2]) < 1e-6
 
 
+def _bits(a):
+    """Raw float bits: unlike ``array_equal``, tells -0.0 from +0.0."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _signed_zero_case(rng, shape, dtype):
+    """A non-contiguous (N, C, T, H, W) input with an all-zero corner.
+
+    The data is laid out (N, T, C, H, W) and viewed transposed (the axis
+    swap ``STAttBlock`` makes, left as a strided view). About a third of the values are zero and a
+    3x3x3 corner is zero in every channel, so zero inputs meet negative
+    weights and some outputs sum only -0.0 products.
+    """
+    n, c, t, h, w = shape
+    base = rng.uniform(-2.0, 2.0, (n, t, c, h, w)).astype(dtype)
+    base[rng.random(base.shape) < 0.3] = 0
+    base[:, :3, :, :3, :3] = 0
+    view = base.transpose(0, 2, 1, 3, 4)
+    assert not view.flags.c_contiguous
+    return Tensor._wrap(view)
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, with_bias):
+    rng = np.random.default_rng(40)
+    x = _signed_zero_case(rng, (2, 3, 4, 4, 5), dtype)
+    w = _t(rng, (7, 3), dtype=dtype)  # c_out > c_in
+    w.data[0] = -np.abs(w.data[0])  # at all-zero positions, channel 0 sums only -0.0
+    b = _t(rng, (7,), dtype=dtype) if with_bias else None
+    out = ops.pointwise_conv(x, w, b).data
+    ref = pointwise_conv_oracle(x.data, w.data, None if b is None else b.data)
+    assert out.flags.c_contiguous
+    assert np.array_equal(_bits(out), _bits(ref))
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, with_bias):
+    rng = np.random.default_rng(41)
+    x = _signed_zero_case(rng, (1, 2, 4, 5, 5), dtype)
+    b = _t(rng, (5,), dtype=dtype) if with_bias else None
+    bd = None if b is None else b.data
+    for w in (_t(rng, (5, 2, 3, 3, 3), dtype=dtype), _t(rng, (5, 2, 1, 1, 1), dtype=dtype)):
+        w.data[0] = -np.abs(w.data[0])
+        out = ops.standard_conv(x, w, b).data
+        assert out.flags.c_contiguous
+        assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, bd)))
+    x2 = Tensor._wrap(x.data[:, :, 0])  # 2D, still non-contiguous
+    w2 = _t(rng, (5, 2, 3, 3), dtype=dtype)
+    w2.data[0] = -np.abs(w2.data[0])
+    out2 = ops.standard_conv(x2, w2, b).data
+    assert np.array_equal(_bits(out2), _bits(standard_conv_oracle(x2.data, w2.data, bd)))
+
+
 # ---------------------------------------------------------------------------
 # Shared-filter convolution
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from ddcn.numerics import (
 from ddcn.train import (
     AdamW,
     TrainConfig,
+    eval_l1,
     eval_metrics,
+    evaluate,
     finite_difference,
     gradcheck_ops,
     iter_batches,
@@ -243,6 +245,25 @@ def test_checkpoint_roundtrip_reproduces_eval_bitwise(tmp_path):
     fresh.load_state(load_checkpoint(path))
     after = eval_metrics(fresh, parts.test, stats, 8)
     assert (before.rmse, before.mae, before.mape) == (after.rmse, after.mae, after.mape)
+
+
+def test_evaluate_one_pass_equals_eval_l1_and_eval_metrics():
+    ds = tiny_dataset(seed=9)
+    parts = split(make_windows(ds, 4))
+    stats = stats_from_windows(parts.train)
+    model = tiny_model(seed=9)
+    calls = []
+    predict = model.predict
+
+    def counting_predict(xb):
+        calls.append(len(xb))
+        return predict(xb)
+
+    model.predict = counting_predict
+    l1, report = evaluate(model, parts.test, stats, 3, mask_threshold=0.05)
+    assert sum(calls) == len(parts.test)  # each window predicted once
+    assert l1 == eval_l1(model, parts.test, stats, 3)
+    assert report == eval_metrics(model, parts.test, stats, 3, mask_threshold=0.05)
 
 
 def test_run_record_files(tmp_path):
