@@ -114,12 +114,13 @@ def _ordered_contract(w2, rows, n, spatial, b) -> np.ndarray:
     """out[:, co, pos] = sum_k w2[co, k] * row_k[pos] + b[co], in ascending ``k``.
 
     ``rows`` yields the ``w2.shape[1]`` contraction rows, each a contiguous
-    (N, *spatial) array, in contraction order (see ``_window_rows``). The
-    sum starts from zeros and adds one ``w2[:, k] * row_k`` product at a time
-    through a single reused (C_out, M) buffer, bias last, which is the
-    scalar oracle's order for every output element. Returns a C-contiguous
-    (N, C_out, *spatial) array: later pairwise reductions depend on memory
-    layout, so the result must not be a transposed view.
+    flat (N * prod(spatial),) array, in contraction order (see
+    ``_window_rows``). The sum starts from zeros and adds one outer product
+    ``w2[:, k] * row_k`` at a time through a single reused (C_out, M) buffer,
+    bias last, which is the scalar oracle's order for every output element.
+    Returns a C-contiguous (N, C_out, *spatial) array: later pairwise
+    reductions depend on memory layout, so the result must not be a
+    transposed view.
     """
     c_out = w2.shape[0]
     # The result is allocated first: the accumulator and the product buffer,
@@ -129,28 +130,30 @@ def _ordered_contract(w2, rows, n, spatial, b) -> np.ndarray:
     result = np.empty((n, c_out) + spatial, dtype=w2.dtype)
     out = np.zeros((c_out, n * math.prod(spatial)), dtype=w2.dtype)
     tmp = np.empty_like(out)
-    for k, row in enumerate(rows):
-        np.multiply(w2[:, k, None], row.reshape(-1), out=tmp)
+    for w_k, row in zip(w2.T, rows):
+        np.multiply.outer(w_k, row, out=tmp)
         out += tmp
     if b is not None:
         out += b.data[:, None]
-    np.copyto(result, np.moveaxis(out.reshape((c_out, n) + spatial), 0, 1))
+    np.copyto(result, out.reshape((c_out, n) + spatial).swapaxes(0, 1))
     return result
 
 
 def _window_rows(x, window_slices, out_spatial):
     """Each (channel, window) of (N, C, *spatial) ``x`` in lexicographic order,
-    copied into one reused contiguous (N, *out_spatial) buffer.
+    copied into one reused contiguous (N, *out_spatial) buffer and yielded
+    as its flat row.
 
     A single whole-channel window gives the pointwise rows. The buffer holds
     one row, so no input-sized channel-first copy is ever live.
     """
     buf = np.empty((x.shape[0],) + out_spatial, dtype=x.dtype)
+    row = buf.reshape(-1)
+    windows = [x[(slice(None), slice(None)) + sl] for sl in window_slices]
     for ci in range(x.shape[1]):
-        xci = x[:, ci]
-        for sl in window_slices:
-            np.copyto(buf, xci[(slice(None),) + sl])
-            yield buf
+        for window in windows:
+            np.copyto(buf, window[:, ci])
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +533,8 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         g_off = np.zeros_like(od)
         g_kern = np.empty_like(kd)
         one = dtype.type(1)
-        # Index arrays in the narrowest dtype scipy accepts for this size
-        # (the largest index is indptr's last entry, 4 * npos).
-        idx_dtype = np.int32 if 4 * npos < 2**31 else np.int64
-        indptr = np.arange(0, 4 * npos + 1, 4, dtype=idx_dtype)
-        corner_cols = np.empty((npos, 4), dtype=idx_dtype)
+        indptr = np.arange(0, 4 * npos + 1, 4)
+        corner_cols = np.empty((npos, 4), dtype=np.int64)
         corner_wts = np.empty((npos, 4), dtype=dtype)
         for tap, (r0i, q0i, wr, wq, corners, masks, sampled) in enumerate(saved):
             v00, v01, v10, v11 = corners

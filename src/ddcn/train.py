@@ -217,39 +217,12 @@ def prefetch_batches(batches: Iterable, depth: int = 2) -> Iterator:
     thread.join()
 
 
-def eval_l1(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
-            batch_size: int) -> float:
-    """Mean absolute error over all elements, in normalized space."""
-    total = 0.0
-    count = 0
-    for xb, yb in iter_batches(windows, stats, batch_size, dtype=model.dtype):
-        pred = model.predict(xb)
-        total += float(np.abs(pred - yb).sum())
-        count += pred.size
-    return total / count
-
-
-def eval_metrics(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
-                 batch_size: int, mask_threshold: float = 1e-6) -> MetricsReport:
-    """Denormalize predictions and score them against raw targets."""
-    preds = []
-    actuals = []
-    for start in range(0, len(windows), batch_size):
-        chunk = windows[start : start + batch_size]
-        xb = np.stack([minmax_normalize(s.input, stats) for s in chunk]).astype(model.dtype)
-        pred = model.predict(xb)
-        preds.append(minmax_denormalize(pred, stats))
-        actuals.append(np.stack([s.target for s in chunk]))
-    return compute_metrics(np.concatenate(preds), np.concatenate(actuals), mask_threshold)
-
-
 def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
              batch_size: int, mask_threshold: float = 1e-6) -> tuple[float, MetricsReport]:
-    """``eval_l1`` and ``eval_metrics`` from one forward pass per batch.
+    """Normalized L1 and denormalized metrics from one forward pass per batch.
 
-    Both score the same batches of the same normalized inputs, so one
-    prediction serves the normalized L1 and the denormalized metrics, with
-    values equal to the two separate calls.
+    The L1 is the mean absolute error over all elements in normalized space;
+    the metrics score the denormalized predictions against the raw targets.
     """
     total = 0.0
     preds = []
@@ -260,6 +233,18 @@ def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
     pred = np.concatenate(preds)
     actual = np.stack([s.target for s in windows])
     return total / pred.size, compute_metrics(pred, actual, mask_threshold)
+
+
+def eval_l1(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
+            batch_size: int) -> float:
+    """Mean absolute error over all elements, in normalized space."""
+    return evaluate(model, windows, stats, batch_size)[0]
+
+
+def eval_metrics(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
+                 batch_size: int, mask_threshold: float = 1e-6) -> MetricsReport:
+    """Denormalize predictions and score them against raw targets."""
+    return evaluate(model, windows, stats, batch_size, mask_threshold)[1]
 
 
 # ---------------------------------------------------------------------------

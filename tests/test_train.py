@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ddcn.data import SynthSpec, make_windows, split, stats_from_windows, synth_traffic
+from ddcn.data import (
+    SynthSpec,
+    make_windows,
+    minmax_denormalize,
+    minmax_normalize,
+    split,
+    stats_from_windows,
+    synth_traffic,
+)
+from ddcn.metrics import compute_metrics
 from ddcn.model import DDCN, ModelConfig
 from ddcn.numerics import (
     NumericalError,
@@ -247,13 +256,27 @@ def test_checkpoint_roundtrip_reproduces_eval_bitwise(tmp_path):
     assert (before.rmse, before.mae, before.mape) == (after.rmse, after.mae, after.mape)
 
 
-def test_evaluate_one_pass_equals_eval_l1_and_eval_metrics():
+def test_evaluate_one_pass_matches_separate_l1_and_metrics_passes():
     ds = tiny_dataset(seed=9)
     parts = split(make_windows(ds, 4))
     stats = stats_from_windows(parts.train)
     model = tiny_model(seed=9)
-    calls = []
     predict = model.predict
+    # The two separate passes the one-pass evaluation replaces.
+    total = count = 0.0
+    preds = []
+    for start in range(0, len(parts.test), 3):
+        chunk = parts.test[start : start + 3]
+        xb = np.stack([minmax_normalize(s.input, stats) for s in chunk]).astype(model.dtype)
+        yb = np.stack([minmax_normalize(s.target, stats) for s in chunk]).astype(model.dtype)
+        pred = predict(xb)
+        total += float(np.abs(pred - yb).sum())
+        count += pred.size
+        preds.append(minmax_denormalize(pred, stats))
+    actual = np.stack([s.target for s in parts.test])
+    expected = compute_metrics(np.concatenate(preds), actual, 0.05)
+
+    calls = []
 
     def counting_predict(xb):
         calls.append(len(xb))
@@ -262,8 +285,10 @@ def test_evaluate_one_pass_equals_eval_l1_and_eval_metrics():
     model.predict = counting_predict
     l1, report = evaluate(model, parts.test, stats, 3, mask_threshold=0.05)
     assert sum(calls) == len(parts.test)  # each window predicted once
-    assert l1 == eval_l1(model, parts.test, stats, 3)
-    assert report == eval_metrics(model, parts.test, stats, 3, mask_threshold=0.05)
+    assert l1 == total / count
+    assert report == expected
+    assert eval_l1(model, parts.test, stats, 3) == l1
+    assert eval_metrics(model, parts.test, stats, 3, mask_threshold=0.05) == report
 
 
 def test_run_record_files(tmp_path):
