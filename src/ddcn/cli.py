@@ -25,7 +25,7 @@ from . import profile as profile_mod
 from . import train as train_mod
 from .data import DatasetFormatError
 from .model import DDCN, ModelConfig
-from .numerics import CheckpointFormatError, NumericalError, load_checkpoint
+from .numerics import CheckpointFormatError, NumericalError, atomic_write, load_checkpoint
 from .train import TrainConfig
 
 __all__ = ["main", "entrypoint", "UsageError"]
@@ -126,7 +126,7 @@ def _effective_configs(args, dataset=None):
 def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
     merged = {**asdict(model_cfg), **asdict(train_cfg), **extras}
     path = out_dir / "config.json"
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(merged, f, indent=2)
     _emit_artifact(path)
 

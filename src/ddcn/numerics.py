@@ -17,8 +17,10 @@ between threads freely.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import secrets
 import struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,6 +50,7 @@ __all__ = [
     "reduce_sum",
     "backward",
     "zero_grads",
+    "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -500,6 +503,36 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
+# Atomic file writes
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write ``path`` as a whole: readers see the old file or the complete new one.
+
+    Yields a file opened with ``mode`` ("w" or "wb") on a temporary file in
+    the same directory. When the block finishes, the file is flushed to disk
+    and moved over ``path`` with ``os.replace``. If the block raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    # Not tempfile.mkstemp: its files are created 0600, and the artifact would
+    # lose the permissions the umask gives a plain open().
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
@@ -512,13 +545,13 @@ def save_checkpoint(path, named_params):
 
     Layout: magic "DDCNCKPT", version u32, count u32, then per param:
     name length u32 + UTF-8 name, rank u32, dims u32 each, payload
-    little-endian float32 row-major.
+    little-endian float32 row-major. The file is replaced atomically.
     """
     if isinstance(named_params, dict):
         items = list(named_params.items())
     else:
         items = list(named_params)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))
         for name, p in items:
@@ -549,7 +582,8 @@ def _read_exact(f, n: int, end: int, what: str) -> bytes:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a DDCNCKPT v1 container into a name -> float32 array mapping.
 
-    Any malformed input raises CheckpointFormatError.
+    Any malformed input raises CheckpointFormatError, including non-finite
+    values and bytes after the last entry.
     """
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size
@@ -577,5 +611,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, end, "dims"))
             n_elem = math.prod(dims)
             payload = _read_exact(f, 4 * n_elem, end, f"payload of {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointFormatError(f"non-finite values in {name!r}")
+            out[name] = arr
+        if f.tell() != end:
+            raise CheckpointFormatError(f"{end - f.tell()} trailing bytes after the last entry")
         return out

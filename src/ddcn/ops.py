@@ -10,14 +10,18 @@ pointwise and standard convolutions evaluate their contracted order on
 channel-first rows: each input channel's tap window (the whole channel for
 pointwise) is copied into one contiguous row, and every output channel takes
 ``w * row`` through one reused product buffer, so the additions happen in the
-contracted order as long, contiguous row updates.
+contracted order as long, contiguous row updates. The deformable convolution
+samples each tap through one sparse (CSR) bilinear sampling matrix, whose
+product sums each row's four corner terms from zero in the contracted corner
+order; the taps then accumulate left to right. The tape keeps that matrix,
+and the backward pass reuses it.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
 Backward channel contractions run as BLAS ``matmul``, and the deformable
 convolution scatters its input gradient through the transpose of each tap's
-sparse bilinear sampling matrix. Both sum in the same order on every call
-for a fixed thread count, so training stays bit-reproducible per seed.
+sampling matrix. Both sum in the same order on every call for a fixed thread
+count, so training stays bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -444,9 +448,25 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     channel group (g(c) = c // (C/G)); no channel mixing and no
     normalization of the dynamic weights.
 
-    Exact accumulation order (matched by the nested-loop oracle): for each
-    tap the four corner terms sum as ((v00*w00 + v01*w01) + v10*w10) +
-    v11*w11, then the kernel-weighted taps accumulate left to right.
+    Each tap samples through its bilinear sampling matrix S, a CSR matrix of
+    shape (N*H*W, N*H*W + 1): one row per output position, four entries per
+    row in corner order 00, 01, 10, 11, each holding its bilinear weight and
+    the flat (n, y, x) index of its corner. An out-of-bounds corner points at
+    the dummy last column. The samples of a tap are ``S @ table``, where
+    ``table`` holds the input in (N*H*W, C) layout plus one zero row for the
+    dummy column.
+
+    Exact accumulation order (matched by the nested-loop oracle): the sparse
+    product sums each row from zero in stored-entry order, so for each tap the
+    four corner terms sum as ((v00*w00 + v01*w01) + v10*w10) + v11*w11; then
+    the kernel-weighted taps accumulate left to right from zero.
+
+    Under a tape, each tap keeps S, its samples and the fractional parts of
+    its coordinates; the call keeps ``table``. The backward pass reuses S for
+    the input gradient (``S.T @ g``) and reads corner values back from
+    ``table`` through S's column indices, by their position in the row, so S
+    is never canonicalized (sorted or with its duplicate dummy entries
+    summed); the taps of one call also share its ``indptr``.
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -469,19 +489,17 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     dtype = xd.dtype
     rep = c // groups
     half = (kernel_size - 1) // 2
+    npos = n * h * w
     rows = np.arange(h, dtype=dtype).reshape(1, h, 1)
     cols = np.arange(w, dtype=dtype).reshape(1, 1, w)
-    xt = np.ascontiguousarray(xd.transpose(0, 2, 3, 1))  # (n, h, w, c) gather layout
-    bidx = np.arange(n).reshape(n, 1, 1)
+    table = np.empty((npos + 1, c), dtype=dtype)
+    table[:npos].reshape(n, h, w, c)[...] = xd.transpose(0, 2, 3, 1)
+    table[npos] = 0
+    kd_t = np.ascontiguousarray(kd.transpose(0, 2, 3, 4, 1))  # (n, kk, h, w, groups)
+    row_base = (np.arange(n) * h).reshape(n, 1, 1)
+    indptr = np.arange(0, 4 * npos + 1, 4)
 
-    def gather(ri, qi):
-        mask = (ri >= 0) & (ri < h) & (qi >= 0) & (qi < w)
-        v = xt[bidx, np.clip(ri, 0, h - 1), np.clip(qi, 0, w - 1)]
-        v[~mask] = 0
-        return v, mask
-
-    out = np.zeros_like(xd)
-    out_g = out.reshape(n, groups, rep, h, w)
+    out_t = np.zeros((n, h, w, groups, rep), dtype=dtype)
     saved = []
     probe = probing_active()
     worst = np.inf
@@ -502,59 +520,54 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         wq = q - q0
         r0i = r0.astype(np.int64)
         q0i = q0.astype(np.int64)
-        v00, m00 = gather(r0i, q0i)
-        v01, m01 = gather(r0i, q0i + 1)
-        v10, m10 = gather(r0i + 1, q0i)
-        v11, m11 = gather(r0i + 1, q0i + 1)
-        w00, w01, w10, w11 = _corner_weights(wr, wq, dtype)
-        sampled = (
-            v00 * w00[..., None]
-            + v01 * w01[..., None]
-            + v10 * w10[..., None]
-            + v11 * w11[..., None]
+        base = (row_base + r0i) * w + q0i
+        row_ok = ((r0i >= 0) & (r0i < h), (r0i >= -1) & (r0i < h - 1))
+        col_ok = ((q0i >= 0) & (q0i < w), (q0i >= -1) & (q0i < w - 1))
+        corner_cols = np.empty((npos, 4), dtype=np.int64)
+        corner_wts = np.empty((npos, 4), dtype=dtype)
+        for k, wt in enumerate(_corner_weights(wr, wq, dtype)):
+            di, dj = divmod(k, 2)
+            inside = row_ok[di] & col_ok[dj]
+            corner_cols[:, k] = np.where(inside, base + (di * w + dj), npos).reshape(-1)
+            corner_wts[:, k] = wt.reshape(-1)
+        sampling = sparse.csr_array(
+            (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, npos + 1)
         )
-        out_g += kd[:, :, tap, None] * sampled.transpose(0, 3, 1, 2).reshape(n, groups, rep, h, w)
-        saved.append((r0i, q0i, wr, wq, (v00, v01, v10, v11), (m00, m01, m10, m11), sampled))
+        sampled = sampling @ table
+        out_t += kd_t[:, tap, ..., None] * sampled.reshape(n, h, w, groups, rep)
+        saved.append((sampling, sampled, wr, wq))
     add_flops(10 * n * c * h * w * kk)
     if probe:
         probe_kink("bilinear_coord", worst)
 
+    out = np.ascontiguousarray(out_t.reshape(n, h, w, c).transpose(0, 3, 1, 2))
     result = Tensor._wrap(out)
 
     def vjp(g):
-        # Gradients are formed in the (n, h, w, c) gather layout. The input
-        # gradient of each tap is S.T @ gs, where S is that tap's bilinear
-        # sampling matrix: one row per output position, four entries per row,
-        # columns indexing flattened input positions plus one dummy column
-        # that absorbs out-of-bounds corners and is dropped at the end.
-        npos = n * h * w
+        # Gradients are formed in the (N*H*W, C) table layout. The input
+        # gradient of a tap is S.T @ gs, whose dummy-column row is dropped at
+        # the end. For the offsets, d(sample)/dr = (v10 - v00)(1 - wq) +
+        # (v11 - v01) wq (and likewise for q), so each corner's value is
+        # reduced against gs over channels once and the four (npos,) results
+        # are combined with the fractional weights.
         g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, h, w, groups, rep)
         gx_flat = np.zeros((npos + 1, c), dtype=dtype)
-        g_off = np.zeros_like(od)
+        g_off = np.empty_like(od)
         g_kern = np.empty_like(kd)
         one = dtype.type(1)
-        indptr = np.arange(0, 4 * npos + 1, 4)
-        corner_cols = np.empty((npos, 4), dtype=np.int64)
-        corner_wts = np.empty((npos, 4), dtype=dtype)
-        for tap, (r0i, q0i, wr, wq, corners, masks, sampled) in enumerate(saved):
-            v00, v01, v10, v11 = corners
+        for tap, (sampling, sampled, wr, wq) in enumerate(saved):
             g_kern[:, :, tap] = (
                 (g_t * sampled.reshape(n, h, w, groups, rep)).sum(axis=4).transpose(0, 3, 1, 2)
             )
-            gs = (g_t * kd[:, :, tap].transpose(0, 2, 3, 1)[..., None]).reshape(n, h, w, c)
-            base = (bidx * h + r0i) * w + q0i
-            for k, (shift, m) in enumerate(zip((0, 1, w, w + 1), masks)):
-                corner_cols[:, k] = np.where(m, base + shift, npos).reshape(-1)
-            for k, wt in enumerate(_corner_weights(wr, wq, dtype)):
-                corner_wts[:, k] = wt.reshape(-1)
-            sampling = sparse.csr_array(
-                (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, npos + 1)
+            gs = (g_t * kd_t[:, tap, ..., None]).reshape(npos, c)
+            gx_flat += sampling.T @ gs
+            corners = sampling.indices.reshape(npos, 4)
+            p00, p01, p10, p11 = (
+                np.einsum("ij,ij->i", gs, np.take(table, corners[:, k], axis=0)).reshape(n, h, w)
+                for k in range(4)
             )
-            gx_flat += sampling.T @ gs.reshape(npos, c)
-            dr = (v10 - v00) * (one - wq)[..., None] + (v11 - v01) * wq[..., None]
-            dq = (v01 - v00) * (one - wr)[..., None] + (v11 - v10) * wr[..., None]
-            g_off[:, 2 * tap] = (gs * dr).sum(axis=3)
-            g_off[:, 2 * tap + 1] = (gs * dq).sum(axis=3)
+            g_off[:, 2 * tap] = (p10 - p00) * (one - wq) + (p11 - p01) * wq
+            g_off[:, 2 * tap + 1] = (p01 - p00) * (one - wr) + (p11 - p10) * wr
         gx = np.ascontiguousarray(gx_flat[:npos].reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return (gx, g_off, g_kern)
 

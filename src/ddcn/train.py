@@ -32,6 +32,7 @@ from .numerics import (
     Tape,
     Tensor,
     add_flops,
+    atomic_write,
     backward,
     mul,
     probe_kink,
@@ -285,7 +286,7 @@ class RunRecord:
         }
 
     def write_summary(self, path):
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump(self.summary(), f, indent=2)
 
 

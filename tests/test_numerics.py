@@ -1,5 +1,7 @@
 """Tensor core: elementwise ops, GELU, tape semantics, checkpoint format."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,61 @@ def test_checkpoint_duplicate_name_rejected(tmp_path):
     path = _raw_checkpoint(tmp_path, [entry, entry])
     with pytest.raises(CheckpointFormatError, match="duplicate"):
         load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    from ddcn.numerics import CheckpointFormatError
+
+    path = _raw_checkpoint(tmp_path, [(b"w", (1,), b"\x00" * 4)])
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointFormatError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_payload_rejected(tmp_path, value):
+    from ddcn.numerics import CheckpointFormatError
+
+    payload = np.array([1.0, value], dtype="<f4").tobytes()
+    path = _raw_checkpoint(tmp_path, [(b"w", (2,), payload)])
+    with pytest.raises(CheckpointFormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def _write_checkpoint(path, good):
+    save_checkpoint(path, {"a": np.ones(3), "b": np.zeros(2) if good else "not a number"})
+
+
+def _write_summary(path, good):
+    from ddcn.train import RunRecord
+
+    RunRecord([], 0, 0.5, {"test": 1.0 if good else object()}).write_summary(path)
+
+
+def _write_config(path, good):
+    from ddcn.cli import _echo_config
+    from ddcn.model import ModelConfig
+    from ddcn.train import TrainConfig
+
+    _echo_config(path.parent, ModelConfig(), TrainConfig(), {"data": "x" if good else object()})
+
+
+@pytest.mark.parametrize("writer, name", [
+    (_write_checkpoint, "best.ckpt"),
+    (_write_summary, "summary.json"),
+    (_write_config, "config.json"),
+])
+def test_artifact_write_failing_midway_keeps_previous_file(tmp_path, writer, name):
+    # Each writer fails after writing part of its output (the second
+    # parameter, or a value json cannot encode); the file from the previous
+    # write must survive byte for byte, with no temporary file left over.
+    path = tmp_path / name
+    writer(path, good=True)
+    before = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        writer(path, good=False)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_param_names_and_uniqueness():

@@ -1,5 +1,7 @@
 """Operator correctness: identities, degeneracies, exact oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,59 @@ def test_ddc_grouped_matches_oracle():
     kernels = Tensor(rng.uniform(-1, 1, (2, 2, 9, 4, 4)))
     out = ops.ddc_forward(x, offsets, kernels, 3)
     assert np.array_equal(out.data, ddc_oracle(x.data, offsets.data, kernels.data, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ddc_matches_loop_oracle_bitwise(dtype):
+    # Compared as raw bits, so a zero of the wrong sign counts as a mismatch.
+    # Offsets reach 4 cells: some taps have all four corners off the grid and
+    # some rows of the sampling matrix send two or three corners to its
+    # dummy column. Integer offsets put some samples exactly on lattice points.
+    rng = np.random.default_rng(29)
+    n, c, h, w = 2, 4, 5, 5
+    xd = rng.uniform(-2, 2, (n, c, h, w))
+    xd[0, 1] = -0.0
+    xd[1, 2] = 0.0
+    xd[:, 3, 2] = -0.0
+    od = rng.uniform(-4, 4, (n, 18, h, w))
+    od[:, 4:8] = np.round(od[:, 4:8])
+    x, offsets = Tensor(xd, dtype=dtype), Tensor(od, dtype=dtype)
+    kernels = Tensor(rng.uniform(-1, 1, (n, 2, 9, h, w)), dtype=dtype)
+
+    taps = np.arange(9).reshape(1, 9, 1, 1)
+    r0 = np.floor(np.arange(h).reshape(1, 1, h, 1) + taps // 3 - 1 + offsets.data[:, 0::2])
+    q0 = np.floor(np.arange(w).reshape(1, 1, 1, w) + taps % 3 - 1 + offsets.data[:, 1::2])
+    rows_in = ((r0 >= 0) & (r0 < h)).astype(int) + ((r0 + 1 >= 0) & (r0 + 1 < h))
+    cols_in = ((q0 >= 0) & (q0 < w)).astype(int) + ((q0 + 1 >= 0) & (q0 + 1 < w))
+    corners_off = 4 - rows_in * cols_in
+    assert {0, 2, 3, 4} <= set(np.unique(corners_off))
+
+    out = ops.ddc_forward(x, offsets, kernels, 3).data
+    expected = ddc_oracle(x.data, offsets.data, kernels.data, 3)
+    assert np.array_equal(_bits(out), _bits(expected))
+
+
+def test_ddc_tape_bytes_bounded():
+    # Bytes a taped call keeps alive beyond its output, as a multiple of the
+    # input's bytes. Per tap the tape holds the sparse sampling matrix (four
+    # weights and four int64 column indices per position), the C samples
+    # per position and the two fractional coordinates; per call it holds the
+    # input in gather layout. That is about 15x at C=32 float32. Keeping the
+    # four gathered corners of every tap instead reads about 48x.
+    rng = np.random.default_rng(30)
+    n, c, h, w = 2, 32, 8, 8
+    x = _t(rng, (n, c, h, w), dtype=np.float32)
+    offsets = _t(rng, (n, 18, h, w), dtype=np.float32)
+    kernels = _t(rng, (n, 1, 9, h, w), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = ops.ddc_forward(x, offsets, kernels, 3)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 24 * x.data.nbytes, f"tape holds {held / x.data.nbytes:.1f}x the input bytes"
 
 
 def test_ddc_gradients_match_finite_differences():
