@@ -14,13 +14,14 @@ from ddcn.data import SynthSpec, make_windows, minmax_denormalize, minmax_normal
     split, stats_from_windows, synth_traffic
 from ddcn.metrics import error_map, save_error_map_csv, save_error_map_pgm
 from ddcn.model import DDCN, ModelConfig
+from ddcn.profile import count_params
 from ddcn.train import TrainConfig, train_loop
 
 out_dir = Path("demo_run")
 ds = synth_traffic(SynthSpec(height=8, width=8, steps=256, seed=3))
 cfg = ModelConfig(in_channels=2, input_steps=4, patch_size=2, embed_dim=16, depth=1)
 model = DDCN(cfg, (8, 8), seed=3)
-print(f"model: {model.param_count()} parameters, grid 8x8, patch 2, embed 16")
+print(f"model: {count_params(model)} parameters, grid 8x8, patch 2, embed 16")
 
 tc = TrainConfig(batch_size=16, epochs=20, learning_rate=2e-3, seed=3)
 run = train_loop(model, ds, tc, out_dir=out_dir)

@@ -168,8 +168,7 @@ def cmd_train(args) -> int:
     try:
         run = train_mod.train_loop(
             model, dataset, train_cfg, out_dir=out_dir,
-            mask_threshold=args.mape_threshold, prefetch=args.prefetch,
-            log=print if args.verbose else None,
+            mask_threshold=args.mape_threshold, log=print if args.verbose else None,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -186,34 +185,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _resolve_run(checkpoint_arg, config_arg):
-    """Accept a run directory or a .ckpt file; locate the config echo."""
-    path = Path(checkpoint_arg)
+def _load_run(args):
+    """Restore a trained run for ``eval`` and ``errmap``.
+
+    ``args.checkpoint`` is a run directory or a .ckpt file; the run's config
+    echo is ``args.config`` or the config.json beside the checkpoint. Returns
+    (checkpoint path, restored model, train config, dataset splits, train
+    split stats).
+    """
+    dataset = data_mod.load_dataset(args.data)
+    path = Path(args.checkpoint)
     ckpt = path / "best.ckpt" if path.is_dir() else path
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    config_path = Path(config_arg) if config_arg else ckpt.parent / "config.json"
+    config_path = Path(args.config) if args.config else ckpt.parent / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"run config not found: {config_path}")
     doc = json.loads(config_path.read_text())
     model_cfg = ModelConfig.from_dict({k: v for k, v in doc.items() if k in _MODEL_FIELDS})
     train_cfg = TrainConfig.from_dict({k: v for k, v in doc.items() if k in _TRAIN_FIELDS})
-    return ckpt, model_cfg, train_cfg
-
-
-def _restore_model(ckpt, model_cfg, dataset, seed):
-    model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=seed)
+    model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
     model.load_state(load_checkpoint(ckpt))
-    return model
+    parts = data_mod.split(data_mod.make_windows(dataset, model_cfg.input_steps))
+    return ckpt, model, train_cfg, parts, data_mod.stats_from_windows(parts.train)
 
 
 def cmd_eval(args) -> int:
-    dataset = data_mod.load_dataset(args.data)
-    ckpt, model_cfg, train_cfg = _resolve_run(args.checkpoint, args.config)
-    model = _restore_model(ckpt, model_cfg, dataset, train_cfg.seed)
-    windows = data_mod.make_windows(dataset, model_cfg.input_steps)
-    parts = data_mod.split(windows)
-    stats = data_mod.stats_from_windows(parts.train)
+    ckpt, model, train_cfg, parts, stats = _load_run(args)
     part = getattr(parts, args.split)
     l1, report = train_mod.evaluate(model, part, stats, train_cfg.batch_size,
                                     args.mape_threshold)
@@ -309,12 +307,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_errmap(args) -> int:
-    dataset = data_mod.load_dataset(args.data)
-    ckpt, model_cfg, train_cfg = _resolve_run(args.checkpoint, args.config)
-    model = _restore_model(ckpt, model_cfg, dataset, train_cfg.seed)
-    windows = data_mod.make_windows(dataset, model_cfg.input_steps)
-    parts = data_mod.split(windows)
-    stats = data_mod.stats_from_windows(parts.train)
+    _, model, _, parts, stats = _load_run(args)
     if not 0 <= args.index < len(parts.test):
         raise UsageError(
             f"--index {args.index} out of range for test split of {len(parts.test)} windows"
@@ -379,8 +372,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-ddc", action="store_true")
     p.add_argument("--no-involution3d", action="store_true")
     p.add_argument("--mape-threshold", type=float, default=1e-6)
-    p.add_argument("--prefetch", action="store_true",
-                   help="stage batches on a worker thread (bounded queue)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 

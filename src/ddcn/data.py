@@ -4,7 +4,7 @@ Grid traffic data is a (T_total, C, H, W) stack of non-negative frames.
 The native on-disk container is GRDT: magic "GRDT", version u32 = 1, then
 u32 fields T_total, C, H, W, interval_minutes, then T_total*C*H*W
 little-endian float32 values in (t, c, h, w) row-major order, and an
-optional trailing UTF-8 JSON metadata block prefixed by its u32 length.
+optional trailing UTF-8 JSON metadata object prefixed by its u32 length.
 """
 
 from __future__ import annotations
@@ -352,9 +352,13 @@ def load_dataset(path) -> TrafficDataset:
             raise TruncatedPayloadError("truncated payload: metadata block incomplete")
         try:
             doc = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-            name = str(doc.get("name", name))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
             raise DatasetFormatError(f"metadata block is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DatasetFormatError(
+                f"metadata block must hold a JSON object, got {type(doc).__name__}"
+            )
+        name = str(doc.get("name", name))
     meta = DatasetMeta(
         name=name,
         interval_minutes=interval,

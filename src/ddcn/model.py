@@ -135,8 +135,6 @@ class STAttBlock(Module):
             acts.Att_ST = att.data.transpose(0, 2, 1, 3, 4).copy()
         return transpose(out, (0, 2, 1, 3, 4))
 
-    __call__ = forward
-
 
 class SpatialAttBlock(Module):
     """Spatial attention gate on frames with batch and time folded together.
@@ -166,8 +164,6 @@ class SpatialAttBlock(Module):
             acts.Att_S = att.data.reshape(b, t, d, h, w).copy()
         return reshape(out, (b, t, d, h, w))
 
-    __call__ = forward
-
 
 class FeedForward(Module):
     """Decoder feed-forward: two pointwise convs doubling then restoring D."""
@@ -183,8 +179,6 @@ class FeedForward(Module):
         folded = reshape(x, (b * t, d, h, w))
         out = self.restore.forward(self.expand.forward(folded))
         return reshape(out, (b, t, d, h, w))
-
-    __call__ = forward
 
 
 class DDCNBlock(Module):
@@ -213,8 +207,6 @@ class DDCNBlock(Module):
         if acts is not None:
             acts.Dec_out = dec.data.copy()
         return dec
-
-    __call__ = forward
 
 
 class DDCN(Module):
@@ -264,12 +256,7 @@ class DDCN(Module):
             return out, activations
         return out
 
-    __call__ = forward
-
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Pure-inference forward on a numpy batch (no tape)."""
         out = self.forward(Tensor(np.asarray(batch, dtype=self.dtype)))
         return out.data.copy()
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params() if p.trainable)

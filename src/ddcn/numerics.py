@@ -457,7 +457,13 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 
 class Module:
-    """Base for layers/models: hierarchical Param discovery by attribute path."""
+    """Base for layers/models: hierarchical Param discovery by attribute path.
+
+    Calling a module runs its ``forward``.
+    """
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Param]]:
         for key, val in vars(self).items():

@@ -3,6 +3,8 @@
 Pointwise and standard convolutions, bilinear sampling, deformable dynamic
 convolution (per-position kernels applied at offset-displaced sampling
 locations), 3D involution over (T, H, W) volumes, and patch embed/back.
+Parameter and FLOP counts live in ``profile`` (``count_params``,
+``cost_report``), not on the layers.
 
 Forward accumulation orders are fixed and documented per operation so that
 independent nested-loop oracles can reproduce outputs bit-for-bit. The
@@ -10,11 +12,13 @@ pointwise and standard convolutions evaluate their contracted order on
 channel-first rows: each input channel's tap window (the whole channel for
 pointwise) is copied into one contiguous row, and every output channel takes
 ``w * row`` through one reused product buffer, so the additions happen in the
-contracted order as long, contiguous row updates. The deformable convolution
-samples each tap through one sparse (CSR) bilinear sampling matrix, whose
+contracted order as long, contiguous row updates. Bilinear sampling has one
+primitive: a sparse (CSR) sampling matrix (``_sampling_matrix``), whose
 product sums each row's four corner terms from zero in the contracted corner
-order; the taps then accumulate left to right. The tape keeps that matrix,
-and the backward pass reuses it.
+order, and its backward (``_sampling_grads``). The deformable convolution
+samples each tap through it and accumulates the taps left to right;
+``bilinear_sample``, the gradient-checked scalar op, is a one-position view
+of it. The tape keeps each matrix, and the backward pass reuses it.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
@@ -362,9 +366,72 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _corner_weights(wr, wq, dtype):
+def _sampling_matrix(r, q, h: int, w: int, indptr):
+    """The bilinear sampling matrix S of fractional (row, col) points.
+
+    ``r`` and ``q`` hold one point per position, with a leading batch axis:
+    a point of batch ``i`` samples plane ``i`` of an (N, H, W) grid. S is a
+    CSR matrix of shape (positions, N*H*W + 1): one row per position, four
+    entries per row in corner order 00, 01, 10, 11, each holding its
+    bilinear weight and the flat (n, y, x) index of its corner. An
+    out-of-bounds corner points at the dummy last column, which the caller's
+    table fills with a zero row. ``indptr`` is ``arange(0, 4 * positions + 1,
+    4)``, shared by every matrix of a call. Returns S and the fractional
+    parts ``wr``, ``wq`` (shaped like ``r``), which the backward pass needs.
+
+    ``S @ table`` sums each row from zero in stored-entry order, without
+    fused multiply-adds, so a sample is exactly
+    ((v00*w00 + v01*w01) + v10*w10) + v11*w11.
+    """
+    dtype = r.dtype
     one = dtype.type(1)
-    return (one - wr) * (one - wq), (one - wr) * wq, wr * (one - wq), wr * wq
+    npos = r.size
+    dummy = r.shape[0] * h * w
+    row_base = (np.arange(r.shape[0]) * h).reshape((-1,) + (1,) * (r.ndim - 1))
+    r0 = np.floor(r)
+    q0 = np.floor(q)
+    wr = r - r0
+    wq = q - q0
+    r0i = r0.astype(np.int64)
+    q0i = q0.astype(np.int64)
+    base = (row_base + r0i) * w + q0i
+    row_ok = ((r0i >= 0) & (r0i < h), (r0i >= -1) & (r0i < h - 1))
+    col_ok = ((q0i >= 0) & (q0i < w), (q0i >= -1) & (q0i < w - 1))
+    corner_cols = np.empty((npos, 4), dtype=np.int64)
+    corner_wts = np.empty((npos, 4), dtype=dtype)
+    weights = ((one - wr) * (one - wq), (one - wr) * wq, wr * (one - wq), wr * wq)
+    for k, wt in enumerate(weights):
+        di, dj = divmod(k, 2)
+        inside = row_ok[di] & col_ok[dj]
+        corner_cols[:, k] = np.where(inside, base + (di * w + dj), dummy).reshape(-1)
+        corner_wts[:, k] = wt.reshape(-1)
+    sampling = sparse.csr_array(
+        (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, dummy + 1)
+    )
+    return sampling, wr, wq
+
+
+def _sampling_grads(sampling, table, gs, wr, wq):
+    """Backward of ``sampled = sampling @ table`` for gradient ``gs``.
+
+    Returns ``(sampling.T @ gs, g_r, g_q)``: the table gradient (its last,
+    dummy row is the caller's to drop) and the gradients of the sampling
+    coordinates, shaped like ``wr``. Since d(sample)/dr = (v10 - v00)(1 - wq)
+    + (v11 - v01) wq (and likewise for q), each corner's values are read back
+    from ``table`` through S's column indices, by their position in the row,
+    and reduced against ``gs`` over channels once; the four per-position
+    results are then combined with the fractional parts. S is never
+    canonicalized (sorted or with its duplicate dummy entries summed).
+    """
+    one = wr.dtype.type(1)
+    corners = sampling.indices.reshape(-1, 4)
+    p00, p01, p10, p11 = (
+        np.einsum("ij,ij->i", gs, np.take(table, corners[:, k], axis=0)).reshape(wr.shape)
+        for k in range(4)
+    )
+    g_r = (p10 - p00) * (one - wq) + (p11 - p01) * wq
+    g_q = (p01 - p00) * (one - wr) + (p11 - p10) * wr
+    return sampling.T @ gs, g_r, g_q
 
 
 def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
@@ -375,6 +442,11 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     single-element Tensors; gradient flows to the four cells and, for Tensor
     coordinates, to (r, q). Exact on lattice points, linear along each axis
     in between.
+
+    This is a one-position view of the sampling primitive ``ddc_forward``
+    runs: one sampling matrix row (``_sampling_matrix``) over a one-channel
+    table holding the (n, c) plane plus a zero row, and its backward through
+    ``_sampling_grads``.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -387,24 +459,16 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     rv = dtype.type(r.item() if r_t is not None else r)
     qv = dtype.type(q.item() if q_t is not None else q)
 
-    r0 = int(np.floor(rv))
-    q0 = int(np.floor(qv))
-    wr = rv - dtype.type(r0)
-    wq = qv - dtype.type(q0)
-
-    def cell(ri, qi):
-        if 0 <= ri < h and 0 <= qi < w:
-            return xd[n, c, ri, qi]
-        return dtype.type(0)
-
-    v00, v01, v10, v11 = cell(r0, q0), cell(r0, q0 + 1), cell(r0 + 1, q0), cell(r0 + 1, q0 + 1)
-    w00, w01, w10, w11 = _corner_weights(wr, wq, dtype)
-    value = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    table = np.zeros((h * w + 1, 1), dtype=dtype)
+    table[: h * w, 0] = xd[n, c].reshape(-1)
+    sampling, wr, wq = _sampling_matrix(
+        np.full((1, 1), rv), np.full((1, 1), qv), h, w, np.arange(0, 5, 4)
+    )
     add_flops(8)
     if probing_active():
         probe_kink("bilinear_coord", min(abs(rv - round(float(rv))), abs(qv - round(float(qv)))))
 
-    result = Tensor._wrap(np.array([value], dtype=dtype))
+    result = Tensor._wrap((sampling @ table).reshape(1))
     inputs: list[Tensor] = [x]
     if r_t is not None:
         inputs.append(r_t)
@@ -412,20 +476,14 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
         inputs.append(q_t)
 
     def vjp(g):
-        gs = g[0]
+        g_table, g_r, g_q = _sampling_grads(sampling, table, g.reshape(1, 1), wr, wq)
         gx = np.zeros_like(xd)
-        for (ri, qi), wt in (((r0, q0), w00), ((r0, q0 + 1), w01),
-                             ((r0 + 1, q0), w10), ((r0 + 1, q0 + 1), w11)):
-            if 0 <= ri < h and 0 <= qi < w:
-                gx[n, c, ri, qi] += gs * wt
+        gx[n, c] = g_table[: h * w].reshape(h, w)
         grads = [gx]
-        one = dtype.type(1)
         if r_t is not None:
-            dr = (v10 - v00) * (one - wq) + (v11 - v01) * wq
-            grads.append(np.array([gs * dr], dtype=dtype))
+            grads.append(g_r.reshape(1))
         if q_t is not None:
-            dq = (v01 - v00) * (one - wr) + (v11 - v10) * wr
-            grads.append(np.array([gs * dq], dtype=dtype))
+            grads.append(g_q.reshape(1))
         return tuple(grads)
 
     record(tuple(inputs), result, vjp)
@@ -448,13 +506,12 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     channel group (g(c) = c // (C/G)); no channel mixing and no
     normalization of the dynamic weights.
 
-    Each tap samples through its bilinear sampling matrix S, a CSR matrix of
-    shape (N*H*W, N*H*W + 1): one row per output position, four entries per
-    row in corner order 00, 01, 10, 11, each holding its bilinear weight and
-    the flat (n, y, x) index of its corner. An out-of-bounds corner points at
-    the dummy last column. The samples of a tap are ``S @ table``, where
-    ``table`` holds the input in (N*H*W, C) layout plus one zero row for the
-    dummy column.
+    Each tap samples through its bilinear sampling matrix S
+    (``_sampling_matrix``, the one sampling primitive, which
+    ``bilinear_sample`` also runs): a CSR matrix with one row per output
+    position and four corner entries per row. The samples of a tap are
+    ``S @ table``, where ``table`` holds the input in (N*H*W, C) layout plus
+    one zero row for S's dummy out-of-bounds column.
 
     Exact accumulation order (matched by the nested-loop oracle): the sparse
     product sums each row from zero in stored-entry order, so for each tap the
@@ -462,11 +519,9 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     the kernel-weighted taps accumulate left to right from zero.
 
     Under a tape, each tap keeps S, its samples and the fractional parts of
-    its coordinates; the call keeps ``table``. The backward pass reuses S for
-    the input gradient (``S.T @ g``) and reads corner values back from
-    ``table`` through S's column indices, by their position in the row, so S
-    is never canonicalized (sorted or with its duplicate dummy entries
-    summed); the taps of one call also share its ``indptr``.
+    its coordinates; the call keeps ``table``, and the taps of one call share
+    S's ``indptr``. The backward pass reuses S for the input and offset
+    gradients (``_sampling_grads``).
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -496,7 +551,6 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     table[:npos].reshape(n, h, w, c)[...] = xd.transpose(0, 2, 3, 1)
     table[npos] = 0
     kd_t = np.ascontiguousarray(kd.transpose(0, 2, 3, 4, 1))  # (n, kk, h, w, groups)
-    row_base = (np.arange(n) * h).reshape(n, 1, 1)
     indptr = np.arange(0, 4 * npos + 1, 4)
 
     out_t = np.zeros((n, h, w, groups, rep), dtype=dtype)
@@ -514,25 +568,7 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
                 float(np.abs(r - np.round(r)).min()),
                 float(np.abs(q - np.round(q)).min()),
             )
-        r0 = np.floor(r)
-        q0 = np.floor(q)
-        wr = r - r0
-        wq = q - q0
-        r0i = r0.astype(np.int64)
-        q0i = q0.astype(np.int64)
-        base = (row_base + r0i) * w + q0i
-        row_ok = ((r0i >= 0) & (r0i < h), (r0i >= -1) & (r0i < h - 1))
-        col_ok = ((q0i >= 0) & (q0i < w), (q0i >= -1) & (q0i < w - 1))
-        corner_cols = np.empty((npos, 4), dtype=np.int64)
-        corner_wts = np.empty((npos, 4), dtype=dtype)
-        for k, wt in enumerate(_corner_weights(wr, wq, dtype)):
-            di, dj = divmod(k, 2)
-            inside = row_ok[di] & col_ok[dj]
-            corner_cols[:, k] = np.where(inside, base + (di * w + dj), npos).reshape(-1)
-            corner_wts[:, k] = wt.reshape(-1)
-        sampling = sparse.csr_array(
-            (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, npos + 1)
-        )
+        sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
         sampled = sampling @ table
         out_t += kd_t[:, tap, ..., None] * sampled.reshape(n, h, w, groups, rep)
         saved.append((sampling, sampled, wr, wq))
@@ -544,30 +580,25 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     result = Tensor._wrap(out)
 
     def vjp(g):
-        # Gradients are formed in the (N*H*W, C) table layout. The input
-        # gradient of a tap is S.T @ gs, whose dummy-column row is dropped at
-        # the end. For the offsets, d(sample)/dr = (v10 - v00)(1 - wq) +
-        # (v11 - v01) wq (and likewise for q), so each corner's value is
-        # reduced against gs over channels once and the four (npos,) results
-        # are combined with the fractional weights.
+        # Gradients are formed in the (N*H*W, C) table layout; the dummy
+        # column's row of the input gradient is dropped at the end.
         g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, h, w, groups, rep)
         gx_flat = np.zeros((npos + 1, c), dtype=dtype)
         g_off = np.empty_like(od)
         g_kern = np.empty_like(kd)
-        one = dtype.type(1)
         for tap, (sampling, sampled, wr, wq) in enumerate(saved):
             g_kern[:, :, tap] = (
                 (g_t * sampled.reshape(n, h, w, groups, rep)).sum(axis=4).transpose(0, 3, 1, 2)
             )
             gs = (g_t * kd_t[:, tap, ..., None]).reshape(npos, c)
-            gx_flat += sampling.T @ gs
-            corners = sampling.indices.reshape(npos, 4)
-            p00, p01, p10, p11 = (
-                np.einsum("ij,ij->i", gs, np.take(table, corners[:, k], axis=0)).reshape(n, h, w)
-                for k in range(4)
+            g_table, g_off[:, 2 * tap], g_off[:, 2 * tap + 1] = _sampling_grads(
+                sampling, table, gs, wr, wq
             )
-            g_off[:, 2 * tap] = (p10 - p00) * (one - wq) + (p11 - p01) * wq
-            g_off[:, 2 * tap + 1] = (p01 - p00) * (one - wr) + (p11 - p10) * wr
+            gx_flat += g_table
+            # Freed here, not when the next tap rebinds it: alive through the
+            # next tap's corner reductions, it raised the backward peak by
+            # one input-sized array.
+            del g_table
         gx = np.ascontiguousarray(gx_flat[:npos].reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return (gx, g_off, g_kern)
 
@@ -697,21 +728,11 @@ class PointwiseConv(Module):
 
     def __init__(self, in_channels, out_channels, bias=True, rng=None, dtype=F32):
         rng = rng or np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.weight = Param(uniform_init(rng, (out_channels, in_channels), in_channels, dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return pointwise_conv(x, self.weight, self.bias)
-
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.weight.size + (self.bias.size if self.bias is not None else 0)
-
-    def flops(self, n_positions: int) -> int:
-        return 2 * n_positions * self.in_channels * self.out_channels
 
 
 class StandardConv2d(Module):
@@ -731,15 +752,6 @@ class StandardConv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return standard_conv(x, self.weight, self.bias)
 
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.weight.size + (self.bias.size if self.bias is not None else 0)
-
-    def flops(self, n_positions: int) -> int:
-        s = self.spec
-        return 2 * n_positions * s.in_channels * s.out_channels * s.kernel_size ** 2
-
 
 class SharedConv(Module):
     """Single learned K^d filter applied depthwise to every channel.
@@ -751,22 +763,12 @@ class SharedConv(Module):
 
     def __init__(self, kernel_size=3, dims=2, rng=None, dtype=F32):
         rng = rng or np.random.default_rng(0)
-        self.kernel_size = kernel_size
-        self.dims = dims
         shape = (kernel_size,) * dims
         self.weight = Param(uniform_init(rng, shape, kernel_size ** dims, dtype))
         self.bias = Param(np.zeros(1, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return shared_conv(x, self.weight, self.bias)
-
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
-
-    def flops(self, n_positions: int, channels: int) -> int:
-        return 2 * n_positions * channels * self.kernel_size ** self.dims
 
 
 class DDCLayer(Module):
@@ -805,16 +807,6 @@ class DDCLayer(Module):
         kernels = reshape(self.kernel_conv.forward(x), (n, self.groups, kk, h, w))
         return ddc_forward(x, offsets, kernels, self.kernel_size)
 
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.offset_conv.param_count() + self.kernel_conv.param_count()
-
-    def flops(self, n_positions: int) -> int:
-        kk = self.kernel_size * self.kernel_size
-        agg = 10 * n_positions * self.channels * kk  # 2 MAC + 8 per bilinear sample
-        return self.offset_conv.flops(n_positions) + self.kernel_conv.flops(n_positions) + agg
-
 
 class Involution3D(Module):
     """Involution over the (T, H, W) volume with per-position K^3 kernels.
@@ -836,7 +828,6 @@ class Involution3D(Module):
         self.channels = channels
         self.kernel_size = kernel_size
         self.groups = groups
-        self.reduction = reduction
         hidden = channels // reduction
         self.reduce = PointwiseConv(channels, hidden, rng=rng, dtype=dtype)
         self.span = PointwiseConv(hidden, groups * kernel_size ** 3, rng=rng, dtype=dtype)
@@ -850,21 +841,6 @@ class Involution3D(Module):
         kernels = self.span.forward(gelu(self.reduce.forward(x)))
         kernels = reshape(kernels, (n, self.groups, k3, t, h, w))
         return involution3d_forward(x, kernels, self.bias, self.kernel_size)
-
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.reduce.param_count() + self.span.param_count() + self.bias.size
-
-    def flops(self, n_positions: int) -> int:
-        hidden = self.channels // self.reduction
-        agg = 2 * n_positions * self.channels * self.kernel_size ** 3
-        return (
-            self.reduce.flops(n_positions)
-            + 8 * n_positions * hidden  # GELU in the generator
-            + self.span.flops(n_positions)
-            + agg
-        )
 
 
 class PatchEmbed(Module):
@@ -892,14 +868,6 @@ class PatchEmbed(Module):
         patches = pixel_unshuffle(folded, p)
         emb = self.proj.forward(patches)
         return reshape(emb, (b, t, self.embed_dim, h // p, w // p))
-
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.proj.param_count()
-
-    def flops(self, n_positions: int) -> int:
-        return self.proj.flops(n_positions)
 
 
 class PatchBack(Module):
@@ -930,11 +898,3 @@ class PatchBack(Module):
         folded = reshape(x, (b, t * d, hp, wp))
         y = self.proj.forward(folded)
         return pixel_shuffle(y, self.patch_size)
-
-    __call__ = forward
-
-    def param_count(self) -> int:
-        return self.proj.param_count()
-
-    def flops(self, n_positions: int) -> int:
-        return self.proj.flops(n_positions)

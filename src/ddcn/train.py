@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import queue
-import threading
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -49,7 +47,6 @@ __all__ = [
     "l1_loss",
     "AdamW",
     "iter_batches",
-    "prefetch_batches",
     "eval_l1",
     "eval_metrics",
     "evaluate",
@@ -198,26 +195,6 @@ def iter_batches(
         yield xb.astype(dtype), yb.astype(dtype)
 
 
-def prefetch_batches(batches: Iterable, depth: int = 2) -> Iterator:
-    """Stage batches on a worker thread through a bounded queue, preserving order."""
-    q: queue.Queue = queue.Queue(maxsize=depth)
-    sentinel = object()
-
-    def worker():
-        for item in batches:
-            q.put(item)
-        q.put(sentinel)
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-    while True:
-        item = q.get()
-        if item is sentinel:
-            break
-        yield item
-    thread.join()
-
-
 def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
              batch_size: int, mask_threshold: float = 1e-6) -> tuple[float, MetricsReport]:
     """Normalized L1 and denormalized metrics from one forward pass per batch.
@@ -272,7 +249,7 @@ class RunRecord:
     checkpoint_path: str | None = None
 
     def write_jsonl(self, path):
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             for rec in self.epochs:
                 f.write(json.dumps(asdict(rec)) + "\n")
 
@@ -312,7 +289,6 @@ def train_loop(
     out_dir=None,
     ratios=(7, 1, 2),
     mask_threshold: float = 1e-6,
-    prefetch: bool = False,
     log: Callable[[str], None] | None = None,
 ) -> RunRecord:
     """Train on chronological splits, checkpoint the best validation epoch,
@@ -338,8 +314,6 @@ def train_loop(
         t0 = time.perf_counter()
         order = rng.permutation(len(parts.train))
         batches = iter_batches(parts.train, stats, cfg.batch_size, order, model.dtype)
-        if prefetch:
-            batches = prefetch_batches(batches)
         total = 0.0
         seen = 0
         for batch_idx, (xb, yb) in enumerate(batches):

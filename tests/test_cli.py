@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ def test_bad_magic_exit_2():
     with open("corrupt.grdt", "wb") as f:
         f.write(b"JUNKJUNKJUNK" + b"\x00" * 64)
     assert run_cli("train", "--data", "corrupt.grdt", "--out", "run") == 2
+
+
+def test_non_object_metadata_exit_2(capsys):
+    with open("list_meta.grdt", "wb") as f:
+        f.write(b"GRDT" + struct.pack("<6I", 1, 1, 1, 1, 1, 30) + b"\x00" * 4)
+        f.write(struct.pack("<I", 3) + b"[1]")
+    assert run_cli("train", "--data", "list_meta.grdt", "--out", "run") == 2
+    assert "format error" in capsys.readouterr().err
 
 
 def test_train_writes_run_dir_and_lists_artifacts(capsys):

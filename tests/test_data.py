@@ -193,6 +193,14 @@ def test_grdt_zero_dimension_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_grdt_metadata_not_an_object_rejected(tmp_path):
+    path = tmp_path / "list_meta.grdt"
+    header = b"GRDT" + struct.pack("<6I", 1, 1, 1, 1, 1, 30)
+    path.write_bytes(header + b"\x00" * 4 + struct.pack("<I", 3) + b"[1]")
+    with pytest.raises(DatasetFormatError, match="JSON object"):
+        load_dataset(path)
+
+
 def test_dataset_rejects_negative_frames():
     with pytest.raises(DatasetFormatError, match="non-negative"):
         _dataset(np.full((4, 1, 2, 2), -1.0, np.float32))

@@ -1,0 +1,91 @@
+"""Property tests: the file parsers are total.
+
+For any byte string, ``load_dataset`` and ``load_checkpoint`` either parse
+it or raise their own typed format error, and nothing else. Inputs are raw
+bytes, valid files with bytes overwritten, cut or appended, and valid
+headers followed by arbitrary bytes, so that examples get past the magic.
+"""
+
+import json
+import os
+import struct
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddcn.data import DatasetFormatError, SynthSpec, load_dataset, save_dataset, synth_traffic
+from ddcn.numerics import CheckpointFormatError, load_checkpoint, save_checkpoint
+
+FUZZ = settings(max_examples=150, deadline=None, database=None)
+
+
+def _valid_bytes(write) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid")
+        write(path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+VALID_GRDT = _valid_bytes(
+    lambda p: save_dataset(synth_traffic(SynthSpec(height=2, width=2, steps=3, seed=0)), p)
+)
+VALID_CKPT = _valid_bytes(
+    lambda p: save_checkpoint(p, {"w": np.ones((2, 3), np.float32), "b": np.zeros(3, np.float32)})
+)
+GRDT_HEADER = b"GRDT" + struct.pack("<6I", 1, 1, 1, 1, 1, 30) + b"\x00" * 4
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with a few bytes overwritten, then cut and/or extended."""
+    blob = bytearray(valid)
+    for _ in range(draw(st.integers(0, 4))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    blob = blob[: draw(st.integers(0, len(blob)))]
+    return bytes(blob) + draw(st.binary(max_size=16))
+
+
+def _meta_block(payload: bytes) -> bytes:
+    return GRDT_HEADER + struct.pack("<I", len(payload)) + payload
+
+
+def _load_or_format_error(load, blob: bytes, error):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed")
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            load(path)
+        except error:
+            pass
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=128),
+    _mutated(VALID_GRDT),
+    st.binary(max_size=64).map(lambda b: GRDT_HEADER + b),
+    st.binary(max_size=32).map(_meta_block),
+    _json.map(lambda doc: _meta_block(json.dumps(doc).encode("utf-8"))),
+))
+def test_load_dataset_parses_or_raises_format_error(blob):
+    _load_or_format_error(load_dataset, blob, DatasetFormatError)
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=128),
+    _mutated(VALID_CKPT),
+    st.binary(max_size=64).map(lambda b: VALID_CKPT[:16] + b),
+))
+def test_load_checkpoint_parses_or_raises_format_error(blob):
+    _load_or_format_error(load_checkpoint, blob, CheckpointFormatError)

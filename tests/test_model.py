@@ -5,6 +5,7 @@ import pytest
 
 from ddcn.model import DDCN, ModelConfig, SpatialAttBlock, STAttBlock
 from ddcn.numerics import Param, ShapeError, Tape, Tensor, backward, reshape
+from ddcn.profile import count_params
 from ddcn.train import finite_difference, l1_loss, max_relative_error
 
 RNG = np.random.default_rng
@@ -140,7 +141,7 @@ def test_zeroed_residual_branches_reduce_to_patch_roundtrip():
 def test_ablation_param_count_lattice():
     grid = (32, 32)
     variants = {
-        flags: DDCN(small_config(embed_dim=64, depth=2, **dict(flags)), grid).param_count()
+        flags: count_params(DDCN(small_config(embed_dim=64, depth=2, **dict(flags)), grid))
         for flags in [
             (("use_ddc", True), ("use_involution3d", True)),
             (("use_ddc", False), ("use_involution3d", True)),

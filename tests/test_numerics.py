@@ -315,6 +315,13 @@ def _write_summary(path, good):
     RunRecord([], 0, 0.5, {"test": 1.0 if good else object()}).write_summary(path)
 
 
+def _write_record(path, good):
+    from ddcn.train import EpochRecord, RunRecord
+
+    second = EpochRecord(1, 0.4, 0.5 if good else object(), 1.0)
+    RunRecord([EpochRecord(0, 0.5, 0.6, 1.0), second], 0, 0.5, {}).write_jsonl(path)
+
+
 def _write_config(path, good):
     from ddcn.cli import _echo_config
     from ddcn.model import ModelConfig
@@ -326,6 +333,7 @@ def _write_config(path, good):
 @pytest.mark.parametrize("writer, name", [
     (_write_checkpoint, "best.ckpt"),
     (_write_summary, "summary.json"),
+    (_write_record, "record.jsonl"),
     (_write_config, "config.json"),
 ])
 def test_artifact_write_failing_midway_keeps_previous_file(tmp_path, writer, name):

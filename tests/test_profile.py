@@ -10,8 +10,7 @@ from ddcn.profile import cost_report, count_flops, count_params, search_referenc
 
 def test_pointwise_param_formula():
     layer = ops.PointwiseConv(8, 16)
-    assert layer.param_count() == 8 * 16 + 16 == 144
-    assert count_params(layer) == 144
+    assert count_params(layer) == 8 * 16 + 16 == 144
 
 
 def test_empty_model_zero_params():
@@ -24,7 +23,6 @@ def test_empty_model_zero_params():
 def test_single_pointwise_conv_flops():
     layer = ops.PointwiseConv(8, 16)
     # (1, 8, 4, 4) input: 16 positions -> 2 * 16 * 8 * 16 = 4096
-    assert layer.flops(16) == 4096
     x = Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32))
     with FlopCounter() as counter:
         ops.pointwise_conv(x, layer.weight, layer.bias)
@@ -42,7 +40,6 @@ def test_tiny_config_params_match_hand_ledger():
     patch_back = (4 * 8) * (2 * 4) + (2 * 4)           # 264
     ledger = patch_embed + st_att + spatial + ffn + patch_back
     assert ledger == 2406
-    assert model.param_count() == ledger
     assert count_params(model) == ledger
     assert cost_report(cfg, (1, 4, 2, 8, 8)).total_params == ledger
 

@@ -37,7 +37,6 @@ from ddcn.train import (
     iter_batches,
     l1_loss,
     max_relative_error,
-    prefetch_batches,
     train_loop,
 )
 from oracles import adam_recurrence
@@ -230,14 +229,6 @@ def test_nonfinite_loss_names_offending_param():
             train_loop(model, tiny_dataset(), cfg)
 
 
-def test_prefetch_matches_synchronous():
-    cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=1e-3, seed=6)
-    plain = train_loop(tiny_model(seed=6), tiny_dataset(seed=6), cfg)
-    staged = train_loop(tiny_model(seed=6), tiny_dataset(seed=6), cfg, prefetch=True)
-    assert [(r.train_l1, r.val_l1) for r in plain.epochs] == \
-        [(r.train_l1, r.val_l1) for r in staged.epochs]
-
-
 def test_checkpoint_roundtrip_reproduces_eval_bitwise(tmp_path):
     model = tiny_model(seed=7)
     ds = tiny_dataset(seed=7)
@@ -314,11 +305,6 @@ def test_iter_batches_shapes_and_order():
     assert batches[0][1].shape[1:] == (2, 8, 8)
     # Normalized values live in [0, 1] because stats cover these windows.
     assert all(b[0].min() >= 0.0 and b[0].max() <= 1.0 for b in batches)
-
-
-def test_prefetch_batches_preserves_order():
-    items = list(range(17))
-    assert list(prefetch_batches(iter(items), depth=3)) == items
 
 
 def test_gradcheck_ops_subset_passes():
