@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -62,6 +63,16 @@ def _env_seed() -> int | None:
         raise UsageError(f"DDCN_SEED must be an integer, got {raw!r}")
 
 
+@contextmanager
+def _config_values():
+    """Maps a malformed config value (a ValueError or TypeError raised while
+    reading the seed or building ModelConfig/TrainConfig) to UsageError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -84,7 +95,8 @@ def _effective_configs(args, dataset=None):
     if env is not None:
         seed = env
     if "seed" in doc:
-        seed = int(doc["seed"])
+        with _config_values():
+            seed = int(doc["seed"])
     if getattr(args, "seed", None) is not None:
         seed = args.seed
 
@@ -115,11 +127,9 @@ def _effective_configs(args, dataset=None):
     if dataset is not None and "in_channels" not in model_kwargs:
         model_kwargs["in_channels"] = dataset.meta.channels
 
-    try:
+    with _config_values():
         model_cfg = ModelConfig.from_dict(model_kwargs)
         train_cfg = TrainConfig.from_dict(train_kwargs)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
     return model_cfg, train_cfg
 
 
@@ -201,9 +211,10 @@ def _load_run(args):
     config_path = Path(args.config) if args.config else ckpt.parent / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"run config not found: {config_path}")
-    doc = json.loads(config_path.read_text())
-    model_cfg = ModelConfig.from_dict({k: v for k, v in doc.items() if k in _MODEL_FIELDS})
-    train_cfg = TrainConfig.from_dict({k: v for k, v in doc.items() if k in _TRAIN_FIELDS})
+    doc = _load_config_file(config_path)
+    with _config_values():
+        model_cfg = ModelConfig.from_dict({k: v for k, v in doc.items() if k in _MODEL_FIELDS})
+        train_cfg = TrainConfig.from_dict({k: v for k, v in doc.items() if k in _TRAIN_FIELDS})
     model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
     model.load_state(load_checkpoint(ckpt))
     parts = data_mod.split(data_mod.make_windows(dataset, model_cfg.input_steps))
@@ -282,11 +293,9 @@ def cmd_profile(args) -> int:
     model_kwargs = {k: v for k, v in doc.items() if k in _MODEL_FIELDS}
     model_kwargs.setdefault("in_channels", shape[2])
     model_kwargs.setdefault("input_steps", shape[1])
-    try:
+    with _config_values():
         cfg = ModelConfig.from_dict(model_kwargs)
-        report = profile_mod.cost_report(cfg, shape)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = profile_mod.cost_report(cfg, shape)  # a ValueError is a usage error (see main)
     print(report.format())
     if args.time:
         import time as _time
@@ -313,7 +322,7 @@ def cmd_errmap(args) -> int:
             f"--index {args.index} out of range for test split of {len(parts.test)} windows"
         )
     sample = parts.test[args.index]
-    xb = data_mod.minmax_normalize(sample.input, stats)[None].astype(model.dtype)
+    xb, _ = next(train_mod.iter_batches([sample], stats, 1, dtype=model.dtype))
     pred = data_mod.minmax_denormalize(model.predict(xb)[0], stats)
     emap = metrics_mod.error_map(pred, sample.target)
     out_dir = Path(args.out)

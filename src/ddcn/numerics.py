@@ -22,7 +22,7 @@ import math
 import os
 import secrets
 import struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -49,7 +49,6 @@ __all__ = [
     "transpose",
     "reduce_sum",
     "backward",
-    "zero_grads",
     "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
@@ -270,14 +269,6 @@ def backward(loss: Tensor, tape: Tape):
             leaf.grad = np.array(g, copy=True)
         else:
             leaf.grad = leaf.grad + g
-
-
-def zero_grads(params: Iterable[Tensor]):
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        else:
-            p.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ pointwise and standard convolutions evaluate their contracted order on
 channel-first rows: each input channel's tap window (the whole channel for
 pointwise) is copied into one contiguous row, and every output channel takes
 ``w * row`` through one reused product buffer, so the additions happen in the
-contracted order as long, contiguous row updates. Bilinear sampling has one
+contracted order as long, contiguous row updates. One helper
+(``_padded_taps``) owns zero padding by (K-1)/2 and the row-major tap order
+for the standard, shared and involution convolutions. Bilinear sampling has one
 primitive: a sparse (CSR) sampling matrix (``_sampling_matrix``), whose
 product sums each row's four corner terms from zero in the contracted corner
 order, and its backward (``_sampling_grads``). The deformable convolution
@@ -51,7 +53,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "ConvSpec",
     "pointwise_conv",
     "standard_conv",
     "shared_conv",
@@ -74,33 +75,6 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=F32) -> np.
     """Uniform in +-1/sqrt(fan_in); the library's default weight init."""
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-class ConvSpec:
-    """Static description of a convolution: channels, kernel, stride, rank.
-
-    Kernel sizes must be odd (centered receptive field); shape-preserving
-    layers use padding (K-1)/2, which is what every layer in this library
-    does.
-    """
-
-    def __init__(self, in_channels, out_channels, kernel_size, stride=1, dims=2, bias=True):
-        if kernel_size < 1 or kernel_size % 2 == 0:
-            raise ShapeError(f"kernel size must be odd and positive, got {kernel_size}")
-        if stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {stride}")
-        if dims not in (2, 3):
-            raise ShapeError(f"dims must be 2 or 3, got {dims}")
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.dims = int(dims)
-        self.bias = bool(bias)
-
-    @property
-    def padding(self) -> int:
-        return (self.kernel_size - 1) // 2
 
 
 def _check_weights(op: str, x: Tensor, *weights):
@@ -157,11 +131,39 @@ def _window_rows(x, window_slices, out_spatial):
     """
     buf = np.empty((x.shape[0],) + out_spatial, dtype=x.dtype)
     row = buf.reshape(-1)
-    windows = [x[(slice(None), slice(None)) + sl] for sl in window_slices]
+    windows = [x[sl] for sl in window_slices]
     for ci in range(x.shape[1]):
         for window in windows:
             np.copyto(buf, window[:, ci])
             yield row
+
+
+def _padded_taps(xd: np.ndarray, ksizes: tuple, stride: int = 1):
+    """Zero padding by (K-1)/2 and the row-major tap order of a K^d kernel.
+
+    ``xd`` is (N, C, *spatial) with one kernel size per spatial axis.
+    Returns ``xpad`` (``xd`` zero padded), the output spatial shape, the
+    taps (kernel index tuples, row-major), each tap's strided window into
+    ``xpad`` (what the outputs read through that tap) and ``center``, the
+    slices that cut ``xd`` back out of ``xpad``, as each VJP cuts its input
+    gradient. Windows and ``center`` lead with an Ellipsis, so they also
+    index a grouped reshape of ``xpad`` with the same trailing axes.
+    """
+    in_spatial = xd.shape[2:]
+    pads = tuple((k - 1) // 2 for k in ksizes)
+    out_spatial = tuple(
+        (s + 2 * p - k) // stride + 1 for s, p, k in zip(in_spatial, pads, ksizes)
+    )
+    padded = tuple(s + 2 * p for s, p in zip(in_spatial, pads))
+    xpad = np.zeros(xd.shape[:2] + padded, dtype=xd.dtype)
+    center = (...,) + tuple(slice(p, p + s) for p, s in zip(pads, in_spatial))
+    xpad[center] = xd
+    taps = list(itertools.product(*(range(k) for k in ksizes)))
+    windows = [
+        (...,) + tuple(slice(t, t + stride * (o - 1) + 1, stride) for t, o in zip(tap, out_spatial))
+        for tap in taps
+    ]
+    return xpad, out_spatial, taps, windows, center
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,7 @@ def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (c_out,):
         raise ShapeError(f"pointwise_conv: bias must be ({c_out},), got {b.data.shape}")
 
-    whole_channel = [(slice(None),) * len(spatial)]
-    out = _ordered_contract(wd, _window_rows(xd, whole_channel, spatial), n, spatial, b)
+    out = _ordered_contract(wd, _window_rows(xd, [(...,)], spatial), n, spatial, b)
     add_flops(2 * n * c_out * c_in * int(np.prod(spatial)))
 
     result = Tensor._wrap(out)
@@ -253,25 +254,13 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1
             raise ShapeError(f"standard_conv: kernel sizes must be odd, got {ksizes}")
     if b is not None and b.data.shape != (c_out,):
         raise ShapeError(f"standard_conv: bias must be ({c_out},), got {b.data.shape}")
+    if stride < 1:
+        raise ShapeError(f"standard_conv: stride must be >= 1, got {stride}")
 
     n = xd.shape[0]
-    in_spatial = xd.shape[2:]
-    pads = tuple((k - 1) // 2 for k in ksizes)
-    out_spatial = tuple(
-        (s + 2 * p - k) // stride + 1 for s, p, k in zip(in_spatial, pads, ksizes)
-    )
-
-    xpad = np.zeros((n, c_in) + tuple(s + 2 * p for s, p in zip(in_spatial, pads)), dtype=xd.dtype)
-    center = tuple(slice(p, p + s) for p, s in zip(pads, in_spatial))
-    xpad[(slice(None), slice(None)) + center] = xd
-
-    taps = list(itertools.product(*(range(k) for k in ksizes)))
-    window_slices = [
-        tuple(slice(t, t + stride * (os - 1) + 1, stride) for t, os in zip(tap, out_spatial))
-        for tap in taps
-    ]
+    xpad, out_spatial, taps, windows, center = _padded_taps(xd, ksizes, stride)
     out = _ordered_contract(
-        wd.reshape(c_out, -1), _window_rows(xpad, window_slices, out_spatial), n, out_spatial, b
+        wd.reshape(c_out, -1), _window_rows(xpad, windows, out_spatial), n, out_spatial, b
     )
     add_flops(2 * n * c_out * c_in * int(np.prod(out_spatial)) * int(np.prod(ksizes)))
 
@@ -282,14 +271,12 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1
         gw = np.empty_like(wd)
         gxpad = np.zeros_like(xpad)
         g2 = g.reshape(n, c_out, -1)
-        for tap, sl in zip(taps, window_slices):
-            window = xpad[(slice(None), slice(None)) + sl].reshape(n, c_in, -1)
-            tap_w = (slice(None), slice(None)) + tap
+        for tap, win in zip(taps, windows):
+            window = xpad[win].reshape(n, c_in, -1)
+            tap_w = (...,) + tap
             gw[tap_w] = np.matmul(g2, window.transpose(0, 2, 1)).sum(axis=0)
-            gxpad[(slice(None), slice(None)) + sl] += np.matmul(wd[tap_w].T, g2).reshape(
-                (n, c_in) + out_spatial
-            )
-        gx = gxpad[(slice(None), slice(None)) + center]
+            gxpad[win] += np.matmul(wd[tap_w].T, g2).reshape((n, c_in) + out_spatial)
+        gx = gxpad[center]
         if b is None:
             return (gx, gw)
         gb = g.sum(axis=(0,) + spatial_axes)
@@ -326,18 +313,10 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (1,):
         raise ShapeError(f"shared_conv: bias must be shape (1,), got {b.data.shape}")
 
-    n, c = xd.shape[:2]
-    spatial = xd.shape[2:]
-    pads = tuple((k - 1) // 2 for k in wd.shape)
-    xpad = np.zeros((n, c) + tuple(s + 2 * p for s, p in zip(spatial, pads)), dtype=xd.dtype)
-    center = tuple(slice(p, p + s) for p, s in zip(pads, spatial))
-    xpad[(slice(None), slice(None)) + center] = xd
-
-    taps = list(itertools.product(*(range(k) for k in wd.shape)))
-    slices = [tuple(slice(t, t + s) for t, s in zip(tap, spatial)) for tap in taps]
+    xpad, _, taps, windows, center = _padded_taps(xd, wd.shape)
     out = np.zeros_like(xd)
-    for tap, sl in zip(taps, slices):
-        out += wd[tap] * xpad[(slice(None), slice(None)) + sl]
+    for tap, win in zip(taps, windows):
+        out += wd[tap] * xpad[win]
     if b is not None:
         out += b.data[0]
     add_flops(2 * xd.size * len(taps))
@@ -347,11 +326,10 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp(g):
         gw = np.empty_like(wd)
         gxpad = np.zeros_like(xpad)
-        for tap, sl in zip(taps, slices):
-            window = xpad[(slice(None), slice(None)) + sl]
-            gw[tap] = np.sum(g * window)
-            gxpad[(slice(None), slice(None)) + sl] += wd[tap] * g
-        gx = gxpad[(slice(None), slice(None)) + center]
+        for tap, win in zip(taps, windows):
+            gw[tap] = np.sum(g * xpad[win])
+            gxpad[win] += wd[tap] * g
+        gx = gxpad[center]
         if b is None:
             return (gx, gw)
         return (gx, gw, np.array([g.sum()], dtype=g.dtype))
@@ -635,20 +613,13 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
         raise ShapeError(f"involution3d: bias must be ({c},), got {bias.data.shape}")
     _check_weights("involution3d", x, kernels, bias)
 
-    half = (kernel_size - 1) // 2
     rep = c // groups
-    xpad = np.zeros((n, c, t + 2 * half, h + 2 * half, w + 2 * half), dtype=xd.dtype)
-    xpad[:, :, half : half + t, half : half + h, half : half + w] = xd
-
-    taps = list(itertools.product(range(kernel_size), repeat=3))
-    slices = [
-        (slice(dt, dt + t), slice(dy, dy + h), slice(dx, dx + w)) for dt, dy, dx in taps
-    ]
+    xpad, _, _, windows, center = _padded_taps(xd, (kernel_size,) * 3)
     xpad_g = xpad.reshape((n, groups, rep) + xpad.shape[2:])
     out = np.zeros_like(xd)
     out_g = out.reshape(n, groups, rep, t, h, w)
-    for tap_idx, sl in enumerate(slices):
-        out_g += kd[:, :, tap_idx, None] * xpad_g[(slice(None),) * 3 + sl]
+    for tap_idx, win in enumerate(windows):
+        out_g += kd[:, :, tap_idx, None] * xpad_g[win]
     out += bias.data.reshape(1, c, 1, 1, 1)
     add_flops(2 * xd.size * k3)
 
@@ -659,11 +630,10 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
         gxpad = np.zeros_like(xpad)
         gxpad_g = gxpad.reshape(xpad_g.shape)
         g_g = g.reshape(n, groups, rep, t, h, w)
-        for tap_idx, sl in enumerate(slices):
-            window = xpad_g[(slice(None),) * 3 + sl]
-            g_kern[:, :, tap_idx] = (g_g * window).sum(axis=2)
-            gxpad_g[(slice(None),) * 3 + sl] += g_g * kd[:, :, tap_idx, None]
-        gx = gxpad[:, :, half : half + t, half : half + h, half : half + w]
+        for tap_idx, win in enumerate(windows):
+            g_kern[:, :, tap_idx] = (g_g * xpad_g[win]).sum(axis=2)
+            gxpad_g[win] += g_g * kd[:, :, tap_idx, None]
+        gx = gxpad[center]
         gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, g_kern, gb)
 
@@ -726,10 +696,10 @@ def pixel_shuffle(x: Tensor, p: int) -> Tensor:
 class PointwiseConv(Module):
     """Learnable 1x1 convolution over the channel axis, any spatial rank."""
 
-    def __init__(self, in_channels, out_channels, bias=True, rng=None, dtype=F32):
+    def __init__(self, in_channels, out_channels, rng=None, dtype=F32):
         rng = rng or np.random.default_rng(0)
         self.weight = Param(uniform_init(rng, (out_channels, in_channels), in_channels, dtype))
-        self.bias = Param(np.zeros(out_channels, dtype=dtype)) if bias else None
+        self.bias = Param(np.zeros(out_channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return pointwise_conv(x, self.weight, self.bias)
@@ -738,16 +708,15 @@ class PointwiseConv(Module):
 class StandardConv2d(Module):
     """Learnable KxK convolution, zero padded, shape preserving."""
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, bias=True,
-                 rng=None, dtype=F32, zero_init=False):
+    def __init__(self, in_channels, out_channels, kernel_size=3, rng=None, dtype=F32,
+                 zero_init=False):
         rng = rng or np.random.default_rng(0)
-        self.spec = ConvSpec(in_channels, out_channels, kernel_size, dims=2, bias=bias)
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         if zero_init:
             self.weight = Param(np.zeros(shape, dtype=dtype))
         else:
             self.weight = Param(uniform_init(rng, shape, in_channels * kernel_size ** 2, dtype))
-        self.bias = Param(np.zeros(out_channels, dtype=dtype)) if bias else None
+        self.bias = Param(np.zeros(out_channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         return standard_conv(x, self.weight, self.bias)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import ops
+from . import numerics, ops
 from .data import ChannelStats, TrafficDataset, WindowSample, make_windows, minmax_denormalize, \
     minmax_normalize, split, stats_from_windows
 from .metrics import MetricsReport, compute_metrics
@@ -186,12 +186,15 @@ def iter_batches(
     order: np.ndarray | None = None,
     dtype=np.float32,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield normalized (inputs, targets) batches in deterministic order."""
+    """Yield normalized (inputs, targets) batches in deterministic order.
+
+    Normalization is elementwise, so it runs once per stacked batch array.
+    """
     idx = np.arange(len(windows)) if order is None else order
     for start in range(0, len(idx), batch_size):
         chunk = idx[start : start + batch_size]
-        xb = np.stack([minmax_normalize(windows[i].input, stats) for i in chunk])
-        yb = np.stack([minmax_normalize(windows[i].target, stats) for i in chunk])
+        xb = minmax_normalize(np.stack([windows[i].input for i in chunk]), stats)
+        yb = minmax_normalize(np.stack([windows[i].target for i in chunk]), stats)
         yield xb.astype(dtype), yb.astype(dtype)
 
 
@@ -494,43 +497,52 @@ def _projection_loss(out: Tensor, rng: np.random.Generator) -> Tensor:
     return reduce_sum(mul(out, proj))
 
 
-# Case builders (all float64). Each returns a fresh instance per seed.
+# Case builders (all float64). Each returns a fresh instance per seed. The
+# checked operator is looked up on its module when the case runs, so a
+# wrapper swapped into the module (a tracer's, say) is what gets checked.
 
 
-def _case_pointwise(seed):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)), dtype=np.float64)
-    w = Tensor(rng.uniform(-1, 1, (5, 3)), dtype=np.float64)
-    b = Tensor(rng.uniform(-1, 1, (5,)), dtype=np.float64)
-    run = lambda: _projection_loss(ops.pointwise_conv(x, w, b), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x), ("w", w), ("b", b)])
+def _op_case(module, op: str, shapes: dict, *static):
+    """Case for ``module.op(*tensors, *static)``, one tensor per (label, shape)
+    of ``shapes``: the first drawn from U(-2, 2), each further one from
+    U(-1, 1)."""
+
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        tensors = [
+            Tensor(rng.uniform(-2, 2, shape) if i == 0 else rng.uniform(-1, 1, shape),
+                   dtype=np.float64)
+            for i, shape in enumerate(shapes.values())
+        ]
+        run = lambda: _projection_loss(
+            getattr(module, op)(*tensors, *static), np.random.default_rng(seed + 7)
+        )
+        return _GradCase(run, list(zip(shapes, tensors)))
+
+    return build
 
 
-def _case_standard_conv(seed):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-2, 2, (2, 3, 5, 5)), dtype=np.float64)
-    w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), dtype=np.float64)
-    b = Tensor(rng.uniform(-1, 1, (4,)), dtype=np.float64)
-    run = lambda: _projection_loss(ops.standard_conv(x, w, b), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x), ("w", w), ("b", b)])
+def _layer_case(layer: str, kwargs: dict, x_shape: tuple, redraw: bool = False):
+    """Case for the layer ``ops.<layer>(**kwargs)`` on x ~ U(-2, 2).
 
+    With ``redraw``, every parameter is first redrawn from U(-0.5, 0.5), the
+    zero-initialized offset branch too, so the deformable path is actually
+    exercised; its weight is then halved.
+    """
 
-def _case_standard_conv3d(seed):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-2, 2, (1, 2, 3, 4, 4)), dtype=np.float64)
-    w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3, 3)), dtype=np.float64)
-    b = Tensor(rng.uniform(-1, 1, (3,)), dtype=np.float64)
-    run = lambda: _projection_loss(ops.standard_conv(x, w, b), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x), ("w", w), ("b", b)])
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        module = getattr(ops, layer)(**kwargs, rng=rng, dtype=np.float64)
+        if redraw:
+            for name, p in module.named_params():
+                p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+                if name == "offset_conv.weight":
+                    p.data *= 0.5
+        x = Tensor(rng.uniform(-2, 2, x_shape), dtype=np.float64)
+        run = lambda: _projection_loss(module.forward(x), np.random.default_rng(seed + 7))
+        return _GradCase(run, [("x", x)] + list(module.named_params()))
 
-
-def _case_shared_conv(seed):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 4)), dtype=np.float64)
-    w = Tensor(rng.uniform(-1, 1, (3, 3)), dtype=np.float64)
-    b = Tensor(rng.uniform(-1, 1, (1,)), dtype=np.float64)
-    run = lambda: _projection_loss(ops.shared_conv(x, w, b), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x), ("w", w), ("b", b)])
+    return build
 
 
 def _case_bilinear(seed):
@@ -544,73 +556,12 @@ def _case_bilinear(seed):
     return _GradCase(run, [("x", x), ("r", r), ("q", q)])
 
 
-def _case_ddc_forward(seed):
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-2, 2, (1, 2, 4, 4)), dtype=np.float64)
-    offsets = Tensor(rng.uniform(-1.0, 1.0, (1, 18, 4, 4)), dtype=np.float64)
-    kernels = Tensor(rng.uniform(-1.0, 1.0, (1, 1, 9, 4, 4)), dtype=np.float64)
-    run = lambda: _projection_loss(
-        ops.ddc_forward(x, offsets, kernels, 3), np.random.default_rng(seed + 7)
-    )
-    return _GradCase(run, [("x", x), ("offsets", offsets), ("kernels", kernels)])
-
-
-def _case_ddc_layer(seed):
-    rng = np.random.default_rng(seed)
-    layer = ops.DDCLayer(2, kernel_size=3, groups=1, rng=rng, dtype=np.float64)
-    # Gradcheck randomizes every parameter, including the zero-initialized
-    # offset branch, so the deformable path is actually exercised.
-    for _, p in layer.named_params():
-        p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
-    layer.offset_conv.weight.data *= 0.5
-    x = Tensor(rng.uniform(-2, 2, (1, 2, 4, 4)), dtype=np.float64)
-    run = lambda: _projection_loss(layer.forward(x), np.random.default_rng(seed + 7))
-    checks = [("x", x)] + list(layer.named_params())
-    return _GradCase(run, checks)
-
-
-def _case_involution3d(seed):
-    rng = np.random.default_rng(seed)
-    layer = ops.Involution3D(4, kernel_size=3, groups=2, reduction=2, rng=rng, dtype=np.float64)
-    for _, p in layer.named_params():
-        p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
-    x = Tensor(rng.uniform(-2, 2, (1, 4, 3, 3, 3)), dtype=np.float64)
-    run = lambda: _projection_loss(layer.forward(x), np.random.default_rng(seed + 7))
-    checks = [("x", x)] + list(layer.named_params())
-    return _GradCase(run, checks)
-
-
-def _case_gelu(seed):
-    rng = np.random.default_rng(seed)
-    from .numerics import gelu as gelu_op
-
-    x = Tensor(rng.uniform(-2, 2, (3, 5)), dtype=np.float64)
-    run = lambda: _projection_loss(gelu_op(x), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x)])
-
-
 def _case_l1(seed):
     rng = np.random.default_rng(seed)
     pred = Tensor(rng.uniform(-2, 2, (2, 3, 4)), dtype=np.float64)
     target = Tensor(rng.uniform(-2, 2, (2, 3, 4)), dtype=np.float64)
     run = lambda: l1_loss(pred, target)
     return _GradCase(run, [("pred", pred), ("target", target)])
-
-
-def _case_patch_embed(seed):
-    rng = np.random.default_rng(seed)
-    layer = ops.PatchEmbed(2, 2, 3, rng=rng, dtype=np.float64)
-    x = Tensor(rng.uniform(-2, 2, (1, 2, 2, 4, 4)), dtype=np.float64)
-    run = lambda: _projection_loss(layer.forward(x), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x)] + list(layer.named_params()))
-
-
-def _case_patch_back(seed):
-    rng = np.random.default_rng(seed)
-    layer = ops.PatchBack(2, 4, 2, 1, rng=rng, dtype=np.float64)
-    x = Tensor(rng.uniform(-2, 2, (1, 2, 4, 2, 2)), dtype=np.float64)
-    run = lambda: _projection_loss(layer.forward(x), np.random.default_rng(seed + 7))
-    return _GradCase(run, [("x", x)] + list(layer.named_params()))
 
 
 def tiny_model_config() -> ModelConfig:
@@ -654,17 +605,28 @@ def _case_model(seed):
 
 
 _OP_CASES = {
-    "pointwise_conv": (_case_pointwise, 1e-6),
-    "standard_conv": (_case_standard_conv, 1e-6),
-    "standard_conv3d": (_case_standard_conv3d, 1e-6),
-    "shared_conv": (_case_shared_conv, 1e-6),
+    "pointwise_conv": (_op_case(ops, "pointwise_conv",
+                                {"x": (2, 3, 4, 4), "w": (5, 3), "b": (5,)}), 1e-6),
+    "standard_conv": (_op_case(ops, "standard_conv",
+                               {"x": (2, 3, 5, 5), "w": (4, 3, 3, 3), "b": (4,)}), 1e-6),
+    "standard_conv3d": (_op_case(ops, "standard_conv",
+                                 {"x": (1, 2, 3, 4, 4), "w": (3, 2, 3, 3, 3), "b": (3,)}), 1e-6),
+    "shared_conv": (_op_case(ops, "shared_conv", {"x": (2, 3, 4, 4), "w": (3, 3), "b": (1,)}),
+                    1e-6),
     "bilinear_sample": (_case_bilinear, 1e-4),
-    "ddc_forward": (_case_ddc_forward, 1e-4),
-    "ddc_layer": (_case_ddc_layer, 1e-4),
-    "involution3d": (_case_involution3d, 1e-4),
-    "patch_embed": (_case_patch_embed, 1e-6),
-    "patch_back": (_case_patch_back, 1e-6),
-    "gelu": (_case_gelu, 1e-4),
+    "ddc_forward": (_op_case(ops, "ddc_forward", {"x": (1, 2, 4, 4), "offsets": (1, 18, 4, 4),
+                                                  "kernels": (1, 1, 9, 4, 4)}, 3), 1e-4),
+    "ddc_layer": (_layer_case("DDCLayer", dict(channels=2, kernel_size=3, groups=1),
+                              (1, 2, 4, 4), redraw=True), 1e-4),
+    "involution3d": (_layer_case("Involution3D",
+                                 dict(channels=4, kernel_size=3, groups=2, reduction=2),
+                                 (1, 4, 3, 3, 3), redraw=True), 1e-4),
+    "patch_embed": (_layer_case("PatchEmbed", dict(in_channels=2, patch_size=2, embed_dim=3),
+                                (1, 2, 2, 4, 4)), 1e-6),
+    "patch_back": (_layer_case("PatchBack",
+                               dict(input_steps=2, embed_dim=4, patch_size=2, out_channels=1),
+                               (1, 2, 4, 2, 2)), 1e-6),
+    "gelu": (_op_case(numerics, "gelu", {"x": (3, 5)}), 1e-4),
     "l1_loss": (_case_l1, 1e-4),
 }
 

@@ -124,6 +124,39 @@ def test_unknown_config_field_exit_1(capsys):
     assert "learning_rat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("train", {"seed": [1]}),
+    ("train", {"seed": None}),
+    ("profile", {"depth": "2"}),
+    ("eval", [1]),
+    ("eval", {"depth": "1"}),
+    ("errmap", [1]),
+    ("errmap", {"depth": "1"}),
+])
+def test_malformed_config_value_is_usage_error(command, doc, capsys):
+    synth()
+    if command in ("eval", "errmap"):
+        # The run's config echo is read before its checkpoint is parsed.
+        os.mkdir("run")
+        open("run/best.ckpt", "wb").close()
+        path = "run/config.json"
+    else:
+        path = "cfg.json"
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    argv = {
+        "train": ["train", "--config", path, "--data", "data.grdt", "--out", "x"],
+        "profile": ["profile", "--config", path],
+        "eval": ["eval", "--checkpoint", "run", "--data", "data.grdt"],
+        "errmap": ["errmap", "--checkpoint", "run", "--data", "data.grdt", "--out", "maps"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_ddcn_seed_env_lowest_precedence(monkeypatch):
     synth()
     monkeypatch.setenv("DDCN_SEED", "21")

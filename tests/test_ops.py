@@ -127,6 +127,15 @@ def test_standard_conv_stride_two():
     assert np.array_equal(strided, full[:, :, ::2, ::2])
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_standard_conv_stride_below_one_rejected(stride):
+    rng = np.random.default_rng(7)
+    x = _t(rng, (1, 2, 5, 5))
+    w = _t(rng, (3, 2, 3, 3))
+    with pytest.raises(ShapeError, match="stride"):
+        ops.standard_conv(x, w, stride=stride)
+
+
 def test_standard_conv_stride_two_gradients_match_finite_differences():
     rng = np.random.default_rng(27)
     x = _t(rng, (2, 2, 5, 5))

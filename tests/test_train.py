@@ -313,6 +313,25 @@ def test_gradcheck_ops_subset_passes():
     assert any("pointwise_conv" in r.name for r in report.results)
 
 
+def test_gradcheck_ops_reaches_operators_through_module_attributes(monkeypatch):
+    # The benchmark tracer times gradient checks by swapping module
+    # attributes, so each case must look its operator up when it runs.
+    from ddcn import numerics, ops
+
+    called = set()
+    targets = [(ops, "pointwise_conv"), (ops, "standard_conv"), (ops, "shared_conv"),
+               (ops, "ddc_forward"), (numerics, "gelu")]
+    for module, name in targets:
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    names = [name for _, name in targets]
+    assert gradcheck_ops(names=names, instances=1).passed
+    assert called == set(names)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0).validate()
