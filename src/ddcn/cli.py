@@ -66,7 +66,7 @@ def _env_seed() -> int | None:
 @contextmanager
 def _config_values():
     """Maps a malformed config value (a ValueError or TypeError raised while
-    reading the seed or building ModelConfig/TrainConfig) to UsageError."""
+    building ModelConfig/TrainConfig) to UsageError."""
     try:
         yield
     except (ValueError, TypeError) as exc:
@@ -95,8 +95,7 @@ def _effective_configs(args, dataset=None):
     if env is not None:
         seed = env
     if "seed" in doc:
-        with _config_values():
-            seed = int(doc["seed"])
+        seed = doc["seed"]
     if getattr(args, "seed", None) is not None:
         seed = args.seed
 

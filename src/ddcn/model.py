@@ -16,6 +16,7 @@ operator for a plain shared-filter convolution of the same kernel size.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -23,8 +24,22 @@ import numpy as np
 from . import ops
 from .numerics import F32, Module, ShapeError, Tensor, add, gelu, mul, reshape, transpose
 
-__all__ = ["ModelConfig", "BlockActivations", "STAttBlock", "SpatialAttBlock",
-           "FeedForward", "DDCNBlock", "DDCN"]
+__all__ = ["check_int_fields", "ModelConfig", "BlockActivations", "STAttBlock",
+           "SpatialAttBlock", "FeedForward", "DDCNBlock", "DDCN"]
+
+
+def check_int_fields(cfg):
+    """Rejects a value that is not an integer (a float, a string, a bool) in
+    any ``int`` field of the config dataclass ``cfg``; ``int | None`` fields
+    also take None. Range checks come after it, so they compare integers."""
+    for f in fields(cfg):
+        if f.type not in ("int", "int | None"):
+            continue
+        value = getattr(cfg, f.name)
+        if value is None and f.type == "int | None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -49,6 +64,7 @@ class ModelConfig:
     use_involution3d: bool = True
 
     def validate(self):
+        check_int_fields(self)
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.input_steps < 1:

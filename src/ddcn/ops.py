@@ -20,7 +20,14 @@ product sums each row's four corner terms from zero in the contracted corner
 order, and its backward (``_sampling_grads``). The deformable convolution
 samples each tap through it and accumulates the taps left to right;
 ``bilinear_sample``, the gradient-checked scalar op, is a one-position view
-of it. The tape keeps each matrix, and the backward pass reuses it.
+of it.
+
+A taped call keeps only what its backward pass reads. The deformable
+convolution keeps each tap's sampling matrix, not its samples: its kernel
+and offset gradients come from four per-corner channel reductions of the
+input against the output gradient. The standard, shared and involution
+convolutions keep no zero-padded copy of their input; each VJP rebuilds it
+through ``_padded_taps``.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
@@ -268,6 +275,7 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1
     spatial_axes = tuple(range(2, xd.ndim))
 
     def vjp(g):
+        xpad = _padded_taps(xd, ksizes, stride)[0]
         gw = np.empty_like(wd)
         gxpad = np.zeros_like(xpad)
         g2 = g.reshape(n, c_out, -1)
@@ -324,6 +332,7 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     result = Tensor._wrap(out)
 
     def vjp(g):
+        xpad = _padded_taps(xd, wd.shape)[0]
         gw = np.empty_like(wd)
         gxpad = np.zeros_like(xpad)
         for tap, win in zip(taps, windows):
@@ -389,27 +398,42 @@ def _sampling_matrix(r, q, h: int, w: int, indptr):
     return sampling, wr, wq
 
 
-def _sampling_grads(sampling, table, gs, wr, wq):
-    """Backward of ``sampled = sampling @ table`` for gradient ``gs``.
+def _sampling_grads(sampling, table, g, kern, wr, wq):
+    """Backward of ``out = kern * (sampling @ table)`` for output gradient ``g``.
 
-    Returns ``(sampling.T @ gs, g_r, g_q)``: the table gradient (its last,
-    dummy row is the caller's to drop) and the gradients of the sampling
-    coordinates, shaped like ``wr``. Since d(sample)/dr = (v10 - v00)(1 - wq)
-    + (v11 - v01) wq (and likewise for q), each corner's values are read back
-    from ``table`` through S's column indices, by their position in the row,
-    and reduced against ``gs`` over channels once; the four per-position
-    results are then combined with the fractional parts. S is never
+    ``g`` is (positions, groups, rep): the table's channels split into
+    ``groups`` of ``rep``, each group scaled by its per-position weight in
+    ``kern`` (positions, groups). Returns ``(g_table, g_kern, g_r, g_q)``:
+    the table gradient ``sampling.T @ (g * kern)`` (its last, dummy row is
+    the caller's to drop), the gradient of ``kern``, and the gradients of the
+    sampling coordinates, shaped like ``wr``.
+
+    The samples themselves are not needed. Each corner's values are read
+    back from ``table`` through S's column indices, by their position in the
+    row, and reduced against ``g`` over each group's channels once, giving
+    q_k (positions, groups) for corners k = 00, 01, 10, 11. Then
+    g_kern = sum_k w_k q_k, with the bilinear weights w_k read from S's
+    stored entries, and, since d(sample)/dr = (v10 - v00)(1 - wq)
+    + (v11 - v01) wq (and likewise for q), the coordinate gradients combine
+    p_k = sum_g kern[g] q_k[g] with the fractional parts. S is never
     canonicalized (sorted or with its duplicate dummy entries summed).
     """
     one = wr.dtype.type(1)
-    corners = sampling.indices.reshape(-1, 4)
-    p00, p01, p10, p11 = (
-        np.einsum("ij,ij->i", gs, np.take(table, corners[:, k], axis=0)).reshape(wr.shape)
+    npos, groups, rep = g.shape
+    gs = (g * kern[..., None]).reshape(npos, groups * rep)
+    corners = sampling.indices.reshape(npos, 4)
+    weights = sampling.data.reshape(npos, 4)
+    q = [
+        np.einsum("igr,igr->ig", g, np.take(table, corners[:, k], axis=0).reshape(g.shape))
         for k in range(4)
-    )
+    ]
+    g_kern = np.zeros((npos, groups), dtype=g.dtype)
+    for k in range(4):
+        g_kern += weights[:, k, None] * q[k]
+    p00, p01, p10, p11 = (np.einsum("ig,ig->i", kern, q_k).reshape(wr.shape) for q_k in q)
     g_r = (p10 - p00) * (one - wq) + (p11 - p01) * wq
     g_q = (p01 - p00) * (one - wr) + (p11 - p10) * wr
-    return sampling.T @ gs, g_r, g_q
+    return sampling.T @ gs, g_kern, g_r, g_q
 
 
 def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
@@ -454,7 +478,9 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
         inputs.append(q_t)
 
     def vjp(g):
-        g_table, g_r, g_q = _sampling_grads(sampling, table, g.reshape(1, 1), wr, wq)
+        g_table, _, g_r, g_q = _sampling_grads(
+            sampling, table, g.reshape(1, 1, 1), np.ones((1, 1), dtype=dtype), wr, wq
+        )
         gx = np.zeros_like(xd)
         gx[n, c] = g_table[: h * w].reshape(h, w)
         grads = [gx]
@@ -496,10 +522,13 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     four corner terms sum as ((v00*w00 + v01*w01) + v10*w10) + v11*w11; then
     the kernel-weighted taps accumulate left to right from zero.
 
-    Under a tape, each tap keeps S, its samples and the fractional parts of
-    its coordinates; the call keeps ``table``, and the taps of one call share
-    S's ``indptr``. The backward pass reuses S for the input and offset
-    gradients (``_sampling_grads``).
+    Under a tape, each tap keeps S and the fractional parts of its
+    coordinates, not its samples; the call keeps ``table`` and the kernels in
+    tap-major layout, and the taps of one call share S's ``indptr``. The
+    backward pass reuses S for the input, kernel and offset gradients
+    (``_sampling_grads``): the input gradient is ``S.T`` times the
+    kernel-weighted output gradient, and the kernel and offset gradients come
+    from the table's corner values reduced against the output gradient.
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -547,9 +576,8 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
                 float(np.abs(q - np.round(q)).min()),
             )
         sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
-        sampled = sampling @ table
-        out_t += kd_t[:, tap, ..., None] * sampled.reshape(n, h, w, groups, rep)
-        saved.append((sampling, sampled, wr, wq))
+        out_t += kd_t[:, tap, ..., None] * (sampling @ table).reshape(n, h, w, groups, rep)
+        saved.append((sampling, wr, wq))
     add_flops(10 * n * c * h * w * kk)
     if probe:
         probe_kink("bilinear_coord", worst)
@@ -560,18 +588,15 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     def vjp(g):
         # Gradients are formed in the (N*H*W, C) table layout; the dummy
         # column's row of the input gradient is dropped at the end.
-        g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n, h, w, groups, rep)
+        g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(npos, groups, rep)
         gx_flat = np.zeros((npos + 1, c), dtype=dtype)
         g_off = np.empty_like(od)
         g_kern = np.empty_like(kd)
-        for tap, (sampling, sampled, wr, wq) in enumerate(saved):
-            g_kern[:, :, tap] = (
-                (g_t * sampled.reshape(n, h, w, groups, rep)).sum(axis=4).transpose(0, 3, 1, 2)
+        for tap, (sampling, wr, wq) in enumerate(saved):
+            g_table, g_k, g_off[:, 2 * tap], g_off[:, 2 * tap + 1] = _sampling_grads(
+                sampling, table, g_t, kd_t[:, tap].reshape(npos, groups), wr, wq
             )
-            gs = (g_t * kd_t[:, tap, ..., None]).reshape(npos, c)
-            g_table, g_off[:, 2 * tap], g_off[:, 2 * tap + 1] = _sampling_grads(
-                sampling, table, gs, wr, wq
-            )
+            g_kern[:, :, tap] = g_k.reshape(n, h, w, groups).transpose(0, 3, 1, 2)
             gx_flat += g_table
             # Freed here, not when the next tap rebinds it: alive through the
             # next tap's corner reductions, it raised the backward peak by
@@ -615,7 +640,8 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
 
     rep = c // groups
     xpad, _, _, windows, center = _padded_taps(xd, (kernel_size,) * 3)
-    xpad_g = xpad.reshape((n, groups, rep) + xpad.shape[2:])
+    grouped = (n, groups, rep) + xpad.shape[2:]
+    xpad_g = xpad.reshape(grouped)
     out = np.zeros_like(xd)
     out_g = out.reshape(n, groups, rep, t, h, w)
     for tap_idx, win in enumerate(windows):
@@ -626,9 +652,11 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     result = Tensor._wrap(out)
 
     def vjp(g):
+        xpad = _padded_taps(xd, (kernel_size,) * 3)[0]
+        xpad_g = xpad.reshape(grouped)
         g_kern = np.empty_like(kd)
         gxpad = np.zeros_like(xpad)
-        gxpad_g = gxpad.reshape(xpad_g.shape)
+        gxpad_g = gxpad.reshape(grouped)
         g_g = g.reshape(n, groups, rep, t, h, w)
         for tap_idx, win in enumerate(windows):
             g_kern[:, :, tap_idx] = (g_g * xpad_g[win]).sum(axis=2)

@@ -21,7 +21,7 @@ from . import numerics, ops
 from .data import ChannelStats, TrafficDataset, WindowSample, make_windows, minmax_denormalize, \
     minmax_normalize, split, stats_from_windows
 from .metrics import MetricsReport, compute_metrics
-from .model import DDCN, ModelConfig
+from .model import DDCN, ModelConfig, check_int_fields
 from .numerics import (
     KinkProbe,
     NumericalError,
@@ -77,6 +77,7 @@ class TrainConfig:
     patience: int | None = None
 
     def validate(self):
+        check_int_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

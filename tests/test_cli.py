@@ -132,6 +132,11 @@ def test_unknown_config_field_exit_1(capsys):
     ("eval", {"depth": "1"}),
     ("errmap", [1]),
     ("errmap", {"depth": "1"}),
+    ("train", {"epochs": 1.5}),
+    ("train", {"embed_dim": 8.0}),
+    ("train", {"seed": 1.5}),
+    ("train", {"depth": True}),
+    ("train", {"seed": "3"}),
 ])
 def test_malformed_config_value_is_usage_error(command, doc, capsys):
     synth()

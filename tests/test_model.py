@@ -1,12 +1,15 @@
 """Model assembly: block wiring, residuals, ablations, shape contracts."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddcn.model import DDCN, ModelConfig, SpatialAttBlock, STAttBlock
 from ddcn.numerics import Param, ShapeError, Tape, Tensor, backward, reshape
 from ddcn.profile import count_params
-from ddcn.train import finite_difference, l1_loss, max_relative_error
+from ddcn.train import finite_difference, l1_loss, max_relative_error, tiny_model_config
 
 RNG = np.random.default_rng
 
@@ -168,6 +171,34 @@ def test_ablated_model_forward_and_gradients():
     backward(loss, tape)
     for name, p in model.named_params():
         assert np.isfinite(p.grad).all(), name
+
+
+@pytest.mark.parametrize("embed_dim, bound", [(4, 2.4), (16, 1.6)], ids=["tiny", "mid"])
+def test_forward_tape_bytes_bounded(embed_dim, bound):
+    # Everything a taped forward keeps alive, as a multiple of the summed
+    # bytes of the tape entries' outputs, at tiny_model_config() (D=4) and
+    # at D=16, both on an 8x8 grid with B=2. Measured 2.27x and 1.45x; the
+    # bounds leave 6% and 10% headroom. Beyond the outputs, the tape holds
+    # what each backward reads that is not an output: DDC's sampling
+    # matrices, fractional coordinates, gather-layout input and kernel
+    # copy, plus index objects and closures. DDC keeping its samples again
+    # reads 2.46x and 1.75x; with the padded input copies the conv VJPs
+    # also kept, 2.60x and 1.96x.
+    cfg = replace(tiny_model_config(), embed_dim=embed_dim)
+    model = DDCN(cfg, (8, 8), seed=0)
+    shape = (2, cfg.input_steps, cfg.in_channels, 8, 8)
+    x = Tensor(RNG(12).uniform(0, 1, shape).astype(np.float32))
+    model.forward(x)  # one-off caches of a first call are not tape
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            model.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    outputs = sum(entry.output.data.nbytes for entry in tape._entries)
+    assert held <= bound * outputs, f"tape holds {held / outputs:.2f}x its outputs' bytes"
 
 
 def test_debug_activations_layout():
