@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
     print(f"split {args.split}: {report.format()}")
     print(f"normalized L1 {l1:.6f}")
     out_path = Path(args.out) if args.out else ckpt.parent / f"eval_{args.split}.json"
-    with open(out_path, "w") as f:
+    with atomic_write(out_path) as f:
         json.dump({"split": args.split, "l1_normalized": l1, **report.to_dict()}, f, indent=2)
     _emit_artifact(out_path)
     return EXIT_OK
@@ -283,7 +283,7 @@ def cmd_profile(args) -> int:
                 f"flops(MAC=2)={c.flops / 1e9:.4f}G"
             )
         if args.out:
-            with open(args.out, "w") as f:
+            with atomic_write(args.out) as f:
                 json.dump([asdict(c) for c in hits], f, indent=2)
             _emit_artifact(args.out)
         return EXIT_OK
@@ -308,7 +308,7 @@ def cmd_profile(args) -> int:
         print(f"one forward at {shape}: {elapsed * 1e3:.1f} ms "
               "(single uncalibrated run, not a benchmark)")
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_write(args.out) as f:
             json.dump(report.to_dict(), f, indent=2)
         _emit_artifact(args.out)
     return EXIT_OK

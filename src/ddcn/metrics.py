@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError
+from .numerics import ShapeError, atomic_write
 
 __all__ = ["MetricsReport", "compute_metrics", "error_map",
            "save_error_map_csv", "save_error_map_pgm", "load_error_map_pgm"]
@@ -77,14 +77,16 @@ def error_map(pred: np.ndarray, actual: np.ndarray) -> np.ndarray:
 
 
 def save_error_map_csv(emap: np.ndarray, path):
-    """One CSV row per grid row, plain decimal floats."""
-    np.savetxt(path, np.asarray(emap, dtype=np.float64), delimiter=",", fmt="%.9g")
+    """One CSV row per grid row, plain decimal floats; the file is replaced atomically."""
+    with atomic_write(path) as f:
+        np.savetxt(f, np.asarray(emap, dtype=np.float64), delimiter=",", fmt="%.9g")
 
 
 def save_error_map_pgm(emap: np.ndarray, path):
     """8-bit binary portable graymap, scaled so the max error maps to 255.
 
     An all-zero map stays all black; brighter pixels mean larger errors.
+    The file is replaced atomically.
     """
     emap = np.asarray(emap, dtype=np.float64)
     h, w = emap.shape
@@ -93,7 +95,7 @@ def save_error_map_pgm(emap: np.ndarray, path):
         scaled = np.rint(emap * (255.0 / peak)).astype(np.uint8)
     else:
         scaled = np.zeros((h, w), dtype=np.uint8)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(scaled.tobytes())
 

@@ -40,7 +40,6 @@ __all__ = [
     "Module",
     "FlopCounter",
     "KinkProbe",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -382,18 +381,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     record((a, b), out, lambda g: (g * bd, g * ad))
     return out
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch an elementwise binary op by name: one of add, sub, mul."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; expected one of {sorted(_ELEMENTWISE)}")
-    return fn(a, b)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -8,16 +8,19 @@ Parameter and FLOP counts live in ``profile`` (``count_params``,
 
 Forward accumulation orders are fixed and documented per operation so that
 independent nested-loop oracles can reproduce outputs bit-for-bit. The
-pointwise and standard convolutions evaluate their contracted order on
-channel-first rows: each input channel's tap window (the whole channel for
-pointwise) is copied into one contiguous row, and every output channel takes
-``w * row`` through one reused product buffer, so the additions happen in the
-contracted order as long, contiguous row updates. One helper
-(``_padded_taps``) owns zero padding by (K-1)/2 and the row-major tap order
-for the standard, shared and involution convolutions. Bilinear sampling has one
-primitive: a sparse (CSR) sampling matrix (``_sampling_matrix``), whose
-product sums each row's four corner terms from zero in the contracted corner
-order, and its backward (``_sampling_grads``). The deformable convolution
+pointwise convolution is the standard convolution's K=1 case: both run one
+core (``_conv``), which evaluates the contracted order on channel-first rows.
+Each input channel's tap window is copied into one contiguous row, and every
+output channel takes ``w * row`` through one reused product buffer, so the
+additions happen in the contracted order as long, contiguous row updates.
+One helper (``_clipped_taps``) owns the row-major tap order of the standard,
+shared and involution convolutions and clips each tap to the input, so no
+zero-padded input or gradient is ever built. A read from the padding is an
+absent term: it would add an exact zero to a sum that starts at +0, which
+never changes the sum. Bilinear sampling has one primitive: a sparse (CSR)
+sampling matrix (``_sampling_matrix``), whose product sums each row's four
+corner terms from zero in the contracted corner order, and its backward
+(``_sampling_grads``). The deformable convolution
 samples each tap through it and accumulates the taps left to right;
 ``bilinear_sample``, the gradient-checked scalar op, is a one-position view
 of it.
@@ -26,8 +29,9 @@ A taped call keeps only what its backward pass reads. The deformable
 convolution keeps each tap's sampling matrix, not its samples: its kernel
 and offset gradients come from four per-corner channel reductions of the
 input against the output gradient. The standard, shared and involution
-convolutions keep no zero-padded copy of their input; each VJP rebuilds it
-through ``_padded_taps``.
+convolutions keep their input and the clipped tap slices. Their VJPs assign
+the centre tap's input gradient and add every other tap into its clipped
+region.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
@@ -95,7 +99,7 @@ def _check_weights(op: str, x: Tensor, *weights):
 
 
 # ---------------------------------------------------------------------------
-# Ordered channel contraction shared by the pointwise and standard forwards
+# Clipped tap windows and the ordered channel contraction of one conv core
 # ---------------------------------------------------------------------------
 
 
@@ -128,171 +132,155 @@ def _ordered_contract(w2, rows, n, spatial, b) -> np.ndarray:
     return result
 
 
-def _window_rows(x, window_slices, out_spatial):
-    """Each (channel, window) of (N, C, *spatial) ``x`` in lexicographic order,
-    copied into one reused contiguous (N, *out_spatial) buffer and yielded
-    as its flat row.
+def _clipped_taps(spatial: tuple, ksizes: tuple) -> list:
+    """The row-major taps of a centred, shape-preserving kernel, one odd size
+    per spatial axis, each clipped to the input.
 
-    A single whole-channel window gives the pointwise rows. The buffer holds
-    one row, so no input-sized channel-first copy is ever live.
+    A tap displaced by ``d`` along an axis reads input ``o + d`` for output
+    ``o``; only outputs whose read stays inside the input take part. Returns
+    ``(i, out_sl, in_sl)`` per tap: its row-major index, the outputs it feeds
+    and the equally shaped input block they read. The slices lead with an
+    Ellipsis, so they index an (N, C, *spatial) array or a grouped reshape.
     """
-    buf = np.empty((x.shape[0],) + out_spatial, dtype=x.dtype)
+    per_axis = []
+    for s, k in zip(spatial, ksizes):
+        axis = []
+        for d in range(-(k // 2), k // 2 + 1):
+            lo = max(0, -d)
+            hi = max(lo, min(s, s - d))  # lo == hi: the tap misses the input
+            axis.append((slice(lo, hi), slice(lo + d, hi + d)))
+        per_axis.append(axis)
+    return [
+        (i, (...,) + tuple(o for o, _ in axes), (...,) + tuple(r for _, r in axes))
+        for i, axes in enumerate(itertools.product(*per_axis))
+    ]
+
+
+def _centre_first(taps: list) -> list:
+    """``taps`` with the centre tap, never clipped, moved to the front."""
+    c = len(taps) // 2
+    return [taps[c]] + taps[:c] + taps[c + 1:]
+
+
+def _add_tap(gx, part, in_sl):
+    """A VJP's input gradient after one more tap (taps in ``_centre_first``
+    order): the centre tap's ``part`` becomes ``gx``, every other tap's is
+    added into its clipped region. Passed as an argument, ``part`` is freed
+    before the next tap's temporaries are allocated."""
+    if gx is None:
+        return part
+    gx[in_sl] += part
+    return gx
+
+
+def _window_rows(x, taps):
+    """Each (channel, tap) of (N, C, *spatial) ``x`` in lexicographic order,
+    copied into one reused contiguous (N, *spatial) buffer and yielded as its
+    flat row.
+
+    ``taps`` come from ``_clipped_taps``. A clipped tap's row is zero where
+    its window leaves the input: the buffer is zero filled before the copy,
+    so the row holds the same bytes as the tap's window into a zero-padded
+    input. The buffer holds one row, so no input-sized channel-first copy is
+    ever live.
+    """
+    buf = np.empty((x.shape[0],) + x.shape[2:], dtype=x.dtype)
     row = buf.reshape(-1)
-    windows = [x[sl] for sl in window_slices]
+    windows = [(out_sl, x[in_sl]) for _, out_sl, in_sl in taps]
     for ci in range(x.shape[1]):
-        for window in windows:
-            np.copyto(buf, window[:, ci])
+        for out_sl, window in windows:
+            if window.shape != x.shape:
+                buf.fill(0)
+            np.copyto(buf[out_sl], window[:, ci])
             yield row
 
 
-def _padded_taps(xd: np.ndarray, ksizes: tuple, stride: int = 1):
-    """Zero padding by (K-1)/2 and the row-major tap order of a K^d kernel.
+def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Tensor:
+    """Shape-preserving cross-correlation with kernel ``wk``, ``w.data``
+    viewed as (C_out, C_in, *K) with one odd K per spatial axis of ``x``.
 
-    ``xd`` is (N, C, *spatial) with one kernel size per spatial axis.
-    Returns ``xpad`` (``xd`` zero padded), the output spatial shape, the
-    taps (kernel index tuples, row-major), each tap's strided window into
-    ``xpad`` (what the outputs read through that tap) and ``center``, the
-    slices that cut ``xd`` back out of ``xpad``, as each VJP cuts its input
-    gradient. Windows and ``center`` lead with an Ellipsis, so they also
-    index a grouped reshape of ``xpad`` with the same trailing axes.
+    The forward sums each output over (input channel, tap row-major) in
+    lexicographic order, bias last, through channel-first rows
+    (``_window_rows``, ``_ordered_contract``). Taps are clipped to the input
+    (``_clipped_taps``), so no zero-padded input or gradient exists. The VJP
+    returns the weight gradient in ``w``'s own shape.
     """
-    in_spatial = xd.shape[2:]
-    pads = tuple((k - 1) // 2 for k in ksizes)
-    out_spatial = tuple(
-        (s + 2 * p - k) // stride + 1 for s, p, k in zip(in_spatial, pads, ksizes)
-    )
-    padded = tuple(s + 2 * p for s, p in zip(in_spatial, pads))
-    xpad = np.zeros(xd.shape[:2] + padded, dtype=xd.dtype)
-    center = (...,) + tuple(slice(p, p + s) for p, s in zip(pads, in_spatial))
-    xpad[center] = xd
-    taps = list(itertools.product(*(range(k) for k in ksizes)))
-    windows = [
-        (...,) + tuple(slice(t, t + stride * (o - 1) + 1, stride) for t, o in zip(tap, out_spatial))
-        for tap in taps
-    ]
-    return xpad, out_spatial, taps, windows, center
+    xd = x.data
+    c_out, c_in = wk.shape[:2]
+    if xd.shape[1] != c_in:
+        raise ShapeError(
+            f"{op}: channel mismatch: input has {xd.shape[1]} channels, weight expects {c_in}"
+        )
+    _check_weights(op, x, w, b)
+    ksizes = wk.shape[2:]
+    if any(k % 2 == 0 for k in ksizes):
+        raise ShapeError(f"{op}: kernel sizes must be odd, got {ksizes}")
+    if b is not None and b.data.shape != (c_out,):
+        raise ShapeError(f"{op}: bias must be ({c_out},), got {b.data.shape}")
 
+    n, spatial = xd.shape[0], xd.shape[2:]
+    taps = _clipped_taps(spatial, ksizes)
+    w3 = wk.reshape(c_out, c_in, len(taps))
+    out = _ordered_contract(w3.reshape(c_out, -1), _window_rows(xd, taps), n, spatial, b)
+    add_flops(2 * n * c_out * c_in * math.prod(spatial) * len(taps))
 
-# ---------------------------------------------------------------------------
-# Pointwise convolution (K = 1), rank agnostic over trailing spatial axes
-# ---------------------------------------------------------------------------
+    result = Tensor._wrap(out)
+
+    def vjp(g):
+        gw = np.empty_like(w3)
+        gx = None
+        for i, out_sl, in_sl in _centre_first(taps):
+            g_tap = g[out_sl].reshape(n, c_out, -1)
+            window = xd[in_sl]
+            gw[:, :, i] = np.matmul(
+                g_tap, window.reshape(n, c_in, -1).transpose(0, 2, 1)
+            ).sum(axis=0)
+            gx = _add_tap(gx, np.matmul(w3[:, :, i].T, g_tap).reshape(window.shape), in_sl)
+        gw = gw.reshape(w.data.shape)
+        if b is None:
+            return (gx, gw)
+        gb = g.sum(axis=(0,) + tuple(range(2, xd.ndim)))
+        return (gx, gw, gb)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    record(inputs, result, vjp)
+    return result
 
 
 def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """1x1 convolution: out[n, co, pos] = sum_ci w[co, ci] * x[n, ci, pos] + b[co].
 
-    ``x`` is (N, C_in, *spatial) with any spatial rank >= 1. Channel
-    contributions accumulate in ascending ``ci`` order with the bias added
-    last, the order the brute-force oracle reproduces exactly. The sum runs
-    over channel-first rows, each channel copied into one reused contiguous
-    buffer (see ``_ordered_contract``).
+    ``x`` is (N, C_in, *spatial) with any spatial rank >= 1 and ``w`` is
+    (C_out, C_in). This is the standard convolution's K=1 case: ``w`` runs
+    viewed as (C_out, C_in, 1, ...). Channel contributions accumulate in
+    ascending ``ci`` order with the bias added last, the order the
+    brute-force oracle reproduces exactly.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 3:
         raise ShapeError(f"pointwise_conv: input must be (N, C, *spatial), got {xd.shape}")
     if wd.ndim != 2:
         raise ShapeError(f"pointwise_conv: weight must be (C_out, C_in), got {wd.shape}")
-    c_in = xd.shape[1]
-    if wd.shape[1] != c_in:
-        raise ShapeError(
-            f"pointwise_conv: channel mismatch: input has {c_in} channels, weight expects {wd.shape[1]}"
-        )
-    _check_weights("pointwise_conv", x, w, b)
-    c_out = wd.shape[0]
-    n = xd.shape[0]
-    spatial = xd.shape[2:]
-    if b is not None and b.data.shape != (c_out,):
-        raise ShapeError(f"pointwise_conv: bias must be ({c_out},), got {b.data.shape}")
-
-    out = _ordered_contract(wd, _window_rows(xd, [(...,)], spatial), n, spatial, b)
-    add_flops(2 * n * c_out * c_in * int(np.prod(spatial)))
-
-    result = Tensor._wrap(out)
-    spatial_axes = tuple(range(2, xd.ndim))
-
-    def vjp(g):
-        g2 = g.reshape(n, c_out, -1)
-        x2 = xd.reshape(n, c_in, -1)
-        gx = np.matmul(wd.T, g2).reshape(xd.shape)
-        gw = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0)
-        if b is None:
-            return (gx, gw)
-        gb = g.sum(axis=(0,) + spatial_axes)
-        return (gx, gw, gb)
-
-    inputs = (x, w) if b is None else (x, w, b)
-    record(inputs, result, vjp)
-    return result
+    return _conv("pointwise_conv", x, w, wd.reshape(wd.shape + (1,) * (xd.ndim - 2)), b)
 
 
-# ---------------------------------------------------------------------------
-# Standard (textbook) convolution with zero padding, 2D or 3D
-# ---------------------------------------------------------------------------
-
-
-def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Cross-correlation with zero padding (K-1)/2, shape preserving at stride 1.
+def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Shape-preserving cross-correlation with zero padding (K-1)/2.
 
     ``w`` is (C_out, C_in, K, K) for 2D inputs (N, C, H, W) or
     (C_out, C_in, K, K, K) for 3D inputs (N, C, T, H, W). Contributions
     accumulate in (input channel, tap row-major) lexicographic order with
-    the bias added last. The sum runs over channel-first rows: each
-    (channel, tap) window is copied into one reused contiguous buffer (see
-    ``_ordered_contract``), so K=1 computes exactly what ``pointwise_conv``
-    does.
+    the bias added last; a tap's reads from the padding are absent terms.
+    K=1 computes exactly what ``pointwise_conv`` does.
     """
-    xd, wd = x.data, w.data
-    d = wd.ndim - 2
+    d = w.data.ndim - 2
     if d not in (2, 3):
-        raise ShapeError(f"standard_conv: weight rank {wd.ndim} not supported")
-    if xd.ndim != d + 2:
+        raise ShapeError(f"standard_conv: weight rank {w.data.ndim} not supported")
+    if x.data.ndim != d + 2:
         raise ShapeError(
-            f"standard_conv: input rank {xd.ndim} does not match weight spatial rank {d}"
+            f"standard_conv: input rank {x.data.ndim} does not match weight spatial rank {d}"
         )
-    c_out, c_in = wd.shape[:2]
-    if xd.shape[1] != c_in:
-        raise ShapeError(
-            f"standard_conv: channel mismatch: input has {xd.shape[1]} channels, weight expects {c_in}"
-        )
-    _check_weights("standard_conv", x, w, b)
-    ksizes = wd.shape[2:]
-    for k in ksizes:
-        if k % 2 == 0:
-            raise ShapeError(f"standard_conv: kernel sizes must be odd, got {ksizes}")
-    if b is not None and b.data.shape != (c_out,):
-        raise ShapeError(f"standard_conv: bias must be ({c_out},), got {b.data.shape}")
-    if stride < 1:
-        raise ShapeError(f"standard_conv: stride must be >= 1, got {stride}")
-
-    n = xd.shape[0]
-    xpad, out_spatial, taps, windows, center = _padded_taps(xd, ksizes, stride)
-    out = _ordered_contract(
-        wd.reshape(c_out, -1), _window_rows(xpad, windows, out_spatial), n, out_spatial, b
-    )
-    add_flops(2 * n * c_out * c_in * int(np.prod(out_spatial)) * int(np.prod(ksizes)))
-
-    result = Tensor._wrap(out)
-    spatial_axes = tuple(range(2, xd.ndim))
-
-    def vjp(g):
-        xpad = _padded_taps(xd, ksizes, stride)[0]
-        gw = np.empty_like(wd)
-        gxpad = np.zeros_like(xpad)
-        g2 = g.reshape(n, c_out, -1)
-        for tap, win in zip(taps, windows):
-            window = xpad[win].reshape(n, c_in, -1)
-            tap_w = (...,) + tap
-            gw[tap_w] = np.matmul(g2, window.transpose(0, 2, 1)).sum(axis=0)
-            gxpad[win] += np.matmul(wd[tap_w].T, g2).reshape((n, c_in) + out_spatial)
-        gx = gxpad[center]
-        if b is None:
-            return (gx, gw)
-        gb = g.sum(axis=(0,) + spatial_axes)
-        return (gx, gw, gb)
-
-    inputs = (x, w) if b is None else (x, w, b)
-    record(inputs, result, vjp)
-    return result
+    return _conv("standard_conv", x, w, w.data, b)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +294,8 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     ``w`` is (K, K) for 2D inputs or (K, K, K) for 3D inputs; ``b`` is a
     single-element tensor added to every output. This is the ablation
     stand-in for the dynamic operators: a position-agnostic, channel-shared
-    filter. Taps accumulate in row-major order, bias last.
+    filter. Taps accumulate in row-major order, bias last; reads outside
+    the input are absent terms (zero padding).
     """
     xd, wd = x.data, w.data
     d = wd.ndim
@@ -321,10 +310,11 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (1,):
         raise ShapeError(f"shared_conv: bias must be shape (1,), got {b.data.shape}")
 
-    xpad, _, taps, windows, center = _padded_taps(xd, wd.shape)
+    taps = _clipped_taps(xd.shape[2:], wd.shape)
+    w_flat = wd.reshape(-1)
     out = np.zeros_like(xd)
-    for tap, win in zip(taps, windows):
-        out += wd[tap] * xpad[win]
+    for i, out_sl, in_sl in taps:
+        out[out_sl] += w_flat[i] * xd[in_sl]
     if b is not None:
         out += b.data[0]
     add_flops(2 * xd.size * len(taps))
@@ -332,13 +322,12 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     result = Tensor._wrap(out)
 
     def vjp(g):
-        xpad = _padded_taps(xd, wd.shape)[0]
-        gw = np.empty_like(wd)
-        gxpad = np.zeros_like(xpad)
-        for tap, win in zip(taps, windows):
-            gw[tap] = np.sum(g * xpad[win])
-            gxpad[win] += wd[tap] * g
-        gx = gxpad[center]
+        gw = np.empty_like(w_flat)
+        gx = None
+        for i, out_sl, in_sl in _centre_first(taps):
+            gw[i] = np.sum(g[out_sl] * xd[in_sl])
+            gx = _add_tap(gx, w_flat[i] * g[out_sl], in_sl)
+        gw = gw.reshape(wd.shape)
         if b is None:
             return (gx, gw)
         return (gx, gw, np.array([g.sum()], dtype=g.dtype))
@@ -618,9 +607,10 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     """Neighborhood-local dynamic aggregation over a K^3 volume plus bias.
 
     out[n, c, t, y, x] = sum over taps (dt, dy, dx) in row-major order of
-    kernels[n, g(c), tap, t, y, x] * x_padded[n, c, t+dt-h, y+dy-h, x+dx-h]
-    + bias[c], with h = (K-1)/2 and zero padding. Kernels are shared across
-    the channels of each group and left unnormalized.
+    kernels[n, g(c), tap, t, y, x] * x[n, c, t+dt-h, y+dy-h, x+dx-h]
+    + bias[c], with h = (K-1)/2; reads outside the volume are absent terms
+    (zero padding). Kernels are shared across the channels of each group and
+    left unnormalized.
     """
     xd, kd = x.data, kernels.data
     if xd.ndim != 5:
@@ -638,30 +628,28 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
         raise ShapeError(f"involution3d: bias must be ({c},), got {bias.data.shape}")
     _check_weights("involution3d", x, kernels, bias)
 
-    rep = c // groups
-    xpad, _, _, windows, center = _padded_taps(xd, (kernel_size,) * 3)
-    grouped = (n, groups, rep) + xpad.shape[2:]
-    xpad_g = xpad.reshape(grouped)
+    grouped = (n, groups, c // groups, t, h, w)
+    taps = _clipped_taps((t, h, w), (kernel_size,) * 3)
+    x_g = xd.reshape(grouped)
     out = np.zeros_like(xd)
-    out_g = out.reshape(n, groups, rep, t, h, w)
-    for tap_idx, win in enumerate(windows):
-        out_g += kd[:, :, tap_idx, None] * xpad_g[win]
+    out_g = out.reshape(grouped)
+    for i, out_sl, in_sl in taps:
+        out_g[out_sl] += kd[:, :, i, None][out_sl] * x_g[in_sl]
     out += bias.data.reshape(1, c, 1, 1, 1)
     add_flops(2 * xd.size * k3)
 
     result = Tensor._wrap(out)
 
     def vjp(g):
-        xpad = _padded_taps(xd, (kernel_size,) * 3)[0]
-        xpad_g = xpad.reshape(grouped)
-        g_kern = np.empty_like(kd)
-        gxpad = np.zeros_like(xpad)
-        gxpad_g = gxpad.reshape(grouped)
-        g_g = g.reshape(n, groups, rep, t, h, w)
-        for tap_idx, win in enumerate(windows):
-            g_kern[:, :, tap_idx] = (g_g * xpad_g[win]).sum(axis=2)
-            gxpad_g[win] += g_g * kd[:, :, tap_idx, None]
-        gx = gxpad[center]
+        x_g = xd.reshape(grouped)
+        g_g = g.reshape(grouped)
+        g_kern = np.zeros_like(kd)
+        gx = None
+        for i, out_sl, in_sl in _centre_first(taps):
+            g_out = g_g[out_sl]
+            g_kern[:, :, i][out_sl] = (g_out * x_g[in_sl]).sum(axis=2)
+            gx = _add_tap(gx, g_out * kd[:, :, i, None][out_sl], in_sl)
+        gx = gx.reshape(xd.shape)
         gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, g_kern, gb)
 
@@ -845,7 +833,7 @@ class PatchEmbed(Module):
 
     Each patch's C*p*p values (ordered channel-major, then row-major within
     the patch) are linearly projected to D channels; equivalent to a
-    stride-p, kernel-p convolution applied per frame.
+    kernel-p convolution applied per frame at every p-th position.
     """
 
     def __init__(self, in_channels, patch_size, embed_dim, rng=None, dtype=F32):

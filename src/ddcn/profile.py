@@ -16,7 +16,7 @@ while also reporting the MAC = 2 figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import DDCN, ModelConfig
 from .numerics import FlopCounter, Module, ShapeError
@@ -234,43 +234,27 @@ def search_reference_configs(
     target_params: float = 610_000,
     target_flops: float = 150_000_000,
     tolerance: float = 0.2,
-    embed_dims=None,
-    depths=(1, 2, 3, 4, 5, 6),
-    patch_sizes=None,
-    base: ModelConfig | None = None,
 ) -> list[CandidateCost]:
     """Scan (embed_dim, depth, patch_size) and flag configurations whose cost
     lands within ``tolerance`` of the published params/FLOPs pair.
 
-    ``target_flops`` is compared against candidate MAC counts because
-    published profiler numbers conventionally count multiply-accumulates;
-    the MAC = 2 figure is reported alongside. No configuration is asserted
-    to be the published one.
+    The scan covers embed_dim 8..256 in steps of 8, depth 1..6 and every
+    patch size dividing the grid, with the remaining fields at their
+    ``ModelConfig`` defaults. ``target_flops`` is compared against candidate
+    MAC counts because published profiler numbers conventionally count
+    multiply-accumulates; the MAC = 2 figure is reported alongside. No
+    configuration is asserted to be the published one.
     """
     b, t, c, h, w = (int(s) for s in input_shape)
-    base = base or ModelConfig(in_channels=c, input_steps=t)
-    if embed_dims is None:
-        embed_dims = range(8, 264, 8)
-    if patch_sizes is None:
-        patch_sizes = [p for p in range(1, min(h, w) + 1) if h % p == 0 and w % p == 0]
+    base = ModelConfig(in_channels=c, input_steps=t)
+    patch_sizes = [p for p in range(1, min(h, w) + 1) if h % p == 0 and w % p == 0]
     out = []
     for p in patch_sizes:
-        for depth in depths:
-            for d in embed_dims:
+        for depth in range(1, 7):
+            for d in range(8, 264, 8):
                 if d % base.reduction != 0 or d % base.groups != 0:
                     continue
-                cfg = ModelConfig(
-                    in_channels=c,
-                    input_steps=t,
-                    patch_size=p,
-                    embed_dim=d,
-                    depth=depth,
-                    ddc_kernel=base.ddc_kernel,
-                    involution_kernel=base.involution_kernel,
-                    groups=base.groups,
-                    reduction=base.reduction,
-                    ffn_expansion=base.ffn_expansion,
-                )
+                cfg = replace(base, patch_size=p, embed_dim=d, depth=depth)
                 report = cost_report(cfg, input_shape)
                 params = report.total_params
                 flops = report.total_flops

@@ -291,19 +291,19 @@ def train_loop(
     dataset: TrafficDataset,
     cfg: TrainConfig,
     out_dir=None,
-    ratios=(7, 1, 2),
     mask_threshold: float = 1e-6,
     log: Callable[[str], None] | None = None,
 ) -> RunRecord:
-    """Train on chronological splits, checkpoint the best validation epoch,
-    and evaluate every split with the restored best parameters.
+    """Train on the chronological ``split`` (its default ratios, which
+    ``ddcn eval`` and ``errmap`` re-create), checkpoint the best validation
+    epoch, and evaluate every split with the restored best parameters.
 
     Raises NumericalError naming the first offending parameter if the loss
     goes non-finite.
     """
     cfg.validate()
     windows = make_windows(dataset, model.config.input_steps)
-    parts = split(windows, ratios)
+    parts = split(windows)
     stats = stats_from_windows(parts.train)
     dataset.stats = stats
 

@@ -1,10 +1,14 @@
 """Tensor core: elementwise ops, GELU, tape semantics, checkpoint format."""
 
+import contextlib
+import errno
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ddcn.metrics import save_error_map_csv, save_error_map_pgm
 from ddcn.numerics import (
     NumericalError,
     Param,
@@ -14,7 +18,6 @@ from ddcn.numerics import (
     Tensor,
     add,
     backward,
-    elementwise,
     gelu,
     load_checkpoint,
     mul,
@@ -41,15 +44,6 @@ def test_mul_identity():
 def test_sub():
     out = sub(Tensor([5.0, 2.0]), Tensor([1.0, 7.0]))
     assert np.array_equal(out.data, np.array([4.0, -5.0], dtype=np.float32))
-
-
-def test_elementwise_dispatch():
-    a, b = Tensor([1.0]), Tensor([2.0])
-    assert elementwise("add", a, b).data[0] == 3.0
-    assert elementwise("mul", a, b).data[0] == 2.0
-    assert elementwise("sub", a, b).data[0] == -1.0
-    with pytest.raises(ValueError, match="unknown elementwise op"):
-        elementwise("div", a, b)
 
 
 def test_shape_mismatch_reports_both_shapes():
@@ -330,20 +324,106 @@ def _write_config(path, good):
     _echo_config(path.parent, ModelConfig(), TrainConfig(), {"data": "x" if good else object()})
 
 
+def _write_eval(path, good):
+    from argparse import Namespace
+
+    from ddcn import cli
+    from ddcn.metrics import MetricsReport
+    from ddcn.train import TrainConfig
+
+    report = MetricsReport(1.0, 2.0, 3.0, 4 if good else object(), 0)
+    run = (None, None, TrainConfig(), Namespace(test=[]), None)
+    with mock.patch.object(cli, "_load_run", return_value=run), \
+            mock.patch.object(cli.train_mod, "evaluate", return_value=(0.5, report)):
+        cli.cmd_eval(Namespace(split="test", out=str(path), mape_threshold=1e-6))
+
+
+def _profile_args(path, **kwargs):
+    from argparse import Namespace
+
+    return Namespace(shape="1,4,2,8,8", config=None, time=False, out=str(path), **kwargs)
+
+
+def _write_profile(path, good):
+    from ddcn import cli
+    from ddcn.profile import CostReport
+
+    bad = mock.patch.object(CostReport, "to_dict", lambda self: {"total": 1, "x": object()})
+    with contextlib.nullcontext() if good else bad:
+        cli.cmd_profile(_profile_args(path, search=False))
+
+
+def _write_profile_search(path, good):
+    from ddcn import cli
+    from ddcn.profile import CandidateCost
+
+    hit = CandidateCost(64, 2 if good else object(), 2, 600_000, 300_000_000, 150_000_000,
+                        True, True)
+    with mock.patch.object(cli.profile_mod, "search_reference_configs", return_value=[hit]):
+        cli.cmd_profile(_profile_args(path, search=True, target_params=6e5, target_flops=1.5e8,
+                                      tolerance=0.2, limit=5))
+
+
+class _FailingSecondWrite:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _error_map_writer(save):
+    def writer(path, good):
+        emap = np.arange(12.0).reshape(3, 4)
+        if good:
+            return save(emap, path)
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return _FailingSecondWrite(f) if set(mode) & set("wx") else f
+
+        with mock.patch("builtins.open", failing_open):
+            save(emap + 1, path)
+
+    writer.__name__ = "_write_" + save.__name__.removeprefix("save_")
+    return writer
+
+
 @pytest.mark.parametrize("writer, name", [
     (_write_checkpoint, "best.ckpt"),
     (_write_summary, "summary.json"),
     (_write_record, "record.jsonl"),
     (_write_config, "config.json"),
+    (_write_eval, "eval_test.json"),
+    (_write_profile, "profile.json"),
+    (_write_profile_search, "hits.json"),
+    (_error_map_writer(save_error_map_csv), "errmap_0.csv"),
+    (_error_map_writer(save_error_map_pgm), "errmap_0.pgm"),
 ])
 def test_artifact_write_failing_midway_keeps_previous_file(tmp_path, writer, name):
     # Each writer fails after writing part of its output (the second
-    # parameter, or a value json cannot encode); the file from the previous
-    # write must survive byte for byte, with no temporary file left over.
+    # parameter, a value json cannot encode, or a second write to a full
+    # disk); the file from the previous write must survive byte for byte,
+    # with no temporary file left over.
     path = tmp_path / name
     writer(path, good=True)
     before = path.read_bytes()
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises((TypeError, ValueError, OSError)):
         writer(path, good=False)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [name]

@@ -116,43 +116,27 @@ def test_standard_conv3d_matches_loop_oracle_exactly():
     assert np.array_equal(out.data, standard_conv_oracle(x.data, w.data, b.data))
 
 
-def test_standard_conv_stride_two():
-    rng = np.random.default_rng(7)
-    x = _t(rng, (1, 2, 5, 5))
-    w = _t(rng, (3, 2, 3, 3))
-    b = _t(rng, (3,))
-    full = ops.standard_conv(x, w, b).data
-    strided = ops.standard_conv(x, w, b, stride=2).data
-    assert strided.shape == (1, 3, 3, 3)
-    assert np.array_equal(strided, full[:, :, ::2, ::2])
-
-
-@pytest.mark.parametrize("stride", [0, -1])
-def test_standard_conv_stride_below_one_rejected(stride):
-    rng = np.random.default_rng(7)
-    x = _t(rng, (1, 2, 5, 5))
-    w = _t(rng, (3, 2, 3, 3))
-    with pytest.raises(ShapeError, match="stride"):
-        ops.standard_conv(x, w, stride=stride)
-
-
-def test_standard_conv_stride_two_gradients_match_finite_differences():
-    rng = np.random.default_rng(27)
-    x = _t(rng, (2, 2, 5, 5))
-    w = _t(rng, (3, 2, 3, 3))
-    b = _t(rng, (3,))
-    proj = _t(rng, (2, 3, 3, 3))
+@pytest.mark.parametrize("op, shapes", [
+    (ops.standard_conv, [(1, 2, 2, 3, 4), (3, 2, 5, 3, 1), (3,)]),
+    (ops.shared_conv, [(2, 2, 2, 3, 4), (5, 3, 1), (1,)]),
+    (lambda x, k, b: ops.involution3d_forward(x, k, b, 3), [(1, 2, 1, 2, 3), (1, 1, 27, 1, 2, 3), (2,)]),
+], ids=["standard_conv", "shared_conv", "involution3d"])
+def test_clipped_tap_gradients_match_finite_differences(op, shapes):
+    # Kernels wider than the input: the outer taps of the size-2 (size-1)
+    # axis miss the input entirely, and every other tap is clipped.
+    rng = np.random.default_rng(28)
+    args = [_t(rng, s) for s in shapes]
+    proj = _t(rng, op(*args).shape)
 
     def run():
-        return reduce_sum(mul(ops.standard_conv(x, w, b, stride=2), proj))
+        return reduce_sum(mul(op(*args), proj))
 
     with Tape() as tape:
         loss = run()
     backward(loss, tape)
-    fd = finite_difference(lambda: run().item(), [x.data, w.data, b.data])
-    assert max_relative_error(x.grad, fd[0]) < 1e-6
-    assert max_relative_error(w.grad, fd[1]) < 1e-6
-    assert max_relative_error(b.grad, fd[2]) < 1e-6
+    fd = finite_difference(lambda: run().item(), [a.data for a in args])
+    for a, g in zip(args, fd):
+        assert max_relative_error(a.grad, g) < 1e-6
 
 
 def _bits(a):
@@ -412,10 +396,10 @@ def test_ddc_tape_bytes_bounded():
      [(2, 8, 4, 8, 8), (2, 1, 27, 4, 8, 8), (8,)]),
 ], ids=["standard_conv", "shared_conv3d", "involution3d"])
 def test_conv_tape_holds_no_padded_copy(op, shapes):
-    # Each VJP rebuilds the zero-padded input from the input it already
-    # holds, so a taped call keeps only small index objects beyond its
-    # output (0.25-0.55x the input bytes here). A kept padded copy alone is
-    # more than 1x.
+    # Each VJP reads the input it already holds through clipped tap slices,
+    # so a taped call keeps only small index objects beyond its output
+    # (0.2-0.45x the input bytes here). A kept padded copy alone is more
+    # than 1x.
     rng = np.random.default_rng(31)
     args = [_t(rng, s, dtype=np.float32) for s in shapes]
     tracemalloc.start()
@@ -428,6 +412,38 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
         tracemalloc.stop()
     x_bytes = args[0].data.nbytes
     assert held < x_bytes, f"tape holds {held / x_bytes:.2f}x the input bytes"
+
+
+@pytest.mark.parametrize("op, shapes, bound", [
+    (lambda x, w: ops.standard_conv(x, w), [(4, 16, 32, 32), (18, 16, 3, 3)], 4.0),
+    (lambda x, w: ops.shared_conv(x, w), [(4, 16, 32, 32), (3, 3)], 3.0),
+    (lambda x, w: ops.shared_conv(x, w), [(2, 16, 4, 16, 16), (3, 3, 3)], 3.0),
+    (lambda x, k, b: ops.involution3d_forward(x, k, b, 3),
+     [(2, 16, 4, 16, 16), (2, 1, 27, 4, 16, 16), (16,)], 5.0),
+    (lambda x, w: ops.pointwise_conv(x, w), [(8, 64, 8, 8), (32, 64)], 1.25),
+], ids=["standard_conv", "shared_conv2d", "shared_conv3d", "involution3d", "pointwise_conv"])
+def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
+    # Peak bytes a VJP allocates, as a multiple of its input's bytes. Taps
+    # are clipped to the input, so no zero-padded input or gradient exists:
+    # the peak is the input gradient plus one tap's temporaries, 2.2-4.1x at
+    # these shapes (the standard conv's output gradient and the involution's
+    # kernel gradient outsize the input here), and 1.07x for the pointwise
+    # conv, whose one tap is its input gradient. A padded input and gradient
+    # take the first four to 3.5-7x; reducing the pointwise weight gradient
+    # while its input gradient is live takes the last to 1.57x.
+    vjps = []
+    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+    rng = np.random.default_rng(32)
+    args = [_t(rng, s, dtype=np.float32) for s in shapes]
+    g = rng.uniform(-1, 1, op(*args).shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        vjps[0](g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x_bytes = args[0].data.nbytes
+    assert peak < bound * x_bytes, f"VJP peak is {peak / x_bytes:.2f}x the input bytes"
 
 
 def test_ddc_gradients_match_finite_differences():
