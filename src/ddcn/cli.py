@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -53,26 +52,6 @@ def _emit_artifact(path):
     print(os.path.relpath(str(path)))
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("DDCN_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DDCN_SEED must be an integer, got {raw!r}")
-
-
-@contextmanager
-def _config_values():
-    """Maps a malformed config value (a ValueError or TypeError raised while
-    building ModelConfig/TrainConfig) to UsageError."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -86,50 +65,27 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _effective_configs(args, dataset=None):
-    """Merge defaults, DDCN_SEED, the config file, and flag overrides."""
-    doc = _load_config_file(getattr(args, "config", None))
-
-    seed = 0
-    env = _env_seed()
-    if env is not None:
-        seed = env
-    if "seed" in doc:
-        seed = doc["seed"]
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-
-    model_kwargs = {k: v for k, v in doc.items() if k in _MODEL_FIELDS}
-    train_kwargs = {k: v for k, v in doc.items() if k in _TRAIN_FIELDS}
-    train_kwargs["seed"] = seed
-
-    flag_map = {
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "lr": "learning_rate",
-        "weight_decay": "weight_decay",
-        "patience": "patience",
-    }
-    for flag, field in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            train_kwargs[field] = val
-    for flag in ("depth", "embed_dim", "patch_size", "input_steps", "in_channels"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            model_kwargs[flag] = val
-    if getattr(args, "no_ddc", False):
-        model_kwargs["use_ddc"] = False
-    if getattr(args, "no_involution3d", False):
-        model_kwargs["use_involution3d"] = False
-
-    if dataset is not None and "in_channels" not in model_kwargs:
-        model_kwargs["in_channels"] = dataset.meta.channels
-
-    with _config_values():
-        model_cfg = ModelConfig.from_dict(model_kwargs)
-        train_cfg = TrainConfig.from_dict(train_kwargs)
-    return model_cfg, train_cfg
+def _configs(doc, args=None, **defaults):
+    """The one config resolver of every subcommand. Values merge in the
+    order ``defaults`` < DDCN_SEED < the config document ``doc`` < each
+    given flag whose argparse dest is a config field; a malformed value is
+    a usage error. Returns (ModelConfig, TrainConfig)."""
+    values = dict(defaults)
+    raw = os.environ.get("DDCN_SEED")
+    if raw is not None:
+        try:
+            values["seed"] = int(raw)
+        except ValueError:
+            raise UsageError(f"DDCN_SEED must be an integer, got {raw!r}")
+    values.update(doc)
+    flags = {} if args is None else vars(args)
+    values.update((k, v) for k, v in flags.items()
+                  if k in _MODEL_FIELDS | _TRAIN_FIELDS and v is not None)
+    try:
+        return (ModelConfig.from_dict({k: v for k, v in values.items() if k in _MODEL_FIELDS}),
+                TrainConfig.from_dict({k: v for k, v in values.items() if k in _TRAIN_FIELDS}))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
@@ -148,9 +104,8 @@ def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
 def cmd_synth(args) -> int:
     if args.h < 1 or args.w < 1 or args.steps < 1:
         raise UsageError("--h, --w and --steps must be positive")
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
     spec = data_mod.SynthSpec(
-        height=args.h, width=args.w, steps=args.steps, seed=seed,
+        height=args.h, width=args.w, steps=args.steps, seed=_configs({}, args)[1].seed,
         interval_minutes=args.interval, name=args.name,
     )
     ds = data_mod.synth_traffic(spec)
@@ -170,7 +125,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = data_mod.load_dataset(args.data)
-    model_cfg, train_cfg = _effective_configs(args, dataset)
+    model_cfg, train_cfg = _configs(_load_config_file(args.config), args,
+                                    in_channels=dataset.meta.channels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
@@ -210,10 +166,7 @@ def _load_run(args):
     config_path = Path(args.config) if args.config else ckpt.parent / "config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"run config not found: {config_path}")
-    doc = _load_config_file(config_path)
-    with _config_values():
-        model_cfg = ModelConfig.from_dict({k: v for k, v in doc.items() if k in _MODEL_FIELDS})
-        train_cfg = TrainConfig.from_dict({k: v for k, v in doc.items() if k in _TRAIN_FIELDS})
+    model_cfg, train_cfg = _configs(_load_config_file(config_path))
     model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
     model.load_state(load_checkpoint(ckpt))
     parts = data_mod.split(data_mod.make_windows(dataset, model_cfg.input_steps))
@@ -235,12 +188,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.scope == "ops":
-        report = train_mod.gradcheck_ops(tol=args.tol, instances=args.instances,
-                                         seed=args.seed or 0)
-    else:
-        report = train_mod.gradcheck_model(tol=args.tol or 1e-4,
-                                           instances=args.instances, seed=args.seed or 0)
+    check = train_mod.gradcheck_ops if args.scope == "ops" else train_mod.gradcheck_model
+    report = check(tol=args.tol, instances=args.instances, seed=_configs({}, args)[1].seed)
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -288,12 +237,8 @@ def cmd_profile(args) -> int:
             _emit_artifact(args.out)
         return EXIT_OK
 
-    doc = _load_config_file(args.config)
-    model_kwargs = {k: v for k, v in doc.items() if k in _MODEL_FIELDS}
-    model_kwargs.setdefault("in_channels", shape[2])
-    model_kwargs.setdefault("input_steps", shape[1])
-    with _config_values():
-        cfg = ModelConfig.from_dict(model_kwargs)
+    cfg, _ = _configs(_load_config_file(args.config), args,
+                      in_channels=shape[2], input_steps=shape[1])
     report = profile_mod.cost_report(cfg, shape)  # a ValueError is a usage error (see main)
     print(report.format())
     if args.time:
@@ -369,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -377,8 +322,9 @@ def build_parser() -> _Parser:
     p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
     p.add_argument("--patch-size", dest="patch_size", type=int, default=None)
     p.add_argument("--input-steps", dest="input_steps", type=int, default=None)
-    p.add_argument("--no-ddc", action="store_true")
-    p.add_argument("--no-involution3d", action="store_true")
+    p.add_argument("--no-ddc", dest="use_ddc", action="store_false", default=None)
+    p.add_argument("--no-involution3d", dest="use_involution3d", action="store_false",
+                   default=None)
     p.add_argument("--mape-threshold", type=float, default=1e-6)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)

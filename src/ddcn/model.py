@@ -15,35 +15,66 @@ operator for a plain shared-filter convolution of the same kernel size.
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ops
 from .numerics import F32, Module, ShapeError, Tensor, add, gelu, mul, reshape, transpose
 
-__all__ = ["check_int_fields", "ModelConfig", "BlockActivations", "STAttBlock",
+__all__ = ["TypedConfig", "ModelConfig", "BlockActivations", "STAttBlock",
            "SpatialAttBlock", "FeedForward", "DDCNBlock", "DDCN"]
 
 
-def check_int_fields(cfg):
-    """Rejects a value that is not an integer (a float, a string, a bool) in
-    any ``int`` field of the config dataclass ``cfg``; ``int | None`` fields
-    also take None. Range checks come after it, so they compare integers."""
-    for f in fields(cfg):
-        if f.type not in ("int", "int | None"):
-            continue
-        value = getattr(cfg, f.name)
-        if value is None and f.type == "int | None":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "float": ("a finite number", _is_finite_real),
+}
+
+
+class TypedConfig:
+    """Base of the config dataclasses: construction from a dict of known
+    fields, and a check of every value against its field's annotation."""
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+        return cls(**data).validate()
+
+    def check_types(self):
+        """Rejects a value that does not fit its annotation: ``int`` takes an
+        integer (not a float, string or bool) and ``int | None`` also None,
+        ``bool`` only True or False, ``float`` a finite real number that is
+        not a bool (an integer is fine). Range checks come after it, so they
+        compare numbers of the right kind."""
+        for f in fields(self):
+            kind, fits = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not fits(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(TypedConfig):
     """Architecture hyperparameters; every knob the blocks consume.
 
     patch_size must divide the dataset grid height and width; embed_dim must
@@ -64,13 +95,11 @@ class ModelConfig:
     use_involution3d: bool = True
 
     def validate(self):
-        check_int_fields(self)
-        if self.in_channels < 1:
-            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.input_steps < 1:
-            raise ValueError(f"input_steps must be >= 1, got {self.input_steps}")
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
+        self.check_types()
+        for name in ("in_channels", "input_steps", "patch_size", "embed_dim", "groups",
+                     "reduction", "ffn_expansion"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.depth <= 8:
             raise ValueError(f"depth must be in 1..8, got {self.depth}")
         if self.embed_dim % self.reduction != 0:
@@ -85,24 +114,7 @@ class ModelConfig:
             k = getattr(self, name)
             if k < 1 or k % 2 == 0:
                 raise ValueError(f"{name} must be odd and positive, got {k}")
-        if self.ffn_expansion < 1:
-            raise ValueError(f"ffn_expansion must be >= 1, got {self.ffn_expansion}")
         return self
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown ModelConfig fields: {unknown}")
-        return cls(**data).validate()
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

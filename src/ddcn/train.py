@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -21,7 +21,7 @@ from . import numerics, ops
 from .data import ChannelStats, TrafficDataset, WindowSample, make_windows, minmax_denormalize, \
     minmax_normalize, split, stats_from_windows
 from .metrics import MetricsReport, compute_metrics
-from .model import DDCN, ModelConfig, check_int_fields
+from .model import DDCN, ModelConfig, TypedConfig
 from .numerics import (
     KinkProbe,
     NumericalError,
@@ -61,7 +61,7 @@ __all__ = [
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(TypedConfig):
     """Optimization hyperparameters. Defaults follow the training protocol
     (batch 16, AdamW, L1 loss, 100 epochs); learning rate and weight decay
     are conventional optimizer settings, configurable and logged."""
@@ -77,7 +77,7 @@ class TrainConfig:
     patience: int | None = None
 
     def validate(self):
-        check_int_fields(self)
+        self.check_types()
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -91,15 +91,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be >= 1 or null, got {self.patience}")
         return self
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown TrainConfig fields: {unknown}")
-        return cls(**data).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +471,8 @@ def _check_case(case: _GradCase, h: float) -> dict[str, float]:
 
 def _run_cases(name: str, builder, instances: int, seed: int, tol: float,
                h: float = FD_STEP) -> list[GradCheckResult]:
+    if instances < 1 or not tol > 0:
+        raise ValueError(f"need instances >= 1 and tol > 0, got {instances} and {tol}")
     worst: dict[str, float] = {}
     accepted = 0
     attempt = seed
@@ -640,11 +638,14 @@ def gradcheck_ops(tol: float | None = None, instances: int = 20, seed: int = 0,
     for name, (builder, default_tol) in _OP_CASES.items():
         if names is not None and name not in names:
             continue
-        results.extend(_run_cases(name, builder, instances, seed, tol or default_tol))
+        results.extend(_run_cases(name, builder, instances, seed,
+                                  default_tol if tol is None else tol))
     return GradCheckReport(results)
 
 
-def gradcheck_model(tol: float = 1e-4, instances: int = 1, seed: int = 0) -> GradCheckReport:
-    """End-to-end gradient check of the tiny DDCN under L1 loss."""
-    results = _run_cases("ddcn", _case_model, instances, seed, tol)
+def gradcheck_model(tol: float | None = None, instances: int = 1,
+                    seed: int = 0) -> GradCheckReport:
+    """End-to-end gradient check of the tiny DDCN under L1 loss (default
+    tolerance 1e-4)."""
+    results = _run_cases("ddcn", _case_model, instances, seed, 1e-4 if tol is None else tol)
     return GradCheckReport(results)

@@ -137,6 +137,10 @@ def test_unknown_config_field_exit_1(capsys):
     ("train", {"seed": 1.5}),
     ("train", {"depth": True}),
     ("train", {"seed": "3"}),
+    ("train", {"use_ddc": "false"}),
+    ("train", {"learning_rate": True}),
+    ("train", {"learning_rate": float("nan")}),
+    ("profile", {"epochs": 1.5}),
 ])
 def test_malformed_config_value_is_usage_error(command, doc, capsys):
     synth()
@@ -171,6 +175,23 @@ def test_ddcn_seed_env_lowest_precedence(monkeypatch):
     assert run_cli("train", "--data", "data.grdt", "--out", "run_flag",
                    "--seed", "5", *TRAIN_FLAGS) == 0
     assert json.loads(open("run_flag/config.json").read())["seed"] == 5
+
+
+def test_ddcn_seed_env_feeds_gradcheck_and_synth(monkeypatch, capsys):
+    gradcheck = ["gradcheck", "--scope", "ops", "--instances", "1"]
+    assert run_cli(*gradcheck, "--seed", "5") == 0
+    flag_out = capsys.readouterr().out
+    synth("flag5.grdt", seed=5)
+    synth("flag6.grdt", seed=6)
+    monkeypatch.setenv("DDCN_SEED", "5")
+    capsys.readouterr()
+    assert run_cli(*gradcheck) == 0
+    assert capsys.readouterr().out == flag_out
+    assert run_cli("synth", "--out", "env.grdt", "--h", "8", "--w", "8", "--steps", "48") == 0
+    assert open("env.grdt", "rb").read() == open("flag5.grdt", "rb").read()
+    # Flag beats the environment.
+    synth("env_flag.grdt", seed=6)
+    assert open("env_flag.grdt", "rb").read() == open("flag6.grdt", "rb").read()
 
 
 def test_eval_reproduces_training_summary(capsys):
@@ -225,6 +246,14 @@ def test_gradcheck_absurd_tolerance_exit_3(capsys):
     code = run_cli("gradcheck", "--scope", "ops", "--instances", "1", "--tol", "1e-30")
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scope", ["ops", "model"])
+@pytest.mark.parametrize("flag, value", [("--instances", "0"), ("--tol", "0"), ("--tol", "nan")])
+def test_gradcheck_that_checks_nothing_is_usage_error(scope, flag, value, capsys):
+    assert run_cli("gradcheck", "--scope", scope, flag, value) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:")
 
 
 def test_profile_report_and_json(capsys):

@@ -4,19 +4,28 @@ For any byte string, ``load_dataset`` and ``load_checkpoint`` either parse
 it or raise their own typed format error, and nothing else. Inputs are raw
 bytes, valid files with bytes overwritten, cut or appended, and valid
 headers followed by arbitrary bytes, so that examples get past the magic.
+Any JSON object over the config field names, read by ``ddcn profile
+--config``, either profiles (exit 0) or is a usage error (exit 1).
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import struct
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddcn.cli import main
 from ddcn.data import DatasetFormatError, SynthSpec, load_dataset, save_dataset, synth_traffic
+from ddcn.model import ModelConfig
 from ddcn.numerics import CheckpointFormatError, load_checkpoint, save_checkpoint
+from ddcn.train import TrainConfig
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -89,3 +98,36 @@ def test_load_dataset_parses_or_raises_format_error(blob):
 ))
 def test_load_checkpoint_parses_or_raises_format_error(blob):
     _load_or_format_error(load_checkpoint, blob, CheckpointFormatError)
+
+
+CONFIG_FIELDS = {f.name: f.type for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+
+
+def _fits(annotation: str, value) -> bool:
+    if annotation == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if annotation == "float":
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, int) or annotation == "int | None" and value is None
+
+
+@FUZZ
+@given(st.dictionaries(
+    st.sampled_from(sorted(CONFIG_FIELDS)),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    max_size=6,
+))
+def test_profile_config_is_profiled_or_usage_error(doc):
+    # profile builds no model, so unbounded integers cannot allocate.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)  # NaN and +-Infinity included, as Python's json reads them
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["profile", "--config", path])
+    assert code in (0, 1), err.getvalue()
+    if not all(_fits(CONFIG_FIELDS[k], v) for k, v in doc.items()):
+        assert code == 1 and err.getvalue().startswith("usage error:")

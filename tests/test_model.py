@@ -1,7 +1,7 @@
 """Model assembly: block wiring, residuals, ablations, shape contracts."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ def small_config(**overrides):
 
 def test_config_json_roundtrip_and_strictness():
     cfg = small_config(use_ddc=False)
-    again = ModelConfig.from_json(cfg.to_json())
+    again = ModelConfig.from_dict(asdict(cfg))
     assert again == cfg
     with pytest.raises(ValueError, match="unknown ModelConfig fields"):
         ModelConfig.from_dict({"embed_dim": 8, "bogus": 1})

@@ -339,5 +339,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0).validate()
+    for bad in (dict(patience=0), dict(patience=-2), dict(epsilon=0.0), dict(epsilon=-1e-8)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad).validate()
+    assert TrainConfig.from_dict({"weight_decay": 0, "patience": 1}).weight_decay == 0
     with pytest.raises(ValueError, match="unknown TrainConfig fields"):
         TrainConfig.from_dict({"lr": 1e-3})
