@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -102,8 +103,7 @@ def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
 
 
 def cmd_synth(args) -> int:
-    if args.h < 1 or args.w < 1 or args.steps < 1:
-        raise UsageError("--h, --w and --steps must be positive")
+    # synth_traffic's ValueError for a size < 1 or a bad --interval is a usage error.
     spec = data_mod.SynthSpec(
         height=args.h, width=args.w, steps=args.steps, seed=_configs({}, args)[1].seed,
         interval_minutes=args.interval, name=args.name,
@@ -115,7 +115,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    arr = np.load(args.raw)
+    try:
+        arr = np.load(args.raw)
+    except (EOFError, ValueError) as exc:  # empty, pickled or corrupt
+        raise DatasetFormatError(f"{args.raw} is not a .npy array: {exc}") from exc
+    if not isinstance(arr, np.ndarray):
+        arr.close()
+        raise DatasetFormatError(f"{args.raw} is an .npz archive, not a .npy array")
     ds = data_mod.ingest_array(arr, layout=args.layout, interval_minutes=args.interval,
                                name=args.name)
     data_mod.save_dataset(ds, args.out)
@@ -197,6 +203,13 @@ def cmd_gradcheck(args) -> int:
         return EXIT_NUMERICAL
     print("gradient check passed")
     return EXIT_OK
+
+
+def _mape_threshold(text) -> float:
+    """argparse type of --mape-threshold: a finite float >= 0."""
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return float(text)
 
 
 def _parse_shape(text) -> tuple:
@@ -296,14 +309,14 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=int, default=8)
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--interval", type=int, default=30, help="minutes per frame")
+    p.add_argument("--interval", type=int, default=30, help="minutes per frame, 1 to 1440")
     p.add_argument("--name", default="synth")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="convert a raw .npy array dump to GRDT")
     p.add_argument("--raw", required=True, help=".npy file of shape (T,C,H,W) or (T,H,W,C)")
     p.add_argument("--layout", choices=("tchw", "thwc"), default="tchw")
-    p.add_argument("--interval", type=int, default=30)
+    p.add_argument("--interval", type=int, default=30, help="minutes per frame, at least 1")
     p.add_argument("--name", default="ingested")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
@@ -325,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-ddc", dest="use_ddc", action="store_false", default=None)
     p.add_argument("--no-involution3d", dest="use_involution3d", action="store_false",
                    default=None)
-    p.add_argument("--mape-threshold", type=float, default=1e-6)
+    p.add_argument("--mape-threshold", type=_mape_threshold, default=1e-6)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -334,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="config echo override")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--mape-threshold", type=float, default=1e-6)
+    p.add_argument("--mape-threshold", type=_mape_threshold, default=1e-6)
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)
 

@@ -4,7 +4,8 @@ Grid traffic data is a (T_total, C, H, W) stack of non-negative frames.
 The native on-disk container is GRDT: magic "GRDT", version u32 = 1, then
 u32 fields T_total, C, H, W, interval_minutes, then T_total*C*H*W
 little-endian float32 values in (t, c, h, w) row-major order, and an
-optional trailing UTF-8 JSON metadata object prefixed by its u32 length.
+optional trailing UTF-8 JSON metadata object prefixed by its u32 length,
+which ends the file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .numerics import atomic_write
 
 __all__ = [
     "DatasetFormatError",
@@ -81,9 +84,9 @@ class ChannelStats:
 
 
 class TrafficDataset:
-    """Immutable frame stack plus metadata; stats attach after splitting."""
+    """Immutable frame stack plus metadata."""
 
-    def __init__(self, meta: DatasetMeta, frames: np.ndarray, stats: ChannelStats | None = None):
+    def __init__(self, meta: DatasetMeta, frames: np.ndarray):
         frames = np.ascontiguousarray(frames, dtype=np.float32)
         if frames.ndim != 4:
             raise DatasetFormatError(f"frames must be (T, C, H, W), got shape {frames.shape}")
@@ -98,7 +101,6 @@ class TrafficDataset:
             raise DatasetFormatError("traffic frames must be non-negative")
         self.meta = meta
         self.frames = frames
-        self.stats = stats
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -191,19 +193,15 @@ def make_windows(ds: TrafficDataset, t_in: int = 4) -> list[WindowSample]:
     ]
 
 
-def split(windows: Sequence[WindowSample], ratios=(7, 1, 2)) -> Split:
-    """Chronological contiguous partition; sizes floor(n*r_i/sum) with the tail to test."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be three positive numbers, got {ratios}")
+def split(windows: Sequence[WindowSample]) -> Split:
+    """Chronological contiguous 7:1:2 partition; sizes floor(7n/10) and
+    floor(n/10), with the tail to test."""
     n = len(windows)
-    total = sum(ratios)
-    n_train = int(n * ratios[0] // total)
-    n_val = int(n * ratios[1] // total)
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
+    n_train = n * 7 // 10
+    n_val = n // 10
+    if min(n_train, n_val, n - n_train - n_val) < 1:
         raise ValueError(
-            f"split of {n} windows at ratios {tuple(ratios)} produces an empty partition; "
-            f"need at least {total} windows"
+            f"split of {n} windows at 7:1:2 produces an empty partition; need at least 10 windows"
         )
     train = list(windows[:n_train])
     val = list(windows[n_train : n_train + n_val])
@@ -216,13 +214,19 @@ def split(windows: Sequence[WindowSample], ratios=(7, 1, 2)) -> Split:
 # ---------------------------------------------------------------------------
 
 
+SYNTH_NOISE_STD = 0.08
+SYNTH_HOTSPOTS = 3
+
+
 @dataclass
 class SynthSpec:
     """Desk-scale synthetic inflow/outflow grids with daily periodicity.
 
     Every cell gets its own phase and amplitude (spatially heterogeneous
-    dynamics), a few Gaussian hotspots pulse on the same daily period, and
-    seeded noise is added before clamping at zero.
+    dynamics), ``SYNTH_HOTSPOTS`` Gaussian hotspots pulse on the same daily
+    period, and seeded noise of std ``SYNTH_NOISE_STD`` is added before
+    clamping at zero. ``interval_minutes`` is in [1, 1440], so a day holds
+    at least one frame.
     """
 
     height: int = 16
@@ -231,8 +235,6 @@ class SynthSpec:
     seed: int = 0
     interval_minutes: int = 30
     name: str = "synth"
-    noise: float = 0.08
-    n_hotspots: int = 3
 
     @property
     def period(self) -> int:
@@ -242,6 +244,8 @@ class SynthSpec:
 def synth_traffic(spec: SynthSpec) -> TrafficDataset:
     if spec.height < 1 or spec.width < 1 or spec.steps < 1:
         raise ValueError(f"synthetic dims must be positive, got {spec}")
+    if not 1 <= spec.interval_minutes <= 24 * 60:
+        raise ValueError(f"interval_minutes must be in [1, 1440], got {spec.interval_minutes}")
     rng = np.random.default_rng(spec.seed)
     h, w, steps = spec.height, spec.width, spec.steps
     period = spec.period
@@ -259,7 +263,7 @@ def synth_traffic(spec: SynthSpec) -> TrafficDataset:
     base = amp.reshape(1, 2, h, w) * (1.0 + wave)
 
     hotspots = np.zeros((steps, 1, h, w))
-    for _ in range(spec.n_hotspots):
+    for _ in range(SYNTH_HOTSPOTS):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         sigma = rng.uniform(0.8, 2.0)
         strength = rng.uniform(0.8, 2.0)
@@ -268,7 +272,7 @@ def synth_traffic(spec: SynthSpec) -> TrafficDataset:
         pulse = np.maximum(0.0, np.sin(2.0 * np.pi * np.arange(steps) / period + pulse_phase))
         hotspots += strength * pulse.reshape(steps, 1, 1, 1) * blob.reshape(1, 1, h, w)
 
-    noise = rng.normal(0.0, spec.noise, size=(steps, 2, h, w))
+    noise = rng.normal(0.0, SYNTH_NOISE_STD, size=(steps, 2, h, w))
     frames = 25.0 * np.clip(base + hotspots + noise, 0.0, None)
     meta = DatasetMeta(
         name=spec.name,
@@ -287,8 +291,9 @@ def synth_traffic(spec: SynthSpec) -> TrafficDataset:
 
 
 def save_dataset(ds: TrafficDataset, path):
+    """Write ``ds`` as GRDT; the file is replaced atomically."""
     meta_doc = json.dumps({"name": ds.meta.name}).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(GRDT_MAGIC)
         f.write(
             struct.pack(
@@ -319,6 +324,8 @@ def load_dataset(path) -> TrafficDataset:
     offset += header_size
     if version != GRDT_VERSION:
         raise DatasetFormatError(f"unsupported GRDT version {version}")
+    if interval < 1:
+        raise DatasetFormatError("GRDT interval_minutes must be >= 1, got 0")
     if min(t_total, channels, height, width) < 1:
         raise DatasetFormatError(
             f"all GRDT dimensions must be >= 1, got T={t_total} C={channels} H={height} W={width}"
@@ -350,6 +357,8 @@ def load_dataset(path) -> TrafficDataset:
         offset += 4
         if len(blob) < offset + meta_len:
             raise TruncatedPayloadError("truncated payload: metadata block incomplete")
+        if len(blob) > offset + meta_len:
+            raise DatasetFormatError(f"{len(blob) - offset - meta_len} bytes after the metadata")
         try:
             doc = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
@@ -380,8 +389,10 @@ def ingest_array(
 
     Accepted layouts: "tchw" for (T, C, H, W) and "thwc" for (T, H, W, C),
     the two orders public grid-flow dumps ship in. Values must be
-    non-negative counts.
+    non-negative counts; ``interval_minutes`` must fit GRDT's u32 field.
     """
+    if not 0 < interval_minutes < 1 << 32:
+        raise ValueError(f"interval_minutes must be in [1, 2**32 - 1], got {interval_minutes}")
     arr = np.asarray(array, dtype=np.float32)
     if arr.ndim != 4:
         raise DatasetFormatError(f"raw array must have 4 axes, got shape {arr.shape}")

@@ -358,7 +358,13 @@ def _sampling_matrix(r, q, h: int, w: int, indptr):
     ``S @ table`` sums each row from zero in stored-entry order, without
     fused multiply-adds, so a sample is exactly
     ((v00*w00 + v01*w01) + v10*w10) + v11*w11.
+
+    Under a ``KinkProbe``, the points' distance to the nearest lattice line,
+    min(|r - round(r)|, |q - round(q)|), is reported as "bilinear_coord".
     """
+    if probing_active():
+        probe_kink("bilinear_coord", min(float(np.abs(r - np.round(r)).min()),
+                                         float(np.abs(q - np.round(q)).min())))
     dtype = r.dtype
     one = dtype.type(1)
     npos = r.size
@@ -456,8 +462,6 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
         np.full((1, 1), rv), np.full((1, 1), qv), h, w, np.arange(0, 5, 4)
     )
     add_flops(8)
-    if probing_active():
-        probe_kink("bilinear_coord", min(abs(rv - round(float(rv))), abs(qv - round(float(qv)))))
 
     result = Tensor._wrap((sampling @ table).reshape(1))
     inputs: list[Tensor] = [x]
@@ -551,25 +555,15 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
 
     out_t = np.zeros((n, h, w, groups, rep), dtype=dtype)
     saved = []
-    probe = probing_active()
-    worst = np.inf
     for tap in range(kk):
         dy = tap // kernel_size - half
         dx = tap % kernel_size - half
         r = (rows + dtype.type(dy)) + od[:, 2 * tap]
         q = (cols + dtype.type(dx)) + od[:, 2 * tap + 1]
-        if probe:
-            worst = min(
-                worst,
-                float(np.abs(r - np.round(r)).min()),
-                float(np.abs(q - np.round(q)).min()),
-            )
         sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
         out_t += kd_t[:, tap, ..., None] * (sampling @ table).reshape(n, h, w, groups, rep)
         saved.append((sampling, wr, wq))
     add_flops(10 * n * c * h * w * kk)
-    if probe:
-        probe_kink("bilinear_coord", worst)
 
     out = np.ascontiguousarray(out_t.reshape(n, h, w, c).transpose(0, 3, 1, 2))
     result = Tensor._wrap(out)

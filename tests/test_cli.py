@@ -316,6 +316,52 @@ def test_ingest_roundtrip(capsys):
     assert np.array_equal(ds.frames, raw.transpose(0, 3, 1, 2))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--interval", "0"),
+    ("synth", "--interval", "-5"),
+    ("synth", "--interval", "2000"),
+    ("ingest", "--interval", "0"),
+    ("ingest", "--interval", "5000000000"),
+    ("train", "--mape-threshold", "nan"),
+    ("train", "--mape-threshold", "-1"),
+    ("eval", "--mape-threshold", "nan"),
+    ("eval", "--mape-threshold", "-1"),
+    ("eval", "--mape-threshold", "inf"),
+])
+def test_out_of_range_flag_is_usage_error(command, flag, value, capsys):
+    synth()
+    np.save("raw.npy", np.ones((12, 2, 3, 3), np.float32))
+    if command == "eval":
+        assert run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS,
+                       "--epochs", "0") == 0
+    argv = {
+        "synth": ["synth", "--out", "s.grdt", "--h", "4", "--w", "4", "--steps", "20"],
+        "ingest": ["ingest", "--raw", "raw.npy", "--out", "i.grdt"],
+        "train": ["train", "--data", "data.grdt", "--out", "fresh", *TRAIN_FLAGS],
+        "eval": ["eval", "--checkpoint", "run", "--data", "data.grdt"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    # Nothing is written, and train rejects the value before it trains.
+    for path in ("s.grdt", "i.grdt", "fresh", "run/eval_test.json"):
+        assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("kind", ["empty", "text", "npz"])
+def test_unreadable_raw_file_is_format_error_exit_2(kind, capsys):
+    with open("raw.npy", "wb") as f:
+        if kind == "text":
+            f.write(b"1 2 3\n4 5 6\n")
+        elif kind == "npz":
+            np.savez(f, frames=np.ones((12, 2, 3, 3), np.float32))
+    assert run_cli("ingest", "--raw", "raw.npy", "--out", "i.grdt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and "Traceback" not in err
+    assert not os.path.exists("i.grdt")
+
+
 def test_perfect_oracle_stub_scores_zero_rmse():
     # A target-copying stub evaluated through the same path as a model.
     from ddcn.data import load_dataset, make_windows, minmax_normalize, split, \

@@ -201,6 +201,22 @@ def test_grdt_metadata_not_an_object_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_grdt_trailing_bytes_after_metadata_rejected(tmp_path):
+    ds = synth_traffic(SynthSpec(height=2, width=2, steps=3, seed=0))
+    path = tmp_path / "ok.grdt"
+    save_dataset(ds, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DatasetFormatError, match="1 bytes after the metadata"):
+        load_dataset(path)
+
+
+def test_grdt_zero_interval_rejected(tmp_path):
+    path = tmp_path / "zero_interval.grdt"
+    path.write_bytes(b"GRDT" + struct.pack("<6I", 1, 1, 1, 1, 1, 0) + b"\x00" * 4)
+    with pytest.raises(DatasetFormatError, match="interval"):
+        load_dataset(path)
+
+
 def test_dataset_rejects_negative_frames():
     with pytest.raises(DatasetFormatError, match="non-negative"):
         _dataset(np.full((4, 1, 2, 2), -1.0, np.float32))

@@ -5,7 +5,10 @@ it or raise their own typed format error, and nothing else. Inputs are raw
 bytes, valid files with bytes overwritten, cut or appended, and valid
 headers followed by arbitrary bytes, so that examples get past the magic.
 Any JSON object over the config field names, read by ``ddcn profile
---config``, either profiles (exit 0) or is a usage error (exit 1).
+--config``, either profiles (exit 0) or is a usage error (exit 1). Any argv
+for ``synth``, ``ingest`` and ``eval`` over small sizes, wide integers and
+any float ends in the exit code its values call for (0, 1 or 2), never in a
+traceback.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import tempfile
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +135,65 @@ def test_profile_config_is_profiled_or_usage_error(doc):
     assert code in (0, 1), err.getvalue()
     if not all(_fits(CONFIG_FIELDS[k], v) for k, v in doc.items()):
         assert code == 1 and err.getvalue().startswith("usage error:")
+
+
+def _quiet_main(argv) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """Raw files for ``ingest`` and one tiny trained run for ``eval``."""
+    root = tmp_path_factory.mktemp("argv")
+    frames = np.ones((12, 2, 3, 3), np.float32)
+    (root / "empty.npy").write_bytes(b"")
+    (root / "text.npy").write_bytes(b"1 2 3\n4 5 6\n")
+    with open(root / "npz.npy", "wb") as f:
+        np.savez(f, frames=frames)
+    np.save(root / "valid.npy", frames)
+    data = str(root / "data.grdt")
+    assert _quiet_main(["synth", "--out", data, "--h", "4", "--w", "4", "--steps", "20"])[0] == 0
+    assert _quiet_main(["train", "--data", data, "--out", str(root / "run"), "--epochs", "0",
+                        "--embed-dim", "4", "--depth", "1", "--patch-size", "2"])[0] == 0
+    return root
+
+
+_SIZE = st.integers(-2, 6)  # small, so no example can allocate much
+_WIDE = st.one_of(st.integers(-2, 2000), st.sampled_from([2 ** 32 - 1, 2 ** 32]),
+                  st.integers(-(2 ** 70), 2 ** 70))
+
+
+def _check_exit(argv, expected: int):
+    code, err = _quiet_main(argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("usage error:" if code == 1 else "format error:"), err
+
+
+@FUZZ
+@given(_SIZE, _SIZE, _SIZE, _WIDE, _WIDE)
+def test_synth_argv_ends_in_a_documented_exit_code(argv_dir, h, w, steps, interval, seed):
+    _check_exit(["synth", "--out", str(argv_dir / "s.grdt"), "--h", str(h), "--w", str(w),
+                 "--steps", str(steps), f"--interval={interval}", f"--seed={seed}"],
+                0 if min(h, w, steps) >= 1 and 1 <= interval <= 1440 and seed >= 0 else 1)
+
+
+@FUZZ
+@given(st.sampled_from(["empty", "text", "npz", "valid"]), st.sampled_from(["tchw", "thwc"]),
+       _WIDE)
+def test_ingest_argv_ends_in_a_documented_exit_code(argv_dir, raw, layout, interval):
+    _check_exit(["ingest", "--raw", str(argv_dir / f"{raw}.npy"), "--layout", layout,
+                 f"--interval={interval}", "--out", str(argv_dir / "i.grdt")],
+                2 if raw != "valid" else 0 if 1 <= interval < 2 ** 32 else 1)
+
+
+@FUZZ
+@given(st.floats())
+def test_eval_argv_ends_in_a_documented_exit_code(argv_dir, threshold):
+    _check_exit(["eval", "--checkpoint", str(argv_dir / "run"), "--data",
+                 str(argv_dir / "data.grdt"), f"--mape-threshold={threshold!r}"],
+                0 if 0 <= threshold < math.inf else 1)

@@ -386,18 +386,31 @@ class _FailingSecondWrite:
         self._f.close()
 
 
+def _full_disk():
+    """Patch ``open`` so that every file opened for writing fails its second write."""
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _FailingSecondWrite(f) if set(mode) & set("wx") else f
+
+    return mock.patch("builtins.open", failing_open)
+
+
+def _write_dataset(path, good):
+    from ddcn.data import SynthSpec, save_dataset, synth_traffic
+
+    ds = synth_traffic(SynthSpec(height=2, width=2, steps=3, seed=0 if good else 1))
+    with contextlib.nullcontext() if good else _full_disk():
+        save_dataset(ds, path)
+
+
 def _error_map_writer(save):
     def writer(path, good):
         emap = np.arange(12.0).reshape(3, 4)
         if good:
             return save(emap, path)
-        real_open = open
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            f = real_open(file, mode, *args, **kwargs)
-            return _FailingSecondWrite(f) if set(mode) & set("wx") else f
-
-        with mock.patch("builtins.open", failing_open):
+        with _full_disk():
             save(emap + 1, path)
 
     writer.__name__ = "_write_" + save.__name__.removeprefix("save_")
@@ -414,6 +427,7 @@ def _error_map_writer(save):
     (_write_profile_search, "hits.json"),
     (_error_map_writer(save_error_map_csv), "errmap_0.csv"),
     (_error_map_writer(save_error_map_pgm), "errmap_0.pgm"),
+    (_write_dataset, "data.grdt"),
 ])
 def test_artifact_write_failing_midway_keeps_previous_file(tmp_path, writer, name):
     # Each writer fails after writing part of its output (the second
