@@ -32,16 +32,16 @@ diag = np.zeros((2, 2, 3, 3))
 for c in range(2):
     diag[c, c] = taps.reshape(3, 3)
 ref = ops.standard_conv(x, Tensor(diag), Tensor(np.zeros(2)))
-err = np.max(np.abs(layer.forward(x).data - ref.data))
+err = np.max(np.abs(layer(x).data - ref.data))
 print(f"max deviation from the diagonal standard conv: {err:.2e}")
 
 print()
 print("== Offsets bend the sampling grid per position ==")
 layer = ops.DDCLayer(2, kernel_size=3, rng=rng, dtype=np.float64)
 print("offset branch starts at exact zero (plain dynamic convolution):",
-      float(np.abs(layer.offset_conv.forward(x).data).max()) == 0.0)
+      float(np.abs(layer.offset_conv(x).data).max()) == 0.0)
 layer.offset_conv.weight.data[...] = rng.uniform(-0.3, 0.3, layer.offset_conv.weight.shape)
-offsets = layer.offset_conv.forward(x).data
+offsets = layer.offset_conv(x).data
 print(f"after randomizing the branch, offsets span [{offsets.min():+.2f}, {offsets.max():+.2f}] cells")
 center_tap = 4
 dy = offsets[0, 2 * center_tap]
@@ -54,7 +54,7 @@ print()
 print("== Involution3D: per-position kernels over a K^3 volume ==")
 inv = ops.Involution3D(4, kernel_size=3, groups=2, reduction=2, rng=rng, dtype=np.float64)
 vol = Tensor(rng.uniform(0, 1, (1, 4, 3, 4, 4)), dtype=np.float64)
-out = inv.forward(vol)
+out = inv(vol)
 print("shape preserved:", out.shape == vol.shape)
 
 # Force the generator so every position sees the same one-hot center kernel.
@@ -66,9 +66,9 @@ inv.span.bias.data[27 // 2] = 1.0
 inv.span.bias.data[27 + 27 // 2] = 1.0  # second group
 inv.bias.data[...] = 0.0
 print("one-hot center kernels give the exact identity:",
-      np.array_equal(inv.forward(vol).data, vol.data))
+      np.array_equal(inv(vol).data, vol.data))
 
 inv.span.bias.data[...] = 0.0
 inv.bias.data[...] = 0.5
 print("zero kernels + bias 0.5 give a constant field:",
-      bool(np.all(inv.forward(vol).data == 0.5)))
+      bool(np.all(inv(vol).data == 0.5)))

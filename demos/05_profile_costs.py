@@ -18,7 +18,7 @@ print("== The analytic count equals an instrumented forward exactly ==")
 model = DDCN(cfg, (16, 16), seed=0)
 x = Tensor(np.random.default_rng(0).uniform(0, 1, shape).astype(np.float32))
 with FlopCounter() as counter:
-    model.forward(x)
+    model(x)
 print(f"analytic {count_flops(model, shape)} vs instrumented {counter.flops}: "
       f"{count_flops(model, shape) == counter.flops}")
 

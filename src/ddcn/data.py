@@ -389,11 +389,15 @@ def ingest_array(
 
     Accepted layouts: "tchw" for (T, C, H, W) and "thwc" for (T, H, W, C),
     the two orders public grid-flow dumps ship in. Values must be
-    non-negative counts; ``interval_minutes`` must fit GRDT's u32 field.
+    non-negative integer or float counts; ``interval_minutes`` must fit
+    GRDT's u32 field.
     """
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "iuf":
+        raise DatasetFormatError(f"raw array must hold real numbers, got dtype {arr.dtype}")
     if not 0 < interval_minutes < 1 << 32:
         raise ValueError(f"interval_minutes must be in [1, 2**32 - 1], got {interval_minutes}")
-    arr = np.asarray(array, dtype=np.float32)
+    arr = arr.astype(np.float32, copy=False)
     if arr.ndim != 4:
         raise DatasetFormatError(f"raw array must have 4 axes, got shape {arr.shape}")
     if layout == "thwc":

@@ -24,8 +24,8 @@ import numpy as np
 from . import ops
 from .numerics import F32, Module, ShapeError, Tensor, add, gelu, mul, reshape, transpose
 
-__all__ = ["TypedConfig", "ModelConfig", "BlockActivations", "STAttBlock",
-           "SpatialAttBlock", "FeedForward", "DDCNBlock", "DDCN"]
+__all__ = ["TypedConfig", "ModelConfig", "STAttBlock", "SpatialAttBlock", "FeedForward",
+           "DDCNBlock", "DDCN"]
 
 
 def _is_int(value) -> bool:
@@ -117,23 +117,6 @@ class ModelConfig(TypedConfig):
         return self
 
 
-@dataclass
-class BlockActivations:
-    """Named intermediates of one block, retained only in debug mode.
-
-    All tensors are stored in (B, T, D, H', W') layout.
-    """
-
-    x_ST: np.ndarray = None
-    V_ST: np.ndarray = None
-    Att_ST: np.ndarray = None
-    x_S: np.ndarray = None
-    V_S: np.ndarray = None
-    Att_S: np.ndarray = None
-    Enc_out: np.ndarray = None
-    Dec_out: np.ndarray = None
-
-
 class STAttBlock(Module):
     """Spatio-temporal attention gate: V (x) dynamic-attention over (T, H, W).
 
@@ -152,15 +135,10 @@ class STAttBlock(Module):
         else:
             self.att_op = ops.SharedConv(cfg.involution_kernel, dims=3, rng=rng, dtype=dtype)
 
-    def forward(self, x: Tensor, acts: BlockActivations | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         # (B, T, D, H, W) -> channels-first (B, D, T, H, W) for the 3D ops
         xc = transpose(x, (0, 2, 1, 3, 4))
-        v = self.value_proj.forward(xc)
-        att = self.att_op.forward(gelu(self.att_proj.forward(xc)))
-        out = mul(v, att)
-        if acts is not None:
-            acts.V_ST = v.data.transpose(0, 2, 1, 3, 4).copy()
-            acts.Att_ST = att.data.transpose(0, 2, 1, 3, 4).copy()
+        out = mul(self.value_proj(xc), self.att_op(gelu(self.att_proj(xc))))
         return transpose(out, (0, 2, 1, 3, 4))
 
 
@@ -181,15 +159,10 @@ class SpatialAttBlock(Module):
         else:
             self.att_op = ops.SharedConv(cfg.ddc_kernel, dims=2, rng=rng, dtype=dtype)
 
-    def forward(self, x: Tensor, acts: BlockActivations | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         b, t, d, h, w = x.shape
         folded = reshape(x, (b * t, d, h, w))
-        v = self.value_proj.forward(folded)
-        att = self.att_op.forward(gelu(self.att_proj.forward(folded)))
-        out = mul(v, att)
-        if acts is not None:
-            acts.V_S = v.data.reshape(b, t, d, h, w).copy()
-            acts.Att_S = att.data.reshape(b, t, d, h, w).copy()
+        out = mul(self.value_proj(folded), self.att_op(gelu(self.att_proj(folded))))
         return reshape(out, (b, t, d, h, w))
 
 
@@ -205,8 +178,7 @@ class FeedForward(Module):
     def forward(self, x: Tensor) -> Tensor:
         b, t, d, h, w = x.shape
         folded = reshape(x, (b * t, d, h, w))
-        out = self.restore.forward(self.expand.forward(folded))
-        return reshape(out, (b, t, d, h, w))
+        return reshape(self.restore(self.expand(folded)), (b, t, d, h, w))
 
 
 class DDCNBlock(Module):
@@ -222,19 +194,10 @@ class DDCNBlock(Module):
         self.spatial_att = SpatialAttBlock(cfg, rng, dtype)
         self.ffn = FeedForward(cfg, rng, dtype)
 
-    def forward(self, x: Tensor, acts: BlockActivations | None = None) -> Tensor:
-        if acts is not None:
-            acts.x_ST = x.data.copy()
-        x_s = add(self.st_att.forward(x, acts), x)
-        if acts is not None:
-            acts.x_S = x_s.data.copy()
-        enc = add(self.spatial_att.forward(x_s, acts), x_s)
-        if acts is not None:
-            acts.Enc_out = enc.data.copy()
-        dec = add(self.ffn.forward(enc), enc)
-        if acts is not None:
-            acts.Dec_out = dec.data.copy()
-        return dec
+    def forward(self, x: Tensor) -> Tensor:
+        x_s = add(self.st_att(x), x)
+        enc = add(self.spatial_att(x_s), x_s)
+        return add(self.ffn(enc), enc)
 
 
 class DDCN(Module):
@@ -249,9 +212,7 @@ class DDCN(Module):
         config.validate()
         h, w = grid_size
         if h % config.patch_size != 0 or w % config.patch_size != 0:
-            raise ShapeError(
-                f"patch size {config.patch_size} must divide grid H={h} and W={w}"
-            )
+            raise ShapeError(f"patch size {config.patch_size} must divide grid H={h} and W={w}")
         self.config = config
         self.grid_size = (int(h), int(w))
         self.dtype = np.dtype(dtype)
@@ -266,25 +227,16 @@ class DDCN(Module):
         )
         self.bind_param_names()
 
-    def forward(self, x: Tensor, debug: bool = False):
+    def forward(self, x: Tensor) -> Tensor:
         expected = (self.config.input_steps, self.config.in_channels) + self.grid_size
         if len(x.shape) != 5 or x.shape[1:] != expected:
-            raise ShapeError(
-                f"DDCN: expected input (B,) + {expected}, got {x.shape}"
-            )
-        activations: list[BlockActivations] = []
-        h = self.patch_embed.forward(x)
+            raise ShapeError(f"DDCN: expected input (B,) + {expected}, got {x.shape}")
+        h = self.patch_embed(x)
         for block in self.blocks:
-            acts = BlockActivations() if debug else None
-            h = block.forward(h, acts)
-            if debug:
-                activations.append(acts)
-        out = self.patch_back.forward(h)
-        if debug:
-            return out, activations
-        return out
+            h = block(h)
+        return self.patch_back(h)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Pure-inference forward on a numpy batch (no tape)."""
-        out = self.forward(Tensor(np.asarray(batch, dtype=self.dtype)))
+        out = self(Tensor(np.asarray(batch, dtype=self.dtype)))
         return out.data.copy()

@@ -12,7 +12,9 @@ gradients.
 Concurrency: forward/backward over one parameter set is single-writer (no
 concurrent mutation of Params or an active Tape); pure tensor math on
 distinct tensors is safe to run in parallel, and tensors may be handed
-between threads freely.
+between threads freely. Scopes (``Tape``, ``FlopCounter``, ``KinkProbe``,
+``Capture``) are per thread: a primitive or module call is seen only by the
+scopes its own thread has entered.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import os
 import secrets
 import struct
+import threading
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
     "Module",
     "FlopCounter",
     "KinkProbe",
+    "Capture",
     "add",
     "sub",
     "mul",
@@ -131,9 +135,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
     def __add__(self, other):
         return add(self, other)
 
@@ -174,16 +175,33 @@ class Param(Tensor):
 # ---------------------------------------------------------------------------
 
 
+class _ThreadStack(threading.local):
+    def __init__(self):
+        self.items = []
+
+
 class _Scope:
-    """Context-scoped instrumentation: ``with`` pushes the instance on the
-    ``_stack`` list its subclass keeps for itself, and pops it on exit."""
+    """Context-scoped instrumentation: ``with`` pushes the instance on its
+    subclass's stack for this thread (``_local.items``) and pops it on exit.
+    Hot paths first test ``_live``, the subclass's count of entered instances
+    in all threads, so they read no thread-local state while it is zero."""
+
+    _lock = threading.Lock()
+
+    def __init_subclass__(cls):
+        cls._live = 0
+        cls._local = _ThreadStack()
 
     def __enter__(self):
-        self._stack.append(self)
+        with _Scope._lock:
+            type(self)._live += 1
+        self._local.items.append(self)
         return self
 
     def __exit__(self, *exc):
-        self._stack.pop()
+        self._local.items.pop()
+        with _Scope._lock:
+            type(self)._live -= 1
 
 
 class _TapeEntry:
@@ -204,8 +222,6 @@ class Tape(_Scope):
     order. With no active tape, primitives are pure forward computations.
     """
 
-    _stack: list[Tape] = []
-
     def __init__(self):
         self._entries: list[_TapeEntry] = []
         self._output_ids: set[int] = set()
@@ -220,8 +236,8 @@ def record(inputs: Sequence[Tensor], output: Tensor, vjp: Callable):
     ``vjp(out_grad)`` must return one gradient array (or None) per input, in
     input order.
     """
-    if Tape._stack:
-        tape = Tape._stack[-1]
+    if Tape._live and (stack := Tape._local.items):
+        tape = stack[-1]
         tape._entries.append(_TapeEntry(tuple(inputs), output, vjp))
         tape._output_ids.add(id(output))
 
@@ -281,15 +297,14 @@ class FlopCounter(_Scope):
     costs 0.
     """
 
-    _stack: list[FlopCounter] = []
-
     def __init__(self):
         self.flops = 0
 
 
 def add_flops(n: int):
-    for counter in FlopCounter._stack:
-        counter.flops += int(n)
+    if FlopCounter._live:
+        for counter in FlopCounter._local.items:
+            counter.flops += int(n)
 
 
 class KinkProbe(_Scope):
@@ -300,19 +315,33 @@ class KinkProbe(_Scope):
     too close to a kink for central finite differences to be valid.
     """
 
-    _stack: list[KinkProbe] = []
-
     def __init__(self):
         self.margins: dict[str, float] = {}
 
 
 def probe_kink(kind: str, margin: float):
-    for probe in KinkProbe._stack:
-        probe.margins[kind] = min(float(margin), probe.margins.get(kind, math.inf))
+    if KinkProbe._live:
+        for probe in KinkProbe._local.items:
+            probe.margins[kind] = min(float(margin), probe.margins.get(kind, math.inf))
 
 
 def probing_active() -> bool:
-    return bool(KinkProbe._stack)
+    return bool(KinkProbe._live and KinkProbe._local.items)
+
+
+class Capture(_Scope):
+    """``outputs`` maps the attribute path under ``root`` of each module
+    called in scope (``"blocks.0.st_att.value_proj"``; ``root`` is ``""``) to
+    its outputs, in call order."""
+
+    def __init__(self, root: Module):
+        self._paths = {id(m): path for path, m in root.named_modules()}
+        self.outputs: dict[str, list[Tensor]] = {}
+
+    def take(self, module: Module, out):
+        path = self._paths.get(id(module))
+        if path is not None:
+            self.outputs.setdefault(path, []).append(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +440,39 @@ def reduce_sum(x: Tensor) -> Tensor:
 class Module:
     """Base for layers/models: hierarchical Param discovery by attribute path.
 
-    Calling a module runs its ``forward``.
+    Calling a module runs its ``forward`` and hands the output to every
+    active ``Capture``. Library code calls sub-modules, never their
+    ``forward``, so every module call of a model passes through ``__call__``.
     """
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        if Capture._live:
+            for capture in Capture._local.items:
+                capture.take(self, out)
+        return out
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Param]]:
+    def _walk(self, path: str = "") -> Iterator[tuple[str, Module | Param]]:
+        # Pre-order, in attribute declaration order; list and tuple items are
+        # named by index. This order is the checkpoint layout.
+        yield path, self
+        prefix = path + "." if path else ""
         for key, val in vars(self).items():
             if isinstance(val, Param):
                 yield prefix + key, val
             elif isinstance(val, Module):
-                yield from val.named_params(prefix + key + ".")
+                yield from val._walk(prefix + key)
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
-                        yield from item.named_params(f"{prefix}{key}.{i}.")
+                        yield from item._walk(f"{prefix}{key}.{i}")
+
+    def named_modules(self) -> Iterator[tuple[str, Module]]:
+        """This module (path ``""``) and every sub-module, by attribute path."""
+        return ((path, m) for path, m in self._walk() if isinstance(m, Module))
+
+    def named_params(self) -> Iterator[tuple[str, Param]]:
+        return ((path, p) for path, p in self._walk() if isinstance(p, Param))
 
     def params(self) -> list[Param]:
         return [p for _, p in self.named_params()]

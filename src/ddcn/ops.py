@@ -782,8 +782,8 @@ class DDCLayer(Module):
         if c != self.channels:
             raise ShapeError(f"DDCLayer: expected {self.channels} channels, got {c}")
         kk = self.kernel_size * self.kernel_size
-        offsets = self.offset_conv.forward(x)
-        kernels = reshape(self.kernel_conv.forward(x), (n, self.groups, kk, h, w))
+        offsets = self.offset_conv(x)
+        kernels = reshape(self.kernel_conv(x), (n, self.groups, kk, h, w))
         return ddc_forward(x, offsets, kernels, self.kernel_size)
 
 
@@ -817,8 +817,7 @@ class Involution3D(Module):
         if c != self.channels:
             raise ShapeError(f"Involution3D: expected {self.channels} channels, got {c}")
         k3 = self.kernel_size ** 3
-        kernels = self.span.forward(gelu(self.reduce.forward(x)))
-        kernels = reshape(kernels, (n, self.groups, k3, t, h, w))
+        kernels = reshape(self.span(gelu(self.reduce(x))), (n, self.groups, k3, t, h, w))
         return involution3d_forward(x, kernels, self.bias, self.kernel_size)
 
 
@@ -845,8 +844,7 @@ class PatchEmbed(Module):
             raise ShapeError(f"patch_embed: patch size {p} must divide H={h} and W={w}")
         folded = reshape(x, (b * t, c, h, w))
         patches = pixel_unshuffle(folded, p)
-        emb = self.proj.forward(patches)
-        return reshape(emb, (b, t, self.embed_dim, h // p, w // p))
+        return reshape(self.proj(patches), (b, t, self.embed_dim, h // p, w // p))
 
 
 class PatchBack(Module):
@@ -875,5 +873,4 @@ class PatchBack(Module):
                 f"patch_back: expected (B, {self.input_steps}, {self.embed_dim}, H', W'), got {x.shape}"
             )
         folded = reshape(x, (b, t * d, hp, wp))
-        y = self.proj.forward(folded)
-        return pixel_shuffle(y, self.patch_size)
+        return pixel_shuffle(self.proj(folded), self.patch_size)

@@ -317,7 +317,7 @@ def train_loop(
         seen = 0
         for batch_idx, (xb, yb) in enumerate(batches):
             with Tape() as tape:
-                pred = model.forward(Tensor(xb))
+                pred = model(Tensor(xb))
                 loss = l1_loss(pred, Tensor(yb))
             lv = loss.item()
             if not math.isfinite(lv):
@@ -533,7 +533,7 @@ def _layer_case(layer: str, kwargs: dict, x_shape: tuple, redraw: bool = False):
                 if name == "offset_conv.weight":
                     p.data *= 0.5
         x = Tensor(rng.uniform(-2, 2, x_shape), dtype=np.float64)
-        run = lambda: _projection_loss(module.forward(x), np.random.default_rng(seed + 7))
+        run = lambda: _projection_loss(module(x), np.random.default_rng(seed + 7))
         return _GradCase(run, [("x", x)] + list(module.named_params()))
 
     return build
@@ -593,7 +593,7 @@ def _case_model(seed):
     y = Tensor(
         rng.uniform(-1, 1, (1, cfg.in_channels) + model.grid_size), dtype=np.float64
     )
-    run = lambda: l1_loss(model.forward(x), y)
+    run = lambda: l1_loss(model(x), y)
     checks = [("input", x)] + list(model.named_params())
     return _GradCase(run, checks)
 

@@ -233,3 +233,12 @@ def test_ingest_layouts():
     assert np.array_equal(ds2.frames, tchw)
     with pytest.raises(ValueError, match="unknown layout"):
         ingest_array(tchw, layout="chwt")
+
+
+@pytest.mark.parametrize("dtype", [str, np.complex64, bool])
+def test_ingest_rejects_non_real_dtypes_before_the_interval(dtype):
+    frames = np.ones((6, 2, 3, 4)).astype(dtype)
+    with pytest.raises(DatasetFormatError, match="real numbers"):
+        ingest_array(frames, interval_minutes=0)
+    ds = ingest_array(np.ones((6, 2, 3, 4), np.uint8))
+    assert ds.frames.dtype == np.float32 and np.array_equal(ds.frames, np.ones((6, 2, 3, 4)))

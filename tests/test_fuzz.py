@@ -154,6 +154,8 @@ def argv_dir(tmp_path_factory):
     with open(root / "npz.npy", "wb") as f:
         np.savez(f, frames=frames)
     np.save(root / "valid.npy", frames)
+    np.save(root / "string.npy", frames.astype(str))
+    np.save(root / "complex.npy", frames + 1j)
     data = str(root / "data.grdt")
     assert _quiet_main(["synth", "--out", data, "--h", "4", "--w", "4", "--steps", "20"])[0] == 0
     assert _quiet_main(["train", "--data", data, "--out", str(root / "run"), "--epochs", "0",
@@ -183,7 +185,8 @@ def test_synth_argv_ends_in_a_documented_exit_code(argv_dir, h, w, steps, interv
 
 
 @FUZZ
-@given(st.sampled_from(["empty", "text", "npz", "valid"]), st.sampled_from(["tchw", "thwc"]),
+@given(st.sampled_from(["empty", "text", "npz", "string", "complex", "valid"]),
+       st.sampled_from(["tchw", "thwc"]),
        _WIDE)
 def test_ingest_argv_ends_in_a_documented_exit_code(argv_dir, raw, layout, interval):
     _check_exit(["ingest", "--raw", str(argv_dir / f"{raw}.npy"), "--layout", layout,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ddcn.model import DDCN, ModelConfig, SpatialAttBlock, STAttBlock
-from ddcn.numerics import Param, ShapeError, Tape, Tensor, backward, reshape
-from ddcn.profile import count_params
+from ddcn.numerics import Capture, Param, ShapeError, Tape, Tensor, backward, reshape
+from ddcn.profile import cost_report, count_params
 from ddcn.train import finite_difference, l1_loss, max_relative_error, tiny_model_config
 
 RNG = np.random.default_rng
@@ -47,11 +47,12 @@ def test_st_att_block_shape_and_hadamard_identity():
     block.att_op.span.weight.data[...] = 0.0
     block.att_op.span.bias.data[...] = 0.0
     block.att_op.bias.data[...] = 1.0
-    from ddcn.model import BlockActivations
-
-    acts = BlockActivations()
-    out = block.forward(x, acts)
-    assert np.array_equal(out.data, acts.V_ST)
+    with Capture(block) as cap:
+        out = block(x)
+    (v,), (att,) = cap.outputs["value_proj"], cap.outputs["att_op"]
+    assert np.all(att.data == 1.0)
+    # V and Att are channels-first (B, D, T, H, W); the block output is not.
+    assert np.array_equal(out.data, v.data.transpose(0, 2, 1, 3, 4))
 
 
 def test_st_att_block_gradcheck():
@@ -205,18 +206,43 @@ def test_debug_activations_layout():
     model = DDCN(small_config(depth=2), (8, 8), seed=4)
     rng = RNG(7)
     x = Tensor(rng.uniform(0, 1, (2, 4, 2, 8, 8)).astype(np.float32))
-    out, acts = model.forward(x, debug=True)
-    assert len(acts) == 2
-    for block_acts in acts:
-        shape = block_acts.x_ST.shape
-        assert shape == (2, 4, 8, 4, 4)
-        for field in ("V_ST", "Att_ST", "x_S", "V_S", "Att_S", "Enc_out", "Dec_out"):
-            arr = getattr(block_acts, field)
+    with Capture(model) as cap:
+        out = model(x)
+    # x_S and Enc_out are residual sums, not module outputs: add's exact-shape
+    # check pins them to the shape of the block input.
+    for i, x_st in enumerate([cap.outputs["patch_embed"][0], cap.outputs["blocks.0"][0]]):
+        pre = f"blocks.{i}."
+        assert x_st.shape == (2, 4, 8, 4, 4)
+        (v_st,), (att_st,) = (cap.outputs[pre + "st_att.value_proj"],
+                              cap.outputs[pre + "st_att.att_op"])
+        (v_s,), (att_s,) = (cap.outputs[pre + "spatial_att.value_proj"],
+                            cap.outputs[pre + "spatial_att.att_op"])
+        (dec_out,) = cap.outputs[pre[:-1]]
+        for arr in (v_st, att_st, v_s, att_s, dec_out):
             assert arr.shape[-2:] == (4, 4)
-        assert block_acts.V_ST.shape == block_acts.Att_ST.shape
-        assert block_acts.V_S.shape == block_acts.Att_S.shape
-    # Debug mode must not change the output.
+        assert v_st.shape == att_st.shape == (2, 8, 4, 4, 4)  # (B, D, T, H', W')
+        assert v_s.shape == att_s.shape == (8, 8, 4, 4)  # (B*T, D, H', W')
+        assert dec_out.shape == x_st.shape
+    assert "blocks.2" not in cap.outputs
+    # Capturing must not change the output.
     assert np.array_equal(out.data, model.predict(x.data))
+
+
+@pytest.mark.parametrize("flags", [{}, {"use_ddc": False, "use_involution3d": False}])
+def test_capture_sees_every_module_once_and_leaves_are_cost_rows(flags):
+    cfg = small_config(depth=2, **flags)
+    model = DDCN(cfg, (8, 8), seed=5)
+    shape = (1, 4, 2, 8, 8)
+    with Capture(model) as cap:
+        model(Tensor(np.zeros(shape, dtype=np.float32)))
+    paths = [path for path, _ in model.named_modules()]
+    assert {path: len(outs) for path, outs in cap.outputs.items()} == {p: 1 for p in paths}
+    # A leaf module is one cost_report row, under the same name.
+    leaves = {p for p, m in model.named_modules() if len(list(m.named_modules())) == 1}
+    assert leaves <= {row.name for row in cost_report(cfg, shape).layers}
+    assert "patch_embed.proj" in leaves
+    assert ("blocks.0.spatial_att.att_op.offset_conv" in leaves) == cfg.use_ddc
+    assert ("blocks.0.st_att.att_op" in leaves) != cfg.use_involution3d
 
 
 def test_construction_deterministic_per_seed():

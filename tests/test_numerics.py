@@ -456,6 +456,13 @@ def test_param_names_and_uniqueness():
             self.head = Tiny()
             self.tails = [Tiny(), Tiny()]
 
+    # Involution3D's layout: a Param declared after its sub-modules.
+    class LateParam(Module):
+        def __init__(self):
+            self.reduce = Tiny()
+            self.span = Tiny()
+            self.bias = Param(np.zeros(2, dtype=np.float32))
+
     net = Nested()
     net.bind_param_names()
     names = [n for n, _ in net.named_params()]
@@ -465,3 +472,39 @@ def test_param_names_and_uniqueness():
         "tails.1.weight", "tails.1.bias",
     ]
     assert all(p.name == n for n, p in net.named_params())
+    assert [n for n, _ in LateParam().named_params()] == [
+        "reduce.weight", "reduce.bias", "span.weight", "span.bias", "bias",
+    ]
+    assert [n for n, _ in net.named_modules()] == ["", "head", "tails.0", "tails.1"]
+
+
+def test_tapes_in_two_threads_record_only_their_own_primitives():
+    import threading
+
+    x = Tensor(np.ones(3, dtype=np.float32))
+    a_entered, b_entered, a_done = threading.Event(), threading.Event(), threading.Event()
+    lengths = {}
+
+    def thread_a():
+        with Tape() as tape:
+            a_entered.set()
+            b_entered.wait(10)
+            gelu(x)
+        lengths["A"] = len(tape)
+        a_done.set()
+
+    def thread_b():
+        a_entered.wait(10)
+        with Tape() as tape:
+            b_entered.set()
+            a_done.wait(10)
+        lengths["B"] = len(tape)
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert lengths == {"A": 1, "B": 0}
+    # Both exits were counted, so record is back to its one-attribute check.
+    assert Tape._live == 0
