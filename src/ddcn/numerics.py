@@ -14,7 +14,9 @@ concurrent mutation of Params or an active Tape); pure tensor math on
 distinct tensors is safe to run in parallel, and tensors may be handed
 between threads freely. Scopes (``Tape``, ``FlopCounter``, ``KinkProbe``,
 ``Capture``) are per thread: a primitive or module call is seen only by the
-scopes its own thread has entered.
+scopes its own thread has entered. So pool threads that share a primitive's
+work (``ops``' sharded convolution forward) run numpy only and never call a
+primitive or a scope; the primitive records from its calling thread.
 """
 
 from __future__ import annotations

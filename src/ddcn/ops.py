@@ -13,6 +13,11 @@ core (``_conv``), which evaluates the contracted order on channel-first rows.
 Each input channel's tap window is copied into one contiguous row, and every
 output channel takes ``w * row`` through one reused product buffer, so the
 additions happen in the contracted order as long, contiguous row updates.
+Above a work threshold the core splits the batch into shards, one per CPU up
+to 8, on one module-level thread pool. That is a partition, not an order:
+each output element sums within its own batch element, so the bits do not
+depend on the shard count. The calling thread allocates every buffer and
+keeps all tape, FLOP and probe bookkeeping; pool threads run numpy only.
 One helper (``_clipped_taps``) owns the row-major tap order of the standard,
 shared and involution convolutions and clips each tap to the input, so no
 zero-padded input or gradient is ever built. A read from the padding is an
@@ -45,6 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -88,6 +95,15 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=F32) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+# The exact-order conv forward shards its batch over one pool, created once;
+# its threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds
+# run inline as one shard. Tests force sharding by patching these constants.
+_SHARD_MIN_MACS = 1 << 22
+_POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1, 8)
+_POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
+
+
 def _check_weights(op: str, x: Tensor, *weights):
     for wt in weights:
         if wt is None:
@@ -103,33 +119,25 @@ def _check_weights(op: str, x: Tensor, *weights):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_contract(w2, rows, n, spatial, b) -> np.ndarray:
-    """out[:, co, pos] = sum_k w2[co, k] * row_k[pos] + b[co], in ascending ``k``.
+def _ordered_contract(w2, x, taps, bias, out, acc, tmp, buf):
+    """out[n, co, pos] = sum_k w2[co, k] * row_k[n, pos] + bias[co], in ascending ``k``.
 
-    ``rows`` yields the ``w2.shape[1]`` contraction rows, each a contiguous
-    flat (N * prod(spatial),) array, in contraction order (see
-    ``_window_rows``). The sum starts from zeros and adds one outer product
-    ``w2[:, k] * row_k`` at a time through a single reused (C_out, M) buffer,
-    bias last, which is the scalar oracle's order for every output element.
-    Returns a C-contiguous (N, C_out, *spatial) array: later pairwise
-    reductions depend on memory layout, so the result must not be a
-    transposed view.
+    Row ``k`` is the k-th (channel, tap) window of (N, C, *spatial) ``x``
+    (``_window_rows``, through row buffer ``buf``). The sum starts from the
+    zeroed (C_out, N * prod(spatial)) accumulator ``acc`` and adds one outer
+    product ``w2[:, k] * row_k`` at a time through the product buffer
+    ``tmp``, bias last, which is the scalar oracle's order for every output
+    element. It is then copied into the C-contiguous (N, C_out, *spatial)
+    ``out``: later pairwise reductions depend on memory layout, so the
+    result must not be a transposed view. Runs numpy only, so it may run on
+    a pool thread: it calls no primitive and enters no scope.
     """
-    c_out = w2.shape[0]
-    # The result is allocated first: the accumulator and the product buffer,
-    # freed on return, then sit above it in the heap, where the allocator can
-    # hand them back. Allocated after them, the result left a freed block
-    # below it, and peak RSS of a training step rose by ~2%.
-    result = np.empty((n, c_out) + spatial, dtype=w2.dtype)
-    out = np.zeros((c_out, n * math.prod(spatial)), dtype=w2.dtype)
-    tmp = np.empty_like(out)
-    for w_k, row in zip(w2.T, rows):
+    for w_k, row in zip(w2.T, _window_rows(x, taps, buf)):
         np.multiply.outer(w_k, row, out=tmp)
-        out += tmp
-    if b is not None:
-        out += b.data[:, None]
-    np.copyto(result, out.reshape((c_out, n) + spatial).swapaxes(0, 1))
-    return result
+        acc += tmp
+    if bias is not None:
+        acc += bias
+    np.copyto(out, acc.reshape((acc.shape[0], x.shape[0]) + x.shape[2:]).swapaxes(0, 1))
 
 
 def _clipped_taps(spatial: tuple, ksizes: tuple) -> list:
@@ -173,10 +181,10 @@ def _add_tap(gx, part, in_sl):
     return gx
 
 
-def _window_rows(x, taps):
+def _window_rows(x, taps, buf):
     """Each (channel, tap) of (N, C, *spatial) ``x`` in lexicographic order,
-    copied into one reused contiguous (N, *spatial) buffer and yielded as its
-    flat row.
+    copied into the reused contiguous (N, *spatial) buffer ``buf`` and
+    yielded as its flat row.
 
     ``taps`` come from ``_clipped_taps``. A clipped tap's row is zero where
     its window leaves the input: the buffer is zero filled before the copy,
@@ -184,7 +192,6 @@ def _window_rows(x, taps):
     input. The buffer holds one row, so no input-sized channel-first copy is
     ever live.
     """
-    buf = np.empty((x.shape[0],) + x.shape[2:], dtype=x.dtype)
     row = buf.reshape(-1)
     windows = [(out_sl, x[in_sl]) for _, out_sl, in_sl in taps]
     for ci in range(x.shape[1]):
@@ -221,8 +228,31 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     n, spatial = xd.shape[0], xd.shape[2:]
     taps = _clipped_taps(spatial, ksizes)
     w3 = wk.reshape(c_out, c_in, len(taps))
-    out = _ordered_contract(w3.reshape(c_out, -1), _window_rows(xd, taps), n, spatial, b)
-    add_flops(2 * n * c_out * c_in * math.prod(spatial) * len(taps))
+    positions = math.prod(spatial)
+    macs = n * c_out * c_in * positions * len(taps)
+    shards = max(1, min(n, _POOL_SIZE)) if macs >= _SHARD_MIN_MACS else 1
+    bounds = [n * i // shards for i in range(shards + 1)]
+    # This thread allocates the result first and then every shard's buffers,
+    # so the buffers sit above it in the heap, where the allocator can hand
+    # them back on return. With the result allocated after them, peak RSS of
+    # a training step rose by ~2%; with buffers allocated by each worker and
+    # the shards concatenated, by ~9%.
+    out = np.empty((n, c_out) + spatial, dtype=xd.dtype)
+    bias = None if b is None else b.data[:, None]
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        acc = np.zeros((c_out, (hi - lo) * positions), dtype=xd.dtype)
+        tmp = np.empty_like(acc)
+        buf = np.empty((hi - lo,) + spatial, dtype=xd.dtype)
+        jobs.append((xd[lo:hi], taps, bias, out[lo:hi], acc, tmp, buf))
+    w2 = w3.reshape(c_out, -1)
+    futures = [_POOL.submit(_ordered_contract, w2, *job) for job in jobs[1:]]
+    try:
+        _ordered_contract(w2, *jobs[0])
+    finally:
+        for f in futures:
+            f.result()
+    add_flops(2 * macs)
 
     result = Tensor._wrap(out)
 

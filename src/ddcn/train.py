@@ -236,6 +236,7 @@ class EpochRecord:
     train_l1: float
     val_l1: float
     wall_time_s: float
+    samples_per_s: float  # training windows over the training part of the wall time
 
 
 @dataclass
@@ -331,8 +332,11 @@ def train_loop(
             total += lv * xb.shape[0]
             seen += xb.shape[0]
         train_l1 = total / seen
+        samples_per_s = seen / (time.perf_counter() - t0)
         val_l1 = eval_l1(model, parts.val, stats, cfg.batch_size)
-        records.append(EpochRecord(epoch, train_l1, val_l1, time.perf_counter() - t0))
+        records.append(
+            EpochRecord(epoch, train_l1, val_l1, time.perf_counter() - t0, samples_per_s)
+        )
         if log:
             log(f"epoch {epoch}: train_l1={train_l1:.6f} val_l1={val_l1:.6f}")
         if val_l1 < best_val:

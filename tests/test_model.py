@@ -1,13 +1,24 @@
 """Model assembly: block wiring, residuals, ablations, shape contracts."""
 
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from ddcn import ops
 from ddcn.model import DDCN, ModelConfig, SpatialAttBlock, STAttBlock
-from ddcn.numerics import Capture, Param, ShapeError, Tape, Tensor, backward, reshape
+from ddcn.numerics import (
+    Capture,
+    FlopCounter,
+    Param,
+    ShapeError,
+    Tape,
+    Tensor,
+    backward,
+    reshape,
+)
 from ddcn.profile import cost_report, count_params
 from ddcn.train import finite_difference, l1_loss, max_relative_error, tiny_model_config
 
@@ -243,6 +254,50 @@ def test_capture_sees_every_module_once_and_leaves_are_cost_rows(flags):
     assert "patch_embed.proj" in leaves
     assert ("blocks.0.spatial_att.att_op.offset_conv" in leaves) == cfg.use_ddc
     assert ("blocks.0.st_att.att_op" in leaves) != cfg.use_involution3d
+
+
+def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_call(monkeypatch):
+    # Pool threads run numpy only, so every tape entry, FLOP and capture of a
+    # sharded forward lands in the calling thread's scopes.
+    cfg = small_config(depth=2)
+    model = DDCN(cfg, (8, 8), seed=6)
+    shape = (4, 4, 2, 8, 8)
+    x = Tensor(RNG(13).uniform(0, 1, shape).astype(np.float32))
+    pool_size = ops._POOL_SIZE
+
+    def run(count):
+        monkeypatch.setattr(ops, "_SHARD_MIN_MACS", 0)
+        monkeypatch.setattr(ops, "_POOL_SIZE", count)
+        with Tape() as tape, FlopCounter() as counter, Capture(model) as cap:
+            out = model(x)
+        paths = [(path, len(outs)) for path, outs in cap.outputs.items()]
+        return out.data.view(np.uint32), len(tape), counter.flops, paths
+
+    serial, sharded = run(1), run(2)
+    assert np.array_equal(sharded[0], serial[0])
+    assert sharded[1:] == serial[1:]
+    assert sharded[2] == cost_report(cfg, shape).total_flops
+
+    ran_on = set()
+    contract = ops._ordered_contract
+
+    def spy(*args):
+        ran_on.add(threading.current_thread())
+        contract(*args)
+
+    def pool_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("ddcn-conv")}
+
+    monkeypatch.setattr(ops, "_ordered_contract", spy)
+    others = threading.active_count() - len(pool_threads())
+    for _ in range(50):
+        model(x)
+    # Shards run on the calling thread and the pool's, which starts its
+    # threads lazily, up to its size, and then reuses them.
+    assert ran_on - {threading.current_thread()} <= pool_threads()
+    assert ran_on & pool_threads()
+    assert len(pool_threads()) <= pool_size
+    assert threading.active_count() - len(pool_threads()) == others
 
 
 def test_construction_deterministic_per_seed():

@@ -312,8 +312,8 @@ def _write_summary(path, good):
 def _write_record(path, good):
     from ddcn.train import EpochRecord, RunRecord
 
-    second = EpochRecord(1, 0.4, 0.5 if good else object(), 1.0)
-    RunRecord([EpochRecord(0, 0.5, 0.6, 1.0), second], 0, 0.5, {}).write_jsonl(path)
+    second = EpochRecord(1, 0.4, 0.5 if good else object(), 1.0, 8.0)
+    RunRecord([EpochRecord(0, 0.5, 0.6, 1.0, 8.0), second], 0, 0.5, {}).write_jsonl(path)
 
 
 def _write_config(path, good):

@@ -24,6 +24,26 @@ def _t(rng, shape, lo=-2.0, hi=2.0, dtype=np.float64):
     return Tensor(rng.uniform(lo, hi, shape), dtype=dtype)
 
 
+@pytest.fixture
+def shards(request, monkeypatch):
+    """Force the exact-order conv forward to split every batch, however
+    small, into up to ``request.param`` shards on its thread pool. Unforced
+    (no param), the tiny shapes of these tests run inline as one shard."""
+    count = getattr(request, "param", None)
+    if count is not None:
+        monkeypatch.setattr(ops, "_SHARD_MIN_MACS", 0)
+        monkeypatch.setattr(ops, "_POOL_SIZE", count)
+    return count
+
+
+# Each dtype unforced, under its usual id, then with 2 and 3 forced shards.
+SHARDED_DTYPES = [
+    pytest.param(dtype, count, id=dtype.__name__ + ("" if count is None else f"-shards{count}"))
+    for count in (None, 2, 3)
+    for dtype in (np.float32, np.float64)
+]
+
+
 # ---------------------------------------------------------------------------
 # Pointwise convolution
 # ---------------------------------------------------------------------------
@@ -46,8 +66,8 @@ def test_pointwise_identity():
     assert np.array_equal(out.data, x.data)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pointwise_matches_loop_oracle_exactly(dtype):
+@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+def test_pointwise_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(1)
     x = _t(rng, (1, 3, 4, 4), dtype=dtype)
     w = _t(rng, (5, 3), dtype=dtype)
@@ -97,8 +117,8 @@ def test_standard_conv_delta_kernel_identity():
     assert np.array_equal(out.data, x.data)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_standard_conv_matches_loop_oracle_exactly(dtype):
+@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+def test_standard_conv_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(5)
     x = _t(rng, (2, 3, 5, 4), dtype=dtype)
     w = _t(rng, (4, 3, 3, 3), dtype=dtype)
@@ -162,8 +182,8 @@ def _signed_zero_case(rng, shape, dtype):
 
 
 @pytest.mark.parametrize("with_bias", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, with_bias):
+@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(40)
     x = _signed_zero_case(rng, (2, 3, 4, 4, 5), dtype)
     w = _t(rng, (7, 3), dtype=dtype)  # c_out > c_in
@@ -176,8 +196,8 @@ def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype
 
 
 @pytest.mark.parametrize("with_bias", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, with_bias):
+@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(41)
     x = _signed_zero_case(rng, (1, 2, 4, 5, 5), dtype)
     b = _t(rng, (5,), dtype=dtype) if with_bias else None
@@ -192,6 +212,58 @@ def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(d
     w2.data[0] = -np.abs(w2.data[0])
     out2 = ops.standard_conv(x2, w2, b).data
     assert np.array_equal(_bits(out2), _bits(standard_conv_oracle(x2.data, w2.data, bd)))
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
+    # Batches smaller than, equal to and not divisible by the shard count,
+    # and an empty one: the partition never changes a bit.
+    rng = np.random.default_rng(42)
+    for x_shape, w_shape in [((n, 3, 4, 5), (4, 3)), ((n, 3, 2, 3, 4), (4, 3)),
+                             ((n, 3, 4, 5), (4, 3, 3, 3)), ((n, 2, 3, 4, 4), (3, 2, 3, 3, 3))]:
+        x = Tensor._wrap(rng.uniform(-2.0, 2.0, x_shape).astype(np.float32))  # N=0 allowed
+        w = _t(rng, w_shape, dtype=np.float32)
+        b = _t(rng, w_shape[:1], dtype=np.float32)
+        if len(w_shape) == 2:
+            out, ref = ops.pointwise_conv(x, w, b).data, pointwise_conv_oracle(x.data, w.data, b.data)
+        else:
+            out, ref = ops.standard_conv(x, w, b).data, standard_conv_oracle(x.data, w.data, b.data)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert np.array_equal(_bits(out), _bits(ref))
+
+
+def test_sharded_forward_peak_bytes_match_serial():
+    # The calling thread allocates the result and every shard's buffers,
+    # which together are as large as the serial ones.
+    rng = np.random.default_rng(43)
+    x = _t(rng, (8, 64, 32, 32), dtype=np.float32)
+    w = _t(rng, (32, 64), dtype=np.float32)
+    b = _t(rng, (32,), dtype=np.float32)
+
+    def peak(count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+            mp.setattr(ops, "_POOL_SIZE", count)
+            ops.pointwise_conv(x, w, b)  # start the pool's threads untraced
+            tracemalloc.start()
+            try:
+                ops.pointwise_conv(x, w, b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    # Results allocated per shard, or a concatenated copy, would add at
+    # least a whole result. The slack covers the row buffer (32 KiB), the
+    # extra shard's Future, views and frames (3-5 KiB) and the transient
+    # iterator buffer numpy's broadcasting ops may take per concurrent shard
+    # (32-64 KiB on short rows).
+    result_bytes = 8 * 32 * 32 * 32 * 4
+    slack = result_bytes // 8
+    serial = peak(1)
+    # The result, the accumulator and the product buffer, and little else.
+    assert 3 * result_bytes < serial <= 3 * result_bytes + slack
+    assert peak(2) <= serial + slack
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Loss, optimizer, training loop behavior, and the gradcheck harness."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddcn
+from ddcn import ops
 from ddcn.data import (
     SynthSpec,
     make_windows,
@@ -290,9 +297,46 @@ def test_run_record_files(tmp_path):
     assert len(lines) == 2
     import json
 
+    n_train = len(split(make_windows(tiny_dataset(seed=8), 4)).train)
+    for line, rec in zip(lines, run.epochs):
+        fields = json.loads(line)
+        assert fields["samples_per_s"] == rec.samples_per_s
+        # Every training window once, timed without the validation pass
+        # that the epoch's wall time includes.
+        assert fields["samples_per_s"] * fields["wall_time_s"] > n_train
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["best_val_l1"] == run.best_val_l1
     assert set(summary["final"]) == {"train", "val", "test"}
+
+
+def one_epoch_sha():
+    """SHA-256 of every parameter after one training epoch of a tiny DDCN."""
+    model = tiny_model(seed=3)
+    train_loop(model, tiny_dataset(seed=3), TrainConfig(batch_size=8, epochs=1, seed=3))
+    digest = hashlib.sha256()
+    for name, p in model.named_params():
+        digest.update(name.encode() + p.data.tobytes())
+    return digest.hexdigest()
+
+
+def test_training_bits_do_not_depend_on_shards_or_blas_threads(monkeypatch):
+    monkeypatch.setattr(ops, "_SHARD_MIN_MACS", 0)
+    by_shards = set()
+    for count in (1, 2):
+        monkeypatch.setattr(ops, "_POOL_SIZE", count)
+        by_shards.add(one_epoch_sha())
+    assert len(by_shards) == 1
+    # The BLAS thread count is fixed when numpy loads, so each runs in its
+    # own interpreter; these run the default partition.
+    script = "import sys; sys.path[:0] = sys.argv[1:]; import test_train; print(test_train.one_epoch_sha())"
+    paths = [str(Path(__file__).parent), str(Path(ddcn.__file__).parents[1])]
+    by_blas = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        by_blas.add(proc.stdout.strip())
+    assert by_blas == by_shards
 
 
 def test_iter_batches_shapes_and_order():
