@@ -20,7 +20,7 @@ except ShapeError as exc:
 print()
 print("== A tape records primitives; backward replays it in reverse ==")
 rng = np.random.default_rng(0)
-w = Param(rng.uniform(-1, 1, (3, 3)), name="w", dtype=np.float64)
+w = Param(rng.uniform(-1, 1, (3, 3)), dtype=np.float64)
 x = Tensor(rng.uniform(-1, 1, (3, 3)), dtype=np.float64)
 with Tape() as tape:
     loss = reduce_sum(mul(gelu(w), x))

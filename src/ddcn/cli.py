@@ -25,6 +25,7 @@ from . import metrics as metrics_mod
 from . import profile as profile_mod
 from . import train as train_mod
 from .data import DatasetFormatError
+from .metrics import MAPE_MASK_THRESHOLD
 from .model import DDCN, ModelConfig
 from .numerics import CheckpointFormatError, NumericalError, atomic_write, load_checkpoint
 from .train import TrainConfig
@@ -338,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-ddc", dest="use_ddc", action="store_false", default=None)
     p.add_argument("--no-involution3d", dest="use_involution3d", action="store_false",
                    default=None)
-    p.add_argument("--mape-threshold", type=_mape_threshold, default=1e-6)
+    p.add_argument("--mape-threshold", type=_mape_threshold, default=MAPE_MASK_THRESHOLD)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -347,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="config echo override")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--mape-threshold", type=_mape_threshold, default=1e-6)
+    p.add_argument("--mape-threshold", type=_mape_threshold, default=MAPE_MASK_THRESHOLD)
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_eval)
 

@@ -8,14 +8,17 @@ excludes elements whose actual value is within ``mask_threshold`` of zero
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import ShapeError, atomic_write
 
-__all__ = ["MetricsReport", "compute_metrics", "error_map",
+__all__ = ["MAPE_MASK_THRESHOLD", "MetricsReport", "compute_metrics", "error_map",
            "save_error_map_csv", "save_error_map_pgm", "load_error_map_pgm"]
+
+MAPE_MASK_THRESHOLD = 1e-6  # default mask_threshold of every MAPE in the library
 
 
 @dataclass
@@ -46,7 +49,7 @@ class MetricsReport:
 
 
 def compute_metrics(pred: np.ndarray, actual: np.ndarray,
-                    mask_threshold: float = 1e-6) -> MetricsReport:
+                    mask_threshold: float = MAPE_MASK_THRESHOLD) -> MetricsReport:
     """RMSE = sqrt(mean (p-a)^2); MAE = mean |p-a|; MAPE = 100 * mean |(p-a)/a|
     over elements with |a| > mask_threshold."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -104,10 +107,12 @@ def load_error_map_pgm(path) -> tuple[np.ndarray, int]:
     """Read back a P5 graymap written by save_error_map_pgm -> (pixels, maxval)."""
     with open(path, "rb") as f:
         blob = f.read()
-    header, _, rest = blob.partition(b"255\n")
-    fields = header.split()
-    if fields[0] != b"P5" or len(fields) != 3:
-        raise ValueError(f"not a P5 graymap written by this library: {fields!r}")
-    w, h = int(fields[1]), int(fields[2])
-    pixels = np.frombuffer(rest[: w * h], dtype=np.uint8).reshape(h, w)
-    return pixels.copy(), 255
+    # P5, width, height and maxval, whitespace-separated, then one whitespace byte.
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
+    if header is None or header[3] != b"255":
+        raise ValueError(f"not a P5 graymap written by this library: {blob[:32]!r}")
+    w, h = int(header[1]), int(header[2])
+    pixels = blob[header.end():]
+    if len(pixels) != w * h:
+        raise ValueError(f"graymap has {len(pixels)} pixel bytes, expected {w}x{h} = {w * h}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).copy(), 255

@@ -225,7 +225,6 @@ class DDCN(Module):
             config.input_steps, config.embed_dim, config.patch_size, config.in_channels,
             rng=rng, dtype=dtype,
         )
-        self.bind_param_names()
 
     def forward(self, x: Tensor) -> Tensor:
         expected = (self.config.input_steps, self.config.in_channels) + self.grid_size

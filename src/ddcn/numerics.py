@@ -151,17 +151,17 @@ class Tensor:
 
 
 class Param(Tensor):
-    """Named tensor with a paired gradient buffer and a trainability flag.
+    """Tensor with a paired gradient buffer and a trainability flag.
 
     The gradient buffer is zero-initialized and accumulated into by
-    ``backward``; callers (optimizers) zero it between steps.
+    ``backward``; callers (optimizers) zero it between steps. A Param's name
+    is its attribute path in the owning Module (``Module.named_params``).
     """
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("trainable",)
 
-    def __init__(self, value, name: str = "", trainable: bool = True, dtype=None):
+    def __init__(self, value, trainable: bool = True, dtype=None):
         super().__init__(value, dtype=dtype)
-        self.name = name
         self.trainable = trainable
         self.grad = np.zeros_like(self.data)
 
@@ -169,7 +169,7 @@ class Param(Tensor):
         self.grad[...] = 0.0
 
     def __repr__(self):
-        return f"Param(name={self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        return f"Param(shape={self.shape}, trainable={self.trainable})"
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +184,17 @@ class _ThreadStack(threading.local):
 
 class _Scope:
     """Context-scoped instrumentation: ``with`` pushes the instance on its
-    subclass's stack for this thread (``_local.items``) and pops it on exit.
-    Hot paths first test ``_live``, the subclass's count of entered instances
-    in all threads, so they read no thread-local state while it is zero."""
-
-    _lock = threading.Lock()
+    subclass's stack for this thread (``_local.items``) and pops it on exit."""
 
     def __init_subclass__(cls):
-        cls._live = 0
         cls._local = _ThreadStack()
 
     def __enter__(self):
-        with _Scope._lock:
-            type(self)._live += 1
         self._local.items.append(self)
         return self
 
     def __exit__(self, *exc):
         self._local.items.pop()
-        with _Scope._lock:
-            type(self)._live -= 1
 
 
 class _TapeEntry:
@@ -226,7 +217,6 @@ class Tape(_Scope):
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
-        self._output_ids: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -238,10 +228,8 @@ def record(inputs: Sequence[Tensor], output: Tensor, vjp: Callable):
     ``vjp(out_grad)`` must return one gradient array (or None) per input, in
     input order.
     """
-    if Tape._live and (stack := Tape._local.items):
-        tape = stack[-1]
-        tape._entries.append(_TapeEntry(tuple(inputs), output, vjp))
-        tape._output_ids.add(id(output))
+    if stack := Tape._local.items:
+        stack[-1]._entries.append(_TapeEntry(tuple(inputs), output, vjp))
 
 
 def backward(loss: Tensor, tape: Tape):
@@ -255,7 +243,7 @@ def backward(loss: Tensor, tape: Tape):
     """
     if loss.size != 1:
         raise TapeError(f"loss must be a single-element tensor, got shape {loss.shape}")
-    if id(loss) not in tape._output_ids:
+    if not any(entry.output is loss for entry in reversed(tape._entries)):
         raise TapeError("loss was not produced by an operation recorded on this tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -275,9 +263,8 @@ def backward(loss: Tensor, tape: Tape):
                 grads[key] = g
                 holders[key] = tensor
 
+    # Each taped output's gradient was popped at its own entry; the rest are leaves'.
     for key, g in grads.items():
-        if key in tape._output_ids:
-            continue
         leaf = holders[key]
         if leaf.grad is None:
             leaf.grad = np.array(g, copy=True)
@@ -304,9 +291,8 @@ class FlopCounter(_Scope):
 
 
 def add_flops(n: int):
-    if FlopCounter._live:
-        for counter in FlopCounter._local.items:
-            counter.flops += int(n)
+    for counter in FlopCounter._local.items:
+        counter.flops += int(n)
 
 
 class KinkProbe(_Scope):
@@ -322,13 +308,12 @@ class KinkProbe(_Scope):
 
 
 def probe_kink(kind: str, margin: float):
-    if KinkProbe._live:
-        for probe in KinkProbe._local.items:
-            probe.margins[kind] = min(float(margin), probe.margins.get(kind, math.inf))
+    for probe in KinkProbe._local.items:
+        probe.margins[kind] = min(float(margin), probe.margins.get(kind, math.inf))
 
 
 def probing_active() -> bool:
-    return bool(KinkProbe._live and KinkProbe._local.items)
+    return bool(KinkProbe._local.items)
 
 
 class Capture(_Scope):
@@ -449,9 +434,8 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         out = self.forward(*args, **kwargs)
-        if Capture._live:
-            for capture in Capture._local.items:
-                capture.take(self, out)
+        for capture in Capture._local.items:
+            capture.take(self, out)
         return out
 
     def _walk(self, path: str = "") -> Iterator[tuple[str, Module | Param]]:
@@ -478,15 +462,6 @@ class Module:
 
     def params(self) -> list[Param]:
         return [p for _, p in self.named_params()]
-
-    def bind_param_names(self):
-        """Assign each Param its attribute path as name; names must be unique."""
-        seen = set()
-        for name, p in self.named_params():
-            if name in seen:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            seen.add(name)
-            p.name = name
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_params()}

@@ -68,6 +68,7 @@ from .numerics import (
     probing_active,
     record,
     reshape,
+    transpose,
 )
 
 __all__ = [
@@ -688,44 +689,26 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
 
 def pixel_unshuffle(x: Tensor, p: int) -> Tensor:
     """(N, C, H, W) -> (N, C*p*p, H/p, W/p): patch (py, px) lands on channel c*p*p + py*p + px."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"pixel_unshuffle: input must be (N, C, H, W), got {xd.shape}")
-    n, c, h, w = xd.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"pixel_unshuffle: input must be (N, C, H, W), got {x.shape}")
+    n, c, h, w = x.shape
     if h % p != 0 or w % p != 0:
-        raise ShapeError(
-            f"pixel_unshuffle: patch size {p} must divide H={h} and W={w}"
-        )
+        raise ShapeError(f"pixel_unshuffle: patch size {p} must divide H={h} and W={w}")
     hp, wp = h // p, w // p
-    out = xd.reshape(n, c, hp, p, wp, p).transpose(0, 1, 3, 5, 2, 4).reshape(n, c * p * p, hp, wp)
-    result = Tensor._wrap(np.ascontiguousarray(out))
-
-    def vjp(g):
-        gi = g.reshape(n, c, p, p, hp, wp).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
-        return (np.ascontiguousarray(gi),)
-
-    record((x,), result, vjp)
-    return result
+    patches = transpose(reshape(x, (n, c, hp, p, wp, p)), (0, 1, 3, 5, 2, 4))
+    return reshape(patches, (n, c * p * p, hp, wp))
 
 
 def pixel_shuffle(x: Tensor, p: int) -> Tensor:
     """(N, C*p*p, H, W) -> (N, C, H*p, W*p): channel c*p*p + py*p + px lands on pixel (py, px)."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"pixel_shuffle: input must be (N, C, H, W), got {xd.shape}")
-    n, cpp, h, w = xd.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"pixel_shuffle: input must be (N, C, H, W), got {x.shape}")
+    n, cpp, h, w = x.shape
     if cpp % (p * p) != 0:
         raise ShapeError(f"pixel_shuffle: channel count {cpp} must be divisible by p*p={p * p}")
     c = cpp // (p * p)
-    out = xd.reshape(n, c, p, p, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * p, w * p)
-    result = Tensor._wrap(np.ascontiguousarray(out))
-
-    def vjp(g):
-        gi = g.reshape(n, c, h, p, w, p).transpose(0, 1, 3, 5, 2, 4).reshape(n, cpp, h, w)
-        return (np.ascontiguousarray(gi),)
-
-    record((x,), result, vjp)
-    return result
+    pixels = transpose(reshape(x, (n, c, p, p, h, w)), (0, 1, 4, 2, 5, 3))
+    return reshape(pixels, (n, c, h * p, w * p))
 
 
 # ---------------------------------------------------------------------------

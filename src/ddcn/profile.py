@@ -103,6 +103,14 @@ def count_params(module: Module) -> int:
     return sum(p.size for p in module.params() if p.trainable)
 
 
+def _input_dims(input_shape) -> tuple:
+    """``input_shape`` as five ints (B, T, C, H, W), each at least 1."""
+    dims = tuple(int(s) for s in input_shape)
+    if len(dims) != 5 or min(dims) < 1:
+        raise ShapeError(f"input shape must be (B, T, C, H, W), each >= 1, got {input_shape}")
+    return dims
+
+
 def cost_report(config: ModelConfig, input_shape) -> CostReport:
     """Layer-by-layer analytic cost of one forward pass at ``input_shape``.
 
@@ -110,9 +118,7 @@ def cost_report(config: ModelConfig, input_shape) -> CostReport:
     instrumented-forward test pins the two together.
     """
     config.validate()
-    if len(input_shape) != 5:
-        raise ShapeError(f"input shape must be (B, T, C, H, W), got {input_shape}")
-    b, t, c, h, w = (int(s) for s in input_shape)
+    b, t, c, h, w = dims = _input_dims(input_shape)
     if t != config.input_steps or c != config.in_channels:
         raise ShapeError(
             f"input shape {tuple(input_shape)} incompatible with config "
@@ -192,7 +198,7 @@ def cost_report(config: ModelConfig, input_shape) -> CostReport:
         2 * (b * hp * wp) * (t * d) * (c * p * p),
         "conv",
     )
-    return CostReport(tuple(int(s) for s in input_shape), layers)
+    return CostReport(dims, layers)
 
 
 def count_flops(model: DDCN, input_shape) -> int:
@@ -245,7 +251,7 @@ def search_reference_configs(
     multiply-accumulates; the MAC = 2 figure is reported alongside. No
     configuration is asserted to be the published one.
     """
-    b, t, c, h, w = (int(s) for s in input_shape)
+    b, t, c, h, w = _input_dims(input_shape)
     base = ModelConfig(in_channels=c, input_steps=t)
     patch_sizes = [p for p in range(1, min(h, w) + 1) if h % p == 0 and w % p == 0]
     out = []

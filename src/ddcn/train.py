@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics, ops
 from .data import ChannelStats, TrafficDataset, WindowSample, make_windows, minmax_denormalize, \
     minmax_normalize, split, stats_from_windows
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MAPE_MASK_THRESHOLD, MetricsReport, compute_metrics
 from .model import DDCN, ModelConfig, TypedConfig
 from .numerics import (
     KinkProbe,
@@ -195,8 +195,8 @@ def iter_batches(
         yield xb.astype(dtype), yb.astype(dtype)
 
 
-def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
-             batch_size: int, mask_threshold: float = 1e-6) -> tuple[float, MetricsReport]:
+def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats, batch_size: int,
+             mask_threshold: float = MAPE_MASK_THRESHOLD) -> tuple[float, MetricsReport]:
     """Normalized L1 and denormalized metrics from one forward pass per batch.
 
     The L1 is the mean absolute error over all elements in normalized space;
@@ -220,7 +220,7 @@ def eval_l1(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
 
 
 def eval_metrics(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
-                 batch_size: int, mask_threshold: float = 1e-6) -> MetricsReport:
+                 batch_size: int, mask_threshold: float = MAPE_MASK_THRESHOLD) -> MetricsReport:
     """Denormalize predictions and score them against raw targets."""
     return evaluate(model, windows, stats, batch_size, mask_threshold)[1]
 
@@ -288,7 +288,7 @@ def train_loop(
     dataset: TrafficDataset,
     cfg: TrainConfig,
     out_dir=None,
-    mask_threshold: float = 1e-6,
+    mask_threshold: float = MAPE_MASK_THRESHOLD,
     log: Callable[[str], None] | None = None,
 ) -> RunRecord:
     """Train on the chronological 7:1:2 ``split`` (which ``ddcn eval`` and

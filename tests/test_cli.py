@@ -279,6 +279,15 @@ def test_profile_bad_shape_exit_1():
     assert run_cli("profile", "--shape", "1,2,3") == 1
 
 
+@pytest.mark.parametrize("shape", ["1,4,2,-32,32", "0,4,2,8,8", "1,4,2,8,0"])
+@pytest.mark.parametrize("search", [False, True], ids=["report", "search"])
+def test_profile_dimension_below_1_exit_1(capsys, shape, search):
+    assert run_cli("profile", *(["--search"] if search else []), "--shape", shape) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
 def test_errmap_writes_csv_and_pgm(capsys):
     synth()
     assert run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS) == 0

@@ -104,6 +104,24 @@ def test_error_map_sums_channels_and_scales_to_255(tmp_path):
     assert np.count_nonzero(pixels) == 1
 
 
+@pytest.mark.parametrize("height", [255, 1255])
+def test_pgm_round_trip_at_heights_that_spell_the_maxval(tmp_path, height):
+    emap = np.random.default_rng(height).uniform(0, 1, (height, 3))
+    pgm = tmp_path / "tall.pgm"
+    save_error_map_pgm(emap, pgm)
+    pixels, maxval = load_error_map_pgm(pgm)
+    assert maxval == 255
+    assert np.array_equal(pixels, np.rint(emap * (255.0 / emap.max())).astype(np.uint8))
+
+
+def test_pgm_short_pixel_data_rejected(tmp_path):
+    pgm = tmp_path / "short.pgm"
+    save_error_map_pgm(np.ones((4, 5)), pgm)
+    pgm.write_bytes(pgm.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="19 pixel bytes"):
+        load_error_map_pgm(pgm)
+
+
 def test_csv_and_pgm_agree_within_quantization(tmp_path):
     rng = np.random.default_rng(5)
     pred = rng.uniform(0, 10, (2, 5, 6))

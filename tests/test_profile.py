@@ -1,10 +1,11 @@
 """Cost accounting: parameter formulas, FLOPs conventions, config search."""
 
 import numpy as np
+import pytest
 
 from ddcn import ops
 from ddcn.model import DDCN, ModelConfig
-from ddcn.numerics import FlopCounter, Module, Tensor
+from ddcn.numerics import FlopCounter, Module, ShapeError, Tensor
 from ddcn.profile import cost_report, count_flops, count_params, search_reference_configs
 
 
@@ -27,6 +28,16 @@ def test_single_pointwise_conv_flops():
     with FlopCounter() as counter:
         ops.pointwise_conv(x, layer.weight, layer.bias)
     assert counter.flops == 4096
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 2, -32, 32), (0, 4, 2, 8, 8), (1, 4, 2, 8, 0),
+                                   (1, 4, 2, 8)])
+def test_bad_input_shape_rejected(shape):
+    cfg = ModelConfig(in_channels=2, input_steps=4, patch_size=2, embed_dim=8, depth=1)
+    with pytest.raises(ShapeError, match="each >= 1"):
+        cost_report(cfg, shape)
+    with pytest.raises(ShapeError, match="each >= 1"):
+        search_reference_configs(input_shape=shape)
 
 
 def test_tiny_config_params_match_hand_ledger():
