@@ -17,8 +17,8 @@ from ddcn.data import (
 
 spec = SynthSpec(height=8, width=8, steps=384, seed=7, interval_minutes=30)
 ds = synth_traffic(spec)
-print(f"dataset: {ds.meta.total_steps} frames of {ds.meta.channels}x"
-      f"{ds.meta.height}x{ds.meta.width}, one every {ds.meta.interval_minutes} min")
+t, c, h, w = ds.frames.shape
+print(f"dataset: {t} frames of {c}x{h}x{w}, one every {ds.meta.interval_minutes} min")
 print(f"value range: [{ds.frames.min():.2f}, {ds.frames.max():.2f}] (counts, non-negative)")
 
 print()

@@ -133,17 +133,15 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     dataset = data_mod.load_dataset(args.data)
     model_cfg, train_cfg = _configs(_load_config_file(args.config), args,
-                                    in_channels=dataset.meta.channels)
+                                    in_channels=dataset.frames.shape[1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
-    try:
-        run = train_mod.train_loop(
-            model, dataset, train_cfg, out_dir=out_dir,
-            mask_threshold=args.mape_threshold, log=print if args.verbose else None,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    model = DDCN(model_cfg, dataset.frames.shape[2:], seed=train_cfg.seed)
+    # A ValueError from train_loop (a dataset too short to split) is a usage error (see main).
+    run = train_mod.train_loop(
+        model, dataset, train_cfg, out_dir=out_dir,
+        mask_threshold=args.mape_threshold, log=print if args.verbose else None,
+    )
     _echo_config(out_dir, model_cfg, train_cfg,
                  {"data": str(args.data), "out": str(args.out)})
     for name in ("best.ckpt", "record.jsonl", "summary.json"):
@@ -174,7 +172,7 @@ def _load_run(args):
     if not config_path.exists():
         raise FileNotFoundError(f"run config not found: {config_path}")
     model_cfg, train_cfg = _configs(_load_config_file(config_path))
-    model = DDCN(model_cfg, (dataset.meta.height, dataset.meta.width), seed=train_cfg.seed)
+    model = DDCN(model_cfg, dataset.frames.shape[2:], seed=train_cfg.seed)
     model.load_state(load_checkpoint(ckpt))
     parts = data_mod.split(data_mod.make_windows(dataset, model_cfg.input_steps))
     return ckpt, model, train_cfg, parts, data_mod.stats_from_windows(parts.train)
@@ -226,17 +224,12 @@ def _parse_shape(text) -> tuple:
 def cmd_profile(args) -> int:
     shape = _parse_shape(args.shape)
     if args.search:
-        candidates = profile_mod.search_reference_configs(
-            input_shape=shape,
-            target_params=args.target_params,
-            target_flops=args.target_flops,
-            tolerance=args.tolerance,
-        )
-        hits = [c for c in candidates if c.matches]
+        hits = [c for c in profile_mod.search_reference_configs(shape) if c.matches]
         print(
             f"search over (embed_dim, depth, patch_size) at input {shape}: "
-            f"{len(hits)} configs within +-{args.tolerance:.0%} of "
-            f"{args.target_params / 1e6:.2f}M params and {args.target_flops / 1e9:.2f}G "
+            f"{len(hits)} configs within +-{profile_mod.TOLERANCE:.0%} of "
+            f"{profile_mod.TARGET_PARAMS / 1e6:.2f}M params and "
+            f"{profile_mod.TARGET_FLOPS / 1e9:.2f}G "
             "published FLOPs (matched against MACs; MAC=2 figure also shown)"
         )
         for c in hits[: args.limit]:
@@ -364,9 +357,6 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", default="1,4,2,32,32", help="input as B,T,C,H,W")
     p.add_argument("--search", action="store_true",
                    help="scan (embed_dim, depth, patch_size) for reference-scale configs")
-    p.add_argument("--target-params", type=float, default=610_000)
-    p.add_argument("--target-flops", type=float, default=150_000_000)
-    p.add_argument("--tolerance", type=float, default=0.2)
     p.add_argument("--limit", type=int, default=10)
     p.add_argument("--time", action="store_true",
                    help="also print a single-run forward timing (not a benchmark)")

@@ -67,12 +67,10 @@ _SANE_MAX_ELEMENTS = 1 << 31
 
 @dataclass
 class DatasetMeta:
+    """What the frames do not say: T, C, H and W are ``frames.shape``."""
+
     name: str
     interval_minutes: int
-    height: int
-    width: int
-    channels: int
-    total_steps: int
 
 
 @dataclass
@@ -90,11 +88,6 @@ class TrafficDataset:
         frames = np.ascontiguousarray(frames, dtype=np.float32)
         if frames.ndim != 4:
             raise DatasetFormatError(f"frames must be (T, C, H, W), got shape {frames.shape}")
-        if frames.shape != (meta.total_steps, meta.channels, meta.height, meta.width):
-            raise DatasetFormatError(
-                f"frames shape {frames.shape} disagrees with metadata "
-                f"{(meta.total_steps, meta.channels, meta.height, meta.width)}"
-            )
         if not np.isfinite(frames).all():
             raise DatasetFormatError("frames must be finite")
         if (frames < 0).any():
@@ -274,15 +267,7 @@ def synth_traffic(spec: SynthSpec) -> TrafficDataset:
 
     noise = rng.normal(0.0, SYNTH_NOISE_STD, size=(steps, 2, h, w))
     frames = 25.0 * np.clip(base + hotspots + noise, 0.0, None)
-    meta = DatasetMeta(
-        name=spec.name,
-        interval_minutes=spec.interval_minutes,
-        height=h,
-        width=w,
-        channels=2,
-        total_steps=steps,
-    )
-    return TrafficDataset(meta, frames.astype(np.float32))
+    return TrafficDataset(DatasetMeta(spec.name, spec.interval_minutes), frames.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +280,7 @@ def save_dataset(ds: TrafficDataset, path):
     meta_doc = json.dumps({"name": ds.meta.name}).encode("utf-8")
     with atomic_write(path, "wb") as f:
         f.write(GRDT_MAGIC)
-        f.write(
-            struct.pack(
-                "<6I",
-                GRDT_VERSION,
-                ds.meta.total_steps,
-                ds.meta.channels,
-                ds.meta.height,
-                ds.meta.width,
-                ds.meta.interval_minutes,
-            )
-        )
+        f.write(struct.pack("<6I", GRDT_VERSION, *ds.frames.shape, ds.meta.interval_minutes))
         f.write(np.ascontiguousarray(ds.frames, dtype="<f4").tobytes())
         f.write(struct.pack("<I", len(meta_doc)))
         f.write(meta_doc)
@@ -368,15 +343,7 @@ def load_dataset(path) -> TrafficDataset:
                 f"metadata block must hold a JSON object, got {type(doc).__name__}"
             )
         name = str(doc.get("name", name))
-    meta = DatasetMeta(
-        name=name,
-        interval_minutes=interval,
-        height=height,
-        width=width,
-        channels=channels,
-        total_steps=t_total,
-    )
-    return TrafficDataset(meta, frames)
+    return TrafficDataset(DatasetMeta(name, interval), frames)
 
 
 def ingest_array(
@@ -404,13 +371,4 @@ def ingest_array(
         arr = np.ascontiguousarray(arr.transpose(0, 3, 1, 2))
     elif layout != "tchw":
         raise ValueError(f"unknown layout {layout!r}; expected 'tchw' or 'thwc'")
-    t, c, h, w = arr.shape
-    meta = DatasetMeta(
-        name=name,
-        interval_minutes=interval_minutes,
-        height=h,
-        width=w,
-        channels=c,
-        total_steps=t,
-    )
-    return TrafficDataset(meta, arr)
+    return TrafficDataset(DatasetMeta(name, interval_minutes), arr)

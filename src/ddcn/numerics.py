@@ -151,25 +151,24 @@ class Tensor:
 
 
 class Param(Tensor):
-    """Tensor with a paired gradient buffer and a trainability flag.
+    """Tensor with a paired gradient buffer.
 
     The gradient buffer is zero-initialized and accumulated into by
     ``backward``; callers (optimizers) zero it between steps. A Param's name
     is its attribute path in the owning Module (``Module.named_params``).
     """
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
-    def __init__(self, value, trainable: bool = True, dtype=None):
+    def __init__(self, value, dtype=None):
         super().__init__(value, dtype=dtype)
-        self.trainable = trainable
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self):
         self.grad[...] = 0.0
 
     def __repr__(self):
-        return f"Param(shape={self.shape}, trainable={self.trainable})"
+        return f"Param(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -521,21 +520,17 @@ CHECKPOINT_MAGIC = b"DDCNCKPT"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, named_params):
+def save_checkpoint(path, named_params: dict):
     """Write params to the DDCNCKPT v1 container.
 
     Layout: magic "DDCNCKPT", version u32, count u32, then per param:
     name length u32 + UTF-8 name, rank u32, dims u32 each, payload
     little-endian float32 row-major. The file is replaced atomically.
     """
-    if isinstance(named_params, dict):
-        items = list(named_params.items())
-    else:
-        items = list(named_params)
     with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))
-        for name, p in items:
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(named_params)))
+        for name, p in named_params.items():
             data = p.data if isinstance(p, Tensor) else np.asarray(p)
             arr = np.ascontiguousarray(data, dtype="<f4")
             encoded = name.encode("utf-8")

@@ -479,6 +479,8 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"bilinear_sample: input must be (N, C, H, W), got {xd.shape}")
+    if not (0 <= n < xd.shape[0] and 0 <= c < xd.shape[1]):
+        raise ShapeError(f"bilinear_sample: channel ({n}, {c}) out of range for {xd.shape}")
     h, w = xd.shape[2:]
     dtype = xd.dtype
 
@@ -729,16 +731,15 @@ class PointwiseConv(Module):
 
 
 class StandardConv2d(Module):
-    """Learnable KxK convolution, zero padded, shape preserving."""
+    """Learnable KxK convolution, zero padded, shape preserving.
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, rng=None, dtype=F32,
-                 zero_init=False):
-        rng = rng or np.random.default_rng(0)
+    Weights start at zero: the layer is ``DDCLayer``'s offset branch, which
+    starts training as plain dynamic convolution.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel_size=3, dtype=F32):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        if zero_init:
-            self.weight = Param(np.zeros(shape, dtype=dtype))
-        else:
-            self.weight = Param(uniform_init(rng, shape, in_channels * kernel_size ** 2, dtype))
+        self.weight = Param(np.zeros(shape, dtype=dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -780,14 +781,11 @@ class DDCLayer(Module):
             raise ShapeError(f"DDC kernel size must be odd, got {kernel_size}")
         if channels % groups != 0:
             raise ShapeError(f"groups {groups} must divide channels {channels}")
-        rng = rng or np.random.default_rng(0)
         self.channels = channels
         self.kernel_size = kernel_size
         self.groups = groups
         kk = kernel_size * kernel_size
-        self.offset_conv = StandardConv2d(
-            channels, 2 * kk, self.OFFSET_KERNEL, rng=rng, dtype=dtype, zero_init=True
-        )
+        self.offset_conv = StandardConv2d(channels, 2 * kk, self.OFFSET_KERNEL, dtype=dtype)
         self.kernel_conv = PointwiseConv(channels, groups * kk, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -843,7 +841,6 @@ class PatchEmbed(Module):
     """
 
     def __init__(self, in_channels, patch_size, embed_dim, rng=None, dtype=F32):
-        self.in_channels = in_channels
         self.patch_size = patch_size
         self.embed_dim = embed_dim
         self.proj = PointwiseConv(in_channels * patch_size ** 2, embed_dim, rng=rng, dtype=dtype)
@@ -872,7 +869,6 @@ class PatchBack(Module):
         self.input_steps = input_steps
         self.embed_dim = embed_dim
         self.patch_size = patch_size
-        self.out_channels = out_channels
         self.proj = PointwiseConv(
             input_steps * embed_dim, out_channels * patch_size ** 2, rng=rng, dtype=dtype
         )

@@ -99,8 +99,8 @@ class CostReport:
 
 
 def count_params(module: Module) -> int:
-    """Sum of element counts of all trainable Params."""
-    return sum(p.size for p in module.params() if p.trainable)
+    """Sum of element counts of all Params."""
+    return sum(p.size for p in module.params())
 
 
 def _input_dims(input_shape) -> tuple:
@@ -206,7 +206,7 @@ def count_flops(model: DDCN, input_shape) -> int:
 
     Equals what a FlopCounter measures around ``model.forward`` exactly.
     """
-    b, t, c, h, w = (int(s) for s in input_shape)
+    h, w = _input_dims(input_shape)[3:]
     if (h, w) != model.grid_size:
         raise ShapeError(
             f"input grid {(h, w)} does not match model grid {model.grid_size}"
@@ -217,6 +217,13 @@ def count_flops(model: DDCN, input_shape) -> int:
 # ---------------------------------------------------------------------------
 # Reference-scale configuration search
 # ---------------------------------------------------------------------------
+
+
+# The published reference budget: 0.61M parameters and 150M FLOPs (counted
+# as MACs, see the module docstring), each matched within +-20%.
+TARGET_PARAMS = 610_000
+TARGET_FLOPS = 150_000_000
+TOLERANCE = 0.2
 
 
 @dataclass
@@ -235,18 +242,13 @@ class CandidateCost:
         return self.params_ok and self.macs_ok
 
 
-def search_reference_configs(
-    input_shape=(1, 4, 2, 32, 32),
-    target_params: float = 610_000,
-    target_flops: float = 150_000_000,
-    tolerance: float = 0.2,
-) -> list[CandidateCost]:
+def search_reference_configs(input_shape=(1, 4, 2, 32, 32)) -> list[CandidateCost]:
     """Scan (embed_dim, depth, patch_size) and flag configurations whose cost
-    lands within ``tolerance`` of the published params/FLOPs pair.
+    lands within ``TOLERANCE`` of the published params/FLOPs pair.
 
     The scan covers embed_dim 8..256 in steps of 8, depth 1..6 and every
     patch size dividing the grid, with the remaining fields at their
-    ``ModelConfig`` defaults. ``target_flops`` is compared against candidate
+    ``ModelConfig`` defaults. ``TARGET_FLOPS`` is compared against candidate
     MAC counts because published profiler numbers conventionally count
     multiply-accumulates; the MAC = 2 figure is reported alongside. No
     configuration is asserted to be the published one.
@@ -273,9 +275,9 @@ def search_reference_configs(
                         params=params,
                         flops=flops,
                         macs=macs,
-                        params_ok=abs(params - target_params) <= tolerance * target_params,
-                        macs_ok=abs(macs - target_flops) <= tolerance * target_flops,
+                        params_ok=abs(params - TARGET_PARAMS) <= TOLERANCE * TARGET_PARAMS,
+                        macs_ok=abs(macs - TARGET_FLOPS) <= TOLERANCE * TARGET_FLOPS,
                     )
                 )
-    out.sort(key=lambda cand: (not cand.matches, abs(cand.params - target_params)))
+    out.sort(key=lambda cand: (not cand.matches, abs(cand.params - TARGET_PARAMS)))
     return out

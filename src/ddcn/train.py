@@ -139,7 +139,7 @@ class AdamW:
 
     def __init__(self, params: Iterable[Param], learning_rate=1e-3, weight_decay=1e-2,
                  beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.weight_decay = float(weight_decay)
         self.beta1 = float(beta1)

@@ -75,6 +75,17 @@ def test_non_object_metadata_exit_2(capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def test_train_on_too_few_windows_exit_1_and_writes_nothing(capsys):
+    # 12 frames give 8 windows of 4 steps: too few for a 7:1:2 split.
+    synth(h=4, w=4, steps=12)
+    capsys.readouterr()
+    assert run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: split of 8 windows ")
+    assert captured.out == ""
+    assert not os.path.exists("run") or os.listdir("run") == []
+
+
 def test_train_writes_run_dir_and_lists_artifacts(capsys):
     synth()
     code = run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS)
@@ -226,7 +237,7 @@ def test_eval_matches_library_metrics():
         {k: v for k, v in cfg_doc.items()
          if k in {f.name for f in __import__("dataclasses").fields(ModelConfig)}}
     )
-    model = DDCN(model_cfg, (ds.meta.height, ds.meta.width))
+    model = DDCN(model_cfg, ds.frames.shape[2:])
     model.load_state(load_checkpoint("run/best.ckpt"))
     parts = split(make_windows(ds, model_cfg.input_steps))
     stats = stats_from_windows(parts.train)

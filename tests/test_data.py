@@ -27,8 +27,7 @@ from ddcn.data import (
 
 
 def _dataset(frames, interval=30, name="test"):
-    t, c, h, w = frames.shape
-    return TrafficDataset(DatasetMeta(name, interval, h, w, c, t), frames)
+    return TrafficDataset(DatasetMeta(name, interval), frames)
 
 
 def test_minmax_basic():
@@ -154,6 +153,16 @@ def test_grdt_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "ds2.grdt"
     save_dataset(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_grdt_header_field_order(tmp_path):
+    # A swap shared by writer and reader survives the round trip; this cannot.
+    ds = synth_traffic(SynthSpec(height=4, width=3, steps=5, seed=1, interval_minutes=15))
+    t, c, h, w = ds.frames.shape
+    assert len({t, c, h, w}) == 4
+    path = tmp_path / "ds.grdt"
+    save_dataset(ds, path)
+    assert struct.unpack_from("<6I", path.read_bytes(), 4) == (1, t, c, h, w, 15)
 
 
 def test_grdt_bad_magic(tmp_path):

@@ -306,6 +306,14 @@ def test_bilinear_midpoint_of_corners():
     assert out.data[0] == 1.5
 
 
+@pytest.mark.parametrize("n, c", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_bilinear_rejects_channel_out_of_range(n, c):
+    # Negative indices would wrap to the last batch element or channel.
+    x = Tensor(np.arange(36, dtype=np.float32).reshape(2, 2, 3, 3))
+    with pytest.raises(ShapeError, match="out of range"):
+        ops.bilinear_sample(x, n, c, 1.0, 1.0)
+
+
 def test_bilinear_out_of_bounds_zero():
     rng = np.random.default_rng(10)
     x = _t(rng, (1, 1, 3, 3))
@@ -809,7 +817,7 @@ def test_shape_preservation_random_shapes():
         x2 = _t(rng, (n, c, h, w), dtype=np.float32)
         layer = ops.DDCLayer(c, rng=rng, dtype=np.float32)
         assert layer.forward(x2).shape == x2.shape
-        conv = ops.StandardConv2d(c, c, 3, rng=rng, dtype=np.float32)
+        conv = ops.StandardConv2d(c, c, 3, dtype=np.float32)
         assert conv.forward(x2).shape == x2.shape
         t = int(rng.integers(1, 4))
         x3 = _t(rng, (n, c, t, h, w), dtype=np.float32)

@@ -40,6 +40,14 @@ def test_bad_input_shape_rejected(shape):
         search_reference_configs(input_shape=shape)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 2, 8), (1, 4, 2, 8, 8, 1)])
+def test_count_flops_rejects_shape_of_wrong_rank(shape):
+    model = DDCN(ModelConfig(in_channels=2, input_steps=4, patch_size=2, embed_dim=8, depth=1),
+                 (8, 8))
+    with pytest.raises(ShapeError, match="each >= 1"):
+        count_flops(model, shape)
+
+
 def test_tiny_config_params_match_hand_ledger():
     # D=8, r=4 (hidden 2), G=1, K=3, e=2, p=2, C=2, T=4, depth=1.
     cfg = ModelConfig(in_channels=2, input_steps=4, patch_size=2, embed_dim=8, depth=1)

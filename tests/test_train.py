@@ -167,14 +167,6 @@ def test_adamw_wd_zero_equals_plain_adam():
         assert np.array_equal(p.data, ref)
 
 
-def test_adamw_skips_frozen_params():
-    frozen = Param(np.ones(2, dtype=np.float32), trainable=False)
-    opt = AdamW([frozen], learning_rate=0.1, weight_decay=0.5)
-    frozen.grad[...] = 1.0
-    opt.step()
-    assert np.array_equal(frozen.data, np.ones(2, dtype=np.float32))
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
