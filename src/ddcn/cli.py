@@ -135,7 +135,6 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg = _configs(_load_config_file(args.config), args,
                                     in_channels=dataset.frames.shape[1])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = DDCN(model_cfg, dataset.frames.shape[2:], seed=train_cfg.seed)
     # A ValueError from train_loop (a dataset too short to split) is a usage error (see main).
     run = train_mod.train_loop(

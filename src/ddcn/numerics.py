@@ -22,6 +22,7 @@ primitive or a scope; the primitive records from its calling thread.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import secrets
@@ -93,10 +94,11 @@ class Tensor:
 
     ``data`` is a row-major numpy array (last axis fastest) of dtype float32
     or float64. Construction validates the carrier invariants: every
-    dimension size is at least 1, and every element is finite.
+    dimension size is at least 1, and every element is finite. ``node`` is
+    ``(tape serial, entry index)`` on a taped primitive's output, else None.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "node")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data)
@@ -111,6 +113,7 @@ class Tensor:
             raise NumericalError("tensor construction requires finite values")
         self.data = arr
         self.grad = None
+        self.node = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -118,6 +121,7 @@ class Tensor:
         out = object.__new__(cls)
         out.data = arr
         out.grad = None
+        out.node = None
         return out
 
     @property
@@ -196,14 +200,7 @@ class _Scope:
         self._local.items.pop()
 
 
-class _TapeEntry:
-    # Not a NamedTuple: building one costs about 1.6x as much, on every taped primitive.
-    __slots__ = ("inputs", "output", "vjp")
-
-    def __init__(self, inputs, output, vjp):
-        self.inputs = inputs
-        self.output = output
-        self.vjp = vjp
+_tape_serials = itertools.count()
 
 
 class Tape(_Scope):
@@ -212,59 +209,76 @@ class Tape(_Scope):
     Used as a context manager: primitives executed inside the ``with`` block
     are recorded; ``backward`` replays the record in exact reverse execution
     order. With no active tape, primitives are pure forward computations.
+
+    The record holds keys, not Tensors: entry ``i`` is (input keys, vjp)
+    and its output, marked ``node = (serial, i)``, has key ``i``. An input
+    not produced on this tape (a Param, a batch, another tape's output) is
+    a leaf, held in ``_leaves`` under the key ``~id(leaf)``, which is
+    stable while held. No other Tensor is kept alive by the tape itself.
     """
 
     def __init__(self):
-        self._entries: list[_TapeEntry] = []
+        self._serial = next(_tape_serials)
+        self._entries: list[tuple[tuple[int, ...], Callable]] = []
+        self._leaves: dict[int, Tensor] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _key(self, tensor: Tensor) -> int:
+        node = tensor.node
+        if node is not None and node[0] == self._serial:
+            return node[1]
+        self._leaves[~id(tensor)] = tensor
+        return ~id(tensor)
 
 
 def record(inputs: Sequence[Tensor], output: Tensor, vjp: Callable):
     """Record a primitive on the active tape, if any.
 
     ``vjp(out_grad)`` must return one gradient array (or None) per input, in
-    input order.
+    input order. ``output`` gets its entry's ``node``; the tape keeps only
+    the input keys, the leaf inputs and ``vjp``, which captures what it reads.
     """
     if stack := Tape._local.items:
-        stack[-1]._entries.append(_TapeEntry(tuple(inputs), output, vjp))
+        tape = stack[-1]
+        keys = tuple([tape._key(t) for t in inputs])
+        output.node = (tape._serial, len(tape._entries))
+        tape._entries.append((keys, vjp))
 
 
 def backward(loss: Tensor, tape: Tape):
     """Accumulate d(loss)/d(leaf) into every leaf tensor reachable on the tape.
 
-    The tape is walked in exact reverse execution order. Leaf tensors (those
-    not produced by a taped primitive, i.e. Params and inputs) receive
-    accumulated gradients in ``.grad``; intermediate gradients live only for
-    the duration of the call, so repeated backward calls add identical
-    contributions (callers zero Param grads between optimizer steps).
+    The tape is walked by key in exact reverse execution order from the
+    loss's entry. Leaf tensors (Params, inputs, other tapes' outputs)
+    receive accumulated gradients in ``.grad``; intermediate gradients live
+    only for the duration of the call, so repeated backward calls add
+    identical contributions (callers zero Param grads between optimizer steps).
     """
     if loss.size != 1:
         raise TapeError(f"loss must be a single-element tensor, got shape {loss.shape}")
-    if not any(entry.output is loss for entry in reversed(tape._entries)):
+    if loss.node is None or loss.node[0] != tape._serial:
         raise TapeError("loss was not produced by an operation recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for entry in reversed(tape._entries):
-        out_grad = grads.pop(id(entry.output), None)
+    last = loss.node[1]
+    grads: dict[int, np.ndarray] = {last: np.ones_like(loss.data)}
+    for index in range(last, -1, -1):
+        out_grad = grads.pop(index, None)
         if out_grad is None:
             continue
-        in_grads = entry.vjp(out_grad)
-        for tensor, g in zip(entry.inputs, in_grads):
+        keys, vjp = tape._entries[index]
+        for key, g in zip(keys, vjp(out_grad)):
             if g is None:
                 continue
-            key = id(tensor)
             if key in grads:
                 grads[key] = grads[key] + g
             else:
                 grads[key] = g
-                holders[key] = tensor
 
     # Each taped output's gradient was popped at its own entry; the rest are leaves'.
     for key, g in grads.items():
-        leaf = holders[key]
+        leaf = tape._leaves[key]
         if leaf.grad is None:
             leaf.grad = np.array(g, copy=True)
         else:
@@ -373,17 +387,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU activation x * Phi(x), with Phi the exact normal CDF via erf."""
+    """GELU activation x * Phi(x), with Phi the exact normal CDF via erf.
+
+    Under a tape the derivative Phi(x) + x * pdf(x) is formed here, so the
+    VJP keeps that one array rather than both ``x`` and Phi(x).
+    """
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd * xd.dtype.type(_INV_SQRT2)))
     out = Tensor._wrap(xd * phi)
     add_flops(8 * out.data.size)
-
-    def vjp(g):
+    if Tape._local.items:
         pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(_INV_SQRT_2PI)
-        return (g * (phi + xd * pdf),)
-
-    record((x,), out, vjp)
+        dydx = phi + xd * pdf
+        record((x,), out, lambda g: (g * dydx,))
     return out
 
 

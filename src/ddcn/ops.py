@@ -497,11 +497,8 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     add_flops(8)
 
     result = Tensor._wrap((sampling @ table).reshape(1))
-    inputs: list[Tensor] = [x]
-    if r_t is not None:
-        inputs.append(r_t)
-    if q_t is not None:
-        inputs.append(q_t)
+    inputs = [t for t in (x, r_t, q_t) if t is not None]
+    want_r, want_q = r_t is not None, q_t is not None
 
     def vjp(g):
         g_table, _, g_r, g_q = _sampling_grads(
@@ -510,9 +507,9 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
         gx = np.zeros_like(xd)
         gx[n, c] = g_table[: h * w].reshape(h, w)
         grads = [gx]
-        if r_t is not None:
+        if want_r:
             grads.append(g_r.reshape(1))
-        if q_t is not None:
+        if want_q:
             grads.append(g_q.reshape(1))
         return tuple(grads)
 
@@ -549,12 +546,11 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     the kernel-weighted taps accumulate left to right from zero.
 
     Under a tape, each tap keeps S and the fractional parts of its
-    coordinates, not its samples; the call keeps ``table`` and the kernels in
-    tap-major layout, and the taps of one call share S's ``indptr``. The
-    backward pass reuses S for the input, kernel and offset gradients
-    (``_sampling_grads``): the input gradient is ``S.T`` times the
-    kernel-weighted output gradient, and the kernel and offset gradients come
-    from the table's corner values reduced against the output gradient.
+    coordinates, not its samples; the call keeps the kernels in tap-major
+    layout, and the taps of one call share S's ``indptr``. The backward pass
+    rebuilds ``table`` from the input and reuses S for the input, kernel and
+    offset gradients (``_sampling_grads``): ``S.T`` times the kernel-weighted
+    output gradient, and the table's corner values reduced against it.
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -580,9 +576,14 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     npos = n * h * w
     rows = np.arange(h, dtype=dtype).reshape(1, h, 1)
     cols = np.arange(w, dtype=dtype).reshape(1, 1, w)
-    table = np.empty((npos + 1, c), dtype=dtype)
-    table[:npos].reshape(n, h, w, c)[...] = xd.transpose(0, 2, 3, 1)
-    table[npos] = 0
+
+    def gather_table():
+        table = np.empty((npos + 1, c), dtype=dtype)
+        table[:npos].reshape(n, h, w, c)[...] = xd.transpose(0, 2, 3, 1)
+        table[npos] = 0
+        return table
+
+    table = gather_table()
     kd_t = np.ascontiguousarray(kd.transpose(0, 2, 3, 4, 1))  # (n, kk, h, w, groups)
     indptr = np.arange(0, 4 * npos + 1, 4)
 
@@ -606,8 +607,9 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         # column's row of the input gradient is dropped at the end.
         g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(npos, groups, rep)
         gx_flat = np.zeros((npos + 1, c), dtype=dtype)
-        g_off = np.empty_like(od)
-        g_kern = np.empty_like(kd)
+        g_off = np.empty((n, 2 * kk, h, w), dtype=dtype)
+        g_kern = np.empty((n, groups, kk, h, w), dtype=dtype)
+        table = gather_table()
         for tap, (sampling, wr, wq) in enumerate(saved):
             g_table, g_k, g_off[:, 2 * tap], g_off[:, 2 * tap + 1] = _sampling_grads(
                 sampling, table, g_t, kd_t[:, tap].reshape(npos, groups), wr, wq

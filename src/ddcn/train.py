@@ -118,10 +118,10 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
         probe_kink("l1_tie", float(np.abs(diff).min()))
     out = Tensor._wrap(np.array([np.abs(diff).mean()], dtype=pred.data.dtype))
     add_flops(2 * diff.size)
-    n = diff.size
+    n = pred.data.dtype.type(diff.size)
 
     def vjp(g):
-        gp = g[0] * np.sign(diff) / pred.data.dtype.type(n)
+        gp = g[0] * np.sign(diff) / n
         return (gp, -gp)
 
     record((pred, target), out, vjp)
@@ -302,6 +302,9 @@ def train_loop(
     windows = make_windows(dataset, model.config.input_steps)
     parts = split(windows)
     stats = stats_from_windows(parts.train)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     opt = AdamW.from_config(model.params(), cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -360,8 +363,6 @@ def train_loop(
 
     checkpoint_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_path = str(out_dir / "best.ckpt")
         save_checkpoint(checkpoint_path, dict(model.named_params()))
     run = RunRecord(records, best_epoch, best_val, final, checkpoint_path)

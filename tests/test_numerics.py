@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import os
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -139,6 +140,64 @@ def test_backward_gives_grad_to_leaves_only():
     backward(loss, tape)
     assert h.grad is None and y.grad is None and loss.grad is None
     assert x.grad is not None
+
+
+def test_tape_keeps_no_intermediate_alive():
+    # The tape records keys, so an intermediate that no VJP reads is freed
+    # as soon as its caller drops it, while the tape lives on.
+    x = Tensor(np.array([1.0, -2.0, 0.5]), dtype=np.float64)
+    with Tape() as tape:
+        h = add(x, x)
+        loss = reduce_sum(add(h, h))
+    h_data = weakref.ref(h.data)
+    del h
+    assert h_data() is None
+    backward(loss, tape)
+    assert np.array_equal(x.grad, np.full(3, 4.0))
+
+
+def test_long_chain_with_freed_intermediates_exact_gradient():
+    # Each step's add output is dropped once mul has read it, so its id can
+    # be reused by a later Tensor; the tape routes by entry, not by id.
+    x = Tensor(np.array([1.0, -2.0, 0.5]), dtype=np.float64)
+    w = Param(np.ones(3))
+    ids = set()
+    with Tape() as tape:
+        t = x
+        for _ in range(50):
+            s = add(t, t)
+            t = mul(s, w)
+            ids.update((id(s), id(t)))
+        loss = reduce_sum(t)
+    assert len(ids) < 100  # some dead intermediate's id was reused
+    del s, t
+    backward(loss, tape)
+    # t = (2w)^50 x, so dx = 2^50 and dw = 50 * 2^50 * x at w = 1, exactly.
+    assert np.array_equal(x.grad, np.full(3, 2.0 ** 50))
+    assert np.array_equal(w.grad, 50 * 2.0 ** 50 * x.data)
+
+
+def test_output_of_one_tape_is_a_leaf_of_another_nested_and_reentered():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), dtype=np.float64)
+    w = Param(np.array([1.5, 2.0, -0.5]))
+    a = Tape()
+    with a:
+        h = mul(x, w)
+        with Tape() as b:  # nested: h was made on a, so it is a leaf of b
+            loss_b = reduce_sum(mul(h, h))
+    with a:  # re-entered: a's record continues, and h is still a's output
+        loss_a = reduce_sum(mul(h, x))
+    assert len(a) == 3 and len(b) == 2
+    backward(loss_b, b)
+    assert np.array_equal(h.grad, 2.0 * h.data)
+    assert x.grad is None and not w.grad.any()
+    backward(loss_a, a)
+    # loss_a = sum(w * x * x): x gets h from mul(h, x), then w * x through h.
+    assert np.array_equal(x.grad, h.data + x.data * w.data)
+    assert np.array_equal(w.grad, x.data * x.data)
+    assert np.array_equal(h.grad, 2.0 * h.data)  # not a leaf of a
+    with pytest.raises(TapeError, match="not produced"):
+        backward(loss_a, b)
 
 
 def test_tape_replay_identical_gradients():

@@ -447,12 +447,13 @@ def test_ddc_tape_bytes_bounded():
     # Bytes a taped call keeps alive beyond its output, as a multiple of the
     # input's bytes. Per tap the tape holds the sparse sampling matrix (four
     # weights and four int64 column indices per position) and the two
-    # fractional coordinates; per call it holds the input in gather layout,
-    # the kernel weights in tap-major layout and the matrices' shared row
-    # pointer. The backward pass reads no samples, so none are kept. That is
-    # about 6.8x at C=32 float32. Keeping each tap's C samples per position
-    # as well reads about 16x, and keeping the four gathered corners of every
-    # tap instead of the matrix about 48x.
+    # fractional coordinates; per call it holds the kernel weights in
+    # tap-major layout and the matrices' shared row pointer. The backward
+    # pass rebuilds the input's gather layout from the input and reads no
+    # samples, so neither is kept. That is about 5.8x at C=32 float32, and
+    # 6.8x with the gather-layout copy kept. Keeping each tap's C samples per
+    # position as well reads about 16x, and keeping the four gathered
+    # corners of every tap instead of the matrix about 48x.
     rng = np.random.default_rng(30)
     n, c, h, w = 2, 32, 8, 8
     x = _t(rng, (n, c, h, w), dtype=np.float32)
