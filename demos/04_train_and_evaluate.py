@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ddcn.data import SynthSpec, make_windows, minmax_denormalize, minmax_normalize, \
-    split, stats_from_windows, synth_traffic
+from ddcn.data import SynthSpec, make_windows, minmax_denormalize, split, \
+    stats_from_windows, synth_traffic
 from ddcn.metrics import error_map, save_error_map_csv, save_error_map_pgm
 from ddcn.model import DDCN, ModelConfig
 from ddcn.profile import count_params
-from ddcn.train import TrainConfig, train_loop
+from ddcn.train import TrainConfig, iter_batches, train_loop
 
 out_dir = Path("demo_run")
 ds = synth_traffic(SynthSpec(height=8, width=8, steps=256, seed=3))
@@ -41,9 +41,8 @@ windows = make_windows(ds, 4)
 parts = split(windows)
 stats = stats_from_windows(parts.train)
 sample = parts.test[0]
-pred = minmax_denormalize(
-    model.predict(minmax_normalize(sample.input, stats)[None])[0], stats
-)
+xb, _ = next(iter_batches([sample], stats, 1))
+pred = minmax_denormalize(model.predict(xb)[0], stats)
 emap = error_map(pred, sample.target)
 save_error_map_csv(emap, out_dir / "errmap.csv")
 save_error_map_pgm(emap, out_dir / "errmap.pgm")

@@ -90,12 +90,15 @@ def _configs(doc, args=None, **defaults):
         raise UsageError(str(exc)) from exc
 
 
-def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
-    merged = {**asdict(model_cfg), **asdict(train_cfg), **extras}
-    path = out_dir / "config.json"
+def _write_json(path, doc):
+    """Write ``doc`` as indented JSON, atomically, and list the artifact."""
     with atomic_write(path) as f:
-        json.dump(merged, f, indent=2)
+        json.dump(doc, f, indent=2)
     _emit_artifact(path)
+
+
+def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
+    _write_json(out_dir / "config.json", {**asdict(model_cfg), **asdict(train_cfg), **extras})
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +188,7 @@ def cmd_eval(args) -> int:
     print(f"split {args.split}: {report.format()}")
     print(f"normalized L1 {l1:.6f}")
     out_path = Path(args.out) if args.out else ckpt.parent / f"eval_{args.split}.json"
-    with atomic_write(out_path) as f:
-        json.dump({"split": args.split, "l1_normalized": l1, **report.to_dict()}, f, indent=2)
-    _emit_artifact(out_path)
+    _write_json(out_path, {"split": args.split, "l1_normalized": l1, **report.to_dict()})
     return EXIT_OK
 
 
@@ -238,9 +239,7 @@ def cmd_profile(args) -> int:
                 f"flops(MAC=2)={c.flops / 1e9:.4f}G"
             )
         if args.out:
-            with atomic_write(args.out) as f:
-                json.dump([asdict(c) for c in hits], f, indent=2)
-            _emit_artifact(args.out)
+            _write_json(args.out, [asdict(c) for c in hits])
         return EXIT_OK
 
     cfg, _ = _configs(_load_config_file(args.config), args,
@@ -259,9 +258,7 @@ def cmd_profile(args) -> int:
         print(f"one forward at {shape}: {elapsed * 1e3:.1f} ms "
               "(single uncalibrated run, not a benchmark)")
     if args.out:
-        with atomic_write(args.out) as f:
-            json.dump(report.to_dict(), f, indent=2)
-        _emit_artifact(args.out)
+        _write_json(args.out, report.to_dict())
     return EXIT_OK
 
 

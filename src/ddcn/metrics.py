@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,13 +32,7 @@ class MetricsReport:
     n_masked: int
 
     def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mape": None if math.isnan(self.mape) else self.mape,
-            "n_evaluated": self.n_evaluated,
-            "n_masked": self.n_masked,
-        }
+        return {**asdict(self), "mape": None if math.isnan(self.mape) else self.mape}
 
     def format(self) -> str:
         mape = "undefined (all masked)" if math.isnan(self.mape) else f"{self.mape:.4f}%"

@@ -236,9 +236,9 @@ class Tape(_Scope):
 def record(inputs: Sequence[Tensor], output: Tensor, vjp: Callable):
     """Record a primitive on the active tape, if any.
 
-    ``vjp(out_grad)`` must return one gradient array (or None) per input, in
-    input order. ``output`` gets its entry's ``node``; the tape keeps only
-    the input keys, the leaf inputs and ``vjp``, which captures what it reads.
+    ``vjp(out_grad)`` must return one gradient array per input, in input
+    order. ``output`` gets its entry's ``node``; the tape keeps only the
+    input keys, the leaf inputs and ``vjp``, which captures what it reads.
     """
     if stack := Tape._local.items:
         tape = stack[-1]
@@ -269,8 +269,6 @@ def backward(loss: Tensor, tape: Tape):
             continue
         keys, vjp = tape._entries[index]
         for key, g in zip(keys, vjp(out_grad)):
-            if g is None:
-                continue
             if key in grads:
                 grads[key] = grads[key] + g
             else:

@@ -16,7 +16,7 @@ while also reporting the MAC = 2 figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .model import DDCN, ModelConfig
 from .numerics import FlopCounter, Module, ShapeError
@@ -72,10 +72,7 @@ class CostReport:
             "total_flops": self.total_flops,
             "total_macs": self.total_macs,
             "conv_flops": self.conv_flops,
-            "layers": [
-                {"name": l.name, "params": l.params, "flops": l.flops, "kind": l.kind}
-                for l in self.layers
-            ],
+            "layers": [asdict(l) for l in self.layers],
         }
 
     def format(self) -> str:
@@ -137,21 +134,25 @@ def cost_report(config: ModelConfig, input_shape) -> CostReport:
     def row(name, params, flops, kind):
         layers.append(LayerCost(name, int(params), int(flops), kind))
 
-    row("patch_embed.proj", (c * p * p) * d + d, 2 * pos * (c * p * p) * d, "conv")
+    def conv(name, c_in, c_out, taps=1, n=pos):
+        """A dense conv row: weight plus bias params, 2 FLOPs per MAC over n positions."""
+        row(name, c_in * c_out * taps + c_out, 2 * n * c_in * c_out * taps, "conv")
+
+    conv("patch_embed.proj", c * p * p, d)
 
     for i in range(config.depth):
         pre = f"blocks.{i}."
         # Spatio-temporal attention gate
-        row(pre + "st_att.value_proj", d * d + d, 2 * pos * d * d, "conv")
-        row(pre + "st_att.att_proj", d * d + d, 2 * pos * d * d, "conv")
+        conv(pre + "st_att.value_proj", d, d)
+        conv(pre + "st_att.att_proj", d, d)
         row(pre + "st_att.att_act", 0, 8 * pos * d, "activation")
         kt = config.involution_kernel
         if config.use_involution3d:
             hid = d // config.reduction
             k3 = kt ** 3
-            row(pre + "st_att.att_op.reduce", d * hid + hid, 2 * pos * d * hid, "conv")
+            conv(pre + "st_att.att_op.reduce", d, hid)
             row(pre + "st_att.att_op.act", 0, 8 * pos * hid, "activation")
-            row(pre + "st_att.att_op.span", hid * g * k3 + g * k3, 2 * pos * hid * g * k3, "conv")
+            conv(pre + "st_att.att_op.span", hid, g * k3)
             # per-channel output bias lives on the aggregate
             row(pre + "st_att.att_op.aggregate", d, 2 * pos * d * k3, "conv")
         else:
@@ -160,25 +161,14 @@ def cost_report(config: ModelConfig, input_shape) -> CostReport:
         row(pre + "st_att.residual", 0, pos * d, "elementwise")
 
         # Spatial attention gate
-        row(pre + "spatial_att.value_proj", d * d + d, 2 * pos * d * d, "conv")
-        row(pre + "spatial_att.att_proj", d * d + d, 2 * pos * d * d, "conv")
+        conv(pre + "spatial_att.value_proj", d, d)
+        conv(pre + "spatial_att.att_proj", d, d)
         row(pre + "spatial_att.att_act", 0, 8 * pos * d, "activation")
         ks = config.ddc_kernel
         if config.use_ddc:
             kk = ks * ks
-            koff = DDCLayer.OFFSET_KERNEL ** 2
-            row(
-                pre + "spatial_att.att_op.offset_conv",
-                d * (2 * kk) * koff + 2 * kk,
-                2 * pos * d * (2 * kk) * koff,
-                "conv",
-            )
-            row(
-                pre + "spatial_att.att_op.kernel_conv",
-                d * g * kk + g * kk,
-                2 * pos * d * g * kk,
-                "conv",
-            )
+            conv(pre + "spatial_att.att_op.offset_conv", d, 2 * kk, DDCLayer.OFFSET_KERNEL ** 2)
+            conv(pre + "spatial_att.att_op.kernel_conv", d, g * kk)
             # 2 FLOPs MAC + 8 FLOPs (4 mul + 4 add) per bilinear sample per tap
             row(pre + "spatial_att.att_op.aggregate", 0, 10 * pos * d * kk, "conv")
         else:
@@ -188,16 +178,11 @@ def cost_report(config: ModelConfig, input_shape) -> CostReport:
 
         # Feed-forward pair
         hidden = d * config.ffn_expansion
-        row(pre + "ffn.expand", d * hidden + hidden, 2 * pos * d * hidden, "conv")
-        row(pre + "ffn.restore", hidden * d + d, 2 * pos * hidden * d, "conv")
+        conv(pre + "ffn.expand", d, hidden)
+        conv(pre + "ffn.restore", hidden, d)
         row(pre + "ffn.residual", 0, pos * d, "elementwise")
 
-    row(
-        "patch_back.proj",
-        (t * d) * (c * p * p) + c * p * p,
-        2 * (b * hp * wp) * (t * d) * (c * p * p),
-        "conv",
-    )
+    conv("patch_back.proj", t * d, c * p * p, n=b * hp * wp)
     return CostReport(dims, layers)
 
 
@@ -260,8 +245,6 @@ def search_reference_configs(input_shape=(1, 4, 2, 32, 32)) -> list[CandidateCos
     for p in patch_sizes:
         for depth in range(1, 7):
             for d in range(8, 264, 8):
-                if d % base.reduction != 0 or d % base.groups != 0:
-                    continue
                 cfg = replace(base, patch_size=p, embed_dim=d, depth=depth)
                 report = cost_report(cfg, input_shape)
                 params = report.total_params

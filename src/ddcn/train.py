@@ -440,36 +440,31 @@ class GradCheckReport:
         return out
 
 
-class _GradCase:
-    def __init__(self, run: Callable[[], Tensor], checks: list):
-        self.run = run
-        self.checks = checks  # list of (label, Tensor)
-
-
-def _check_case(case: _GradCase, h: float) -> dict[str, float] | None:
-    """Relative error of each checked gradient, or None if one probed, taped
-    forward finds the instance within COORD_MARGIN/TIE_MARGIN of a kink."""
-    for _, tensor in case.checks:
+def _check_case(checks: list, run: Callable[[], Tensor]) -> dict[str, float] | None:
+    """Relative error of the gradient of each checked (label, Tensor) of the
+    loss ``run()``, or None if one probed, taped forward finds the instance
+    within COORD_MARGIN/TIE_MARGIN of a kink."""
+    for _, tensor in checks:
         tensor.grad = np.zeros_like(tensor.data) if isinstance(tensor, Param) else None
     with KinkProbe() as probe, Tape() as tape:
-        loss = case.run()
+        loss = run()
     if (probe.margins.get("bilinear_coord", math.inf) < COORD_MARGIN
             or probe.margins.get("l1_tie", math.inf) < TIE_MARGIN):
         return None
     backward(loss, tape)
     analytic = {
         label: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
-        for label, t in case.checks
+        for label, t in checks
     }
-    fd = finite_difference(lambda: case.run().item(), [t.data for _, t in case.checks], h)
+    fd = finite_difference(lambda: run().item(), [t.data for _, t in checks])
     return {
         label: max_relative_error(analytic[label], g)
-        for (label, _), g in zip(case.checks, fd)
+        for (label, _), g in zip(checks, fd)
     }
 
 
-def _run_cases(name: str, builder, instances: int, seed: int, tol: float,
-               h: float = FD_STEP) -> list[GradCheckResult]:
+def _run_cases(name: str, builder, instances: int, seed: int,
+               tol: float) -> list[GradCheckResult]:
     if instances < 1 or not tol > 0:
         raise ValueError(f"need instances >= 1 and tol > 0, got {instances} and {tol}")
     worst: dict[str, float] = {}
@@ -479,9 +474,8 @@ def _run_cases(name: str, builder, instances: int, seed: int, tol: float,
     while accepted < instances:
         if attempt >= limit:
             raise RuntimeError(f"could not build {instances} conditioned instances for {name}")
-        case = builder(attempt)
+        errors = _check_case(*builder(attempt))
         attempt += 1
-        errors = _check_case(case, h)
         if errors is None:
             continue
         for label, err in errors.items():
@@ -496,7 +490,8 @@ def _projection_loss(out: Tensor, rng: np.random.Generator) -> Tensor:
     return reduce_sum(mul(out, proj))
 
 
-# Case builders (all float64). Each returns a fresh instance per seed. The
+# Case builders (all float64). Each returns a fresh instance per seed as a
+# (checks, run) pair: the (label, Tensor) list to check and the loss. The
 # checked operator is looked up on its module when the case runs, so a
 # wrapper swapped into the module (a tracer's, say) is what gets checked.
 
@@ -516,7 +511,7 @@ def _op_case(module, op: str, shapes: dict, *static):
         run = lambda: _projection_loss(
             getattr(module, op)(*tensors, *static), np.random.default_rng(seed + 7)
         )
-        return _GradCase(run, list(zip(shapes, tensors)))
+        return list(zip(shapes, tensors)), run
 
     return build
 
@@ -539,7 +534,7 @@ def _layer_case(layer: str, kwargs: dict, x_shape: tuple, redraw: bool = False):
                     p.data *= 0.5
         x = Tensor(rng.uniform(-2, 2, x_shape), dtype=np.float64)
         run = lambda: _projection_loss(module(x), np.random.default_rng(seed + 7))
-        return _GradCase(run, [("x", x)] + list(module.named_params()))
+        return [("x", x)] + list(module.named_params()), run
 
     return build
 
@@ -552,15 +547,14 @@ def _case_bilinear(seed):
     run = lambda: _projection_loss(
         ops.bilinear_sample(x, 0, 1, r, q), np.random.default_rng(seed + 7)
     )
-    return _GradCase(run, [("x", x), ("r", r), ("q", q)])
+    return [("x", x), ("r", r), ("q", q)], run
 
 
 def _case_l1(seed):
     rng = np.random.default_rng(seed)
     pred = Tensor(rng.uniform(-2, 2, (2, 3, 4)), dtype=np.float64)
     target = Tensor(rng.uniform(-2, 2, (2, 3, 4)), dtype=np.float64)
-    run = lambda: l1_loss(pred, target)
-    return _GradCase(run, [("pred", pred), ("target", target)])
+    return [("pred", pred), ("target", target)], lambda: l1_loss(pred, target)
 
 
 def tiny_model_config() -> ModelConfig:
@@ -571,26 +565,20 @@ def tiny_model_config() -> ModelConfig:
     )
 
 
-def build_gradcheck_model(seed: int, config: ModelConfig | None = None) -> DDCN:
-    """Tiny float64 model with every parameter randomized.
+def _case_model(seed):
+    """The tiny float64 model with every parameter randomized, under L1 loss.
 
     The offset branch is deliberately non-zero (scaled down) so deformable
     sampling happens at generic fractional coordinates.
     """
-    cfg = config or tiny_model_config()
+    cfg = tiny_model_config()
     model = DDCN(cfg, grid_size=(4, 4), dtype=np.float64, seed=seed)
     rng = np.random.default_rng(seed + 1)
     for name, p in model.named_params():
         p.data[...] = rng.uniform(-0.6, 0.6, p.data.shape)
         if "offset_conv" in name:
             p.data *= 0.25
-    return model
-
-
-def _case_model(seed):
-    model = build_gradcheck_model(seed)
     rng = np.random.default_rng(seed + 2)
-    cfg = model.config
     x = Tensor(
         rng.uniform(-1, 1, (1, cfg.input_steps, cfg.in_channels) + model.grid_size),
         dtype=np.float64,
@@ -598,9 +586,7 @@ def _case_model(seed):
     y = Tensor(
         rng.uniform(-1, 1, (1, cfg.in_channels) + model.grid_size), dtype=np.float64
     )
-    run = lambda: l1_loss(model(x), y)
-    checks = [("input", x)] + list(model.named_params())
-    return _GradCase(run, checks)
+    return [("input", x)] + list(model.named_params()), lambda: l1_loss(model(x), y)
 
 
 _OP_CASES = {

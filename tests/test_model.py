@@ -249,9 +249,10 @@ def test_capture_sees_every_module_once_and_leaves_are_cost_rows(flags):
         model(Tensor(np.zeros(shape, dtype=np.float32)))
     paths = [path for path, _ in model.named_modules()]
     assert {path: len(outs) for path, outs in cap.outputs.items()} == {p: 1 for p in paths}
-    # A leaf module is one cost_report row, under the same name.
-    leaves = {p for p, m in model.named_modules() if len(list(m.named_modules())) == 1}
-    assert leaves <= {row.name for row in cost_report(cfg, shape).layers}
+    # A leaf module is one cost_report row, under the same name, with its parameter count.
+    leaves = {p: m for p, m in model.named_modules() if len(list(m.named_modules())) == 1}
+    rows = {row.name: row.params for row in cost_report(cfg, shape).layers}
+    assert {p: rows.get(p) for p in leaves} == {p: count_params(m) for p, m in leaves.items()}
     assert "patch_embed.proj" in leaves
     assert ("blocks.0.spatial_att.att_op.offset_conv" in leaves) == cfg.use_ddc
     assert ("blocks.0.st_att.att_op" in leaves) != cfg.use_involution3d

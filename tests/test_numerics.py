@@ -441,8 +441,7 @@ def _write_profile_search(path, good):
     hit = CandidateCost(64, 2 if good else object(), 2, 600_000, 300_000_000, 150_000_000,
                         True, True)
     with mock.patch.object(cli.profile_mod, "search_reference_configs", return_value=[hit]):
-        cli.cmd_profile(_profile_args(path, search=True, target_params=6e5, target_flops=1.5e8,
-                                      tolerance=0.2, limit=5))
+        cli.cmd_profile(_profile_args(path, search=True, limit=5))
 
 
 class _FailingSecondWrite:
