@@ -41,8 +41,12 @@ _MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
-class UsageError(Exception):
-    """Bad flags or config values; maps to exit code 1."""
+class UsageError(ValueError):
+    """Bad flags or config values; maps to exit code 1, as every ValueError does."""
+
+
+class _ConfigParseError(Exception):
+    """A config file that is not UTF-8 JSON; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,8 +61,11 @@ def _emit_artifact(path):
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    with open(path) as f:
-        doc = json.load(f)
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+            raise _ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(doc) - _MODEL_FIELDS - _TRAIN_FIELDS - {"data", "out"})
@@ -70,8 +77,8 @@ def _load_config_file(path) -> dict:
 def _configs(doc, args=None, **defaults):
     """The one config resolver of every subcommand. Values merge in the
     order ``defaults`` < DDCN_SEED < the config document ``doc`` < each
-    given flag whose argparse dest is a config field; a malformed value is
-    a usage error. Returns (ModelConfig, TrainConfig)."""
+    given flag whose argparse dest is a config field; a malformed value
+    raises ValueError, a usage error. Returns (ModelConfig, TrainConfig)."""
     values = dict(defaults)
     raw = os.environ.get("DDCN_SEED")
     if raw is not None:
@@ -83,11 +90,8 @@ def _configs(doc, args=None, **defaults):
     flags = {} if args is None else vars(args)
     values.update((k, v) for k, v in flags.items()
                   if k in _MODEL_FIELDS | _TRAIN_FIELDS and v is not None)
-    try:
-        return (ModelConfig.from_dict({k: v for k, v in values.items() if k in _MODEL_FIELDS}),
-                TrainConfig.from_dict({k: v for k, v in values.items() if k in _TRAIN_FIELDS}))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    return (ModelConfig.from_dict({k: v for k, v in values.items() if k in _MODEL_FIELDS}),
+            TrainConfig.from_dict({k: v for k, v in values.items() if k in _TRAIN_FIELDS}))
 
 
 def _write_json(path, doc):
@@ -209,6 +213,13 @@ def _mape_threshold(text) -> float:
     if not 0 <= float(text) < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return float(text)
+
+
+def _count(text) -> int:
+    """argparse type of --limit: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _parse_shape(text) -> tuple:
@@ -353,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", default="1,4,2,32,32", help="input as B,T,C,H,W")
     p.add_argument("--search", action="store_true",
                    help="scan (embed_dim, depth, patch_size) for reference-scale configs")
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--limit", type=_count, default=10)
     p.add_argument("--time", action="store_true",
                    help="also print a single-run forward timing (not a benchmark)")
     p.add_argument("--out", default=None, help="JSON report path")
@@ -375,22 +386,19 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DatasetFormatError, CheckpointFormatError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except _ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

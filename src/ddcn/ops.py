@@ -18,17 +18,17 @@ to 8, on one module-level thread pool. That is a partition, not an order:
 each output element sums within its own batch element, so the bits do not
 depend on the shard count. The calling thread allocates every buffer and
 keeps all tape, FLOP and probe bookkeeping; pool threads run numpy only.
-One helper (``_clipped_taps``) owns the row-major tap order of the standard,
-shared and involution convolutions and clips each tap to the input, so no
-zero-padded input or gradient is ever built. A read from the padding is an
-absent term: it would add an exact zero to a sum that starts at +0, which
-never changes the sum. Bilinear sampling has one primitive: a sparse (CSR)
-sampling matrix (``_sampling_matrix``), whose product sums each row's four
-corner terms from zero in the contracted corner order, and its backward
-(``_sampling_grads``). The deformable convolution
-samples each tap through it and accumulates the taps left to right;
-``bilinear_sample``, the gradient-checked scalar op, is a one-position view
-of it.
+One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
+and owns their centred, row-major tap order: it gives each tap's displacement,
+which the deformable convolution samples around, and its window clipped to the
+input, so no zero-padded input or gradient is ever built. A read from the
+padding is an absent term: it would add an exact zero to a sum that starts at
++0, which never changes the sum. Bilinear sampling has one primitive: a sparse
+(CSR) sampling matrix (``_sampling_matrix``), whose product sums each row's
+four corner terms from zero in the contracted corner order, and its backward
+(``_sampling_grads``). The deformable convolution samples each tap through it
+and accumulates the taps left to right; ``bilinear_sample``, the
+gradient-checked scalar op, is a one-position view of it.
 
 A taped call keeps only what its backward pass reads. The deformable
 convolution keeps each tap's sampling matrix, not its samples: its kernel
@@ -107,9 +107,7 @@ _POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
 
 def _check_weights(op: str, x: Tensor, *weights):
     for wt in weights:
-        if wt is None:
-            continue
-        if wt.data.dtype != x.data.dtype:
+        if wt is not None and wt.data.dtype != x.data.dtype:
             raise ShapeError(
                 f"{op}: weight dtype {wt.data.dtype} does not match input dtype {x.data.dtype}"
             )
@@ -141,28 +139,36 @@ def _ordered_contract(w2, x, taps, bias, out, acc, tmp, buf):
     np.copyto(out, acc.reshape((acc.shape[0], x.shape[0]) + x.shape[2:]).swapaxes(0, 1))
 
 
-def _clipped_taps(spatial: tuple, ksizes: tuple) -> list:
+def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
     """The row-major taps of a centred, shape-preserving kernel, one odd size
     per spatial axis, each clipped to the input.
 
     A tap displaced by ``d`` along an axis reads input ``o + d`` for output
     ``o``; only outputs whose read stays inside the input take part. Returns
-    ``(i, out_sl, in_sl)`` per tap: its row-major index, the outputs it feeds
-    and the equally shaped input block they read. The slices lead with an
-    Ellipsis, so they index an (N, C, *spatial) array or a grouped reshape.
+    ``(i, ds, out_sl, in_sl)`` per tap: its row-major index, its displacement
+    per axis, the outputs it feeds and the equally shaped input block they
+    read. The slices lead with an Ellipsis, so they index an (N, C, *spatial)
+    array or a grouped reshape. Raises ShapeError unless ``ksizes`` holds one
+    odd size >= 1 per axis of ``spatial``.
     """
+    if len(ksizes) != len(spatial) or any(k < 1 or k % 2 == 0 for k in ksizes):
+        raise ShapeError(
+            f"{op}: kernel sizes must be odd and >= 1, one per spatial axis of {spatial}, "
+            f"got {ksizes}"
+        )
     per_axis = []
     for s, k in zip(spatial, ksizes):
         axis = []
         for d in range(-(k // 2), k // 2 + 1):
             lo = max(0, -d)
             hi = max(lo, min(s, s - d))  # lo == hi: the tap misses the input
-            axis.append((slice(lo, hi), slice(lo + d, hi + d)))
+            axis.append((d, slice(lo, hi), slice(lo + d, hi + d)))
         per_axis.append(axis)
-    return [
-        (i, (...,) + tuple(o for o, _ in axes), (...,) + tuple(r for _, r in axes))
-        for i, axes in enumerate(itertools.product(*per_axis))
-    ]
+    taps = []
+    for i, axes in enumerate(itertools.product(*per_axis)):
+        ds, out_sl, in_sl = zip(*axes)
+        taps.append((i, ds, (...,) + out_sl, (...,) + in_sl))
+    return taps
 
 
 def _centre_first(taps: list) -> list:
@@ -194,7 +200,7 @@ def _window_rows(x, taps, buf):
     ever live.
     """
     row = buf.reshape(-1)
-    windows = [(out_sl, x[in_sl]) for _, out_sl, in_sl in taps]
+    windows = [(out_sl, x[in_sl]) for _, _, out_sl, in_sl in taps]
     for ci in range(x.shape[1]):
         for out_sl, window in windows:
             if window.shape != x.shape:
@@ -214,20 +220,19 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     returns the weight gradient in ``w``'s own shape.
     """
     xd = x.data
+    if xd.ndim < 3:
+        raise ShapeError(f"{op}: input must be (N, C, *spatial), got {xd.shape}")
     c_out, c_in = wk.shape[:2]
     if xd.shape[1] != c_in:
         raise ShapeError(
             f"{op}: channel mismatch: input has {xd.shape[1]} channels, weight expects {c_in}"
         )
     _check_weights(op, x, w, b)
-    ksizes = wk.shape[2:]
-    if any(k % 2 == 0 for k in ksizes):
-        raise ShapeError(f"{op}: kernel sizes must be odd, got {ksizes}")
     if b is not None and b.data.shape != (c_out,):
         raise ShapeError(f"{op}: bias must be ({c_out},), got {b.data.shape}")
 
     n, spatial = xd.shape[0], xd.shape[2:]
-    taps = _clipped_taps(spatial, ksizes)
+    taps = _clipped_taps(op, spatial, wk.shape[2:])
     w3 = wk.reshape(c_out, c_in, len(taps))
     positions = math.prod(spatial)
     macs = n * c_out * c_in * positions * len(taps)
@@ -260,7 +265,7 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     def vjp(g):
         gw = np.empty_like(w3)
         gx = None
-        for i, out_sl, in_sl in _centre_first(taps):
+        for i, _, out_sl, in_sl in _centre_first(taps):
             g_tap = g[out_sl].reshape(n, c_out, -1)
             window = xd[in_sl]
             gw[:, :, i] = np.matmul(
@@ -287,12 +292,10 @@ def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     ascending ``ci`` order with the bias added last, the order the
     brute-force oracle reproduces exactly.
     """
-    xd, wd = x.data, w.data
-    if xd.ndim < 3:
-        raise ShapeError(f"pointwise_conv: input must be (N, C, *spatial), got {xd.shape}")
+    wd = w.data
     if wd.ndim != 2:
         raise ShapeError(f"pointwise_conv: weight must be (C_out, C_in), got {wd.shape}")
-    return _conv("pointwise_conv", x, w, wd.reshape(wd.shape + (1,) * (xd.ndim - 2)), b)
+    return _conv("pointwise_conv", x, w, wd.reshape(wd.shape + (1,) * (x.data.ndim - 2)), b)
 
 
 def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -304,13 +307,8 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     the bias added last; a tap's reads from the padding are absent terms.
     K=1 computes exactly what ``pointwise_conv`` does.
     """
-    d = w.data.ndim - 2
-    if d not in (2, 3):
+    if w.data.ndim not in (4, 5):
         raise ShapeError(f"standard_conv: weight rank {w.data.ndim} not supported")
-    if x.data.ndim != d + 2:
-        raise ShapeError(
-            f"standard_conv: input rank {x.data.ndim} does not match weight spatial rank {d}"
-        )
     return _conv("standard_conv", x, w, w.data, b)
 
 
@@ -329,22 +327,16 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     the input are absent terms (zero padding).
     """
     xd, wd = x.data, w.data
-    d = wd.ndim
-    if d not in (2, 3):
-        raise ShapeError(f"shared_conv: filter rank {d} not supported")
-    if xd.ndim != d + 2:
-        raise ShapeError(f"shared_conv: input rank {xd.ndim} does not match filter rank {d}")
+    if wd.ndim not in (2, 3):
+        raise ShapeError(f"shared_conv: filter rank {wd.ndim} not supported")
     _check_weights("shared_conv", x, w, b)
-    for k in wd.shape:
-        if k % 2 == 0:
-            raise ShapeError(f"shared_conv: kernel sizes must be odd, got {wd.shape}")
     if b is not None and b.data.shape != (1,):
         raise ShapeError(f"shared_conv: bias must be shape (1,), got {b.data.shape}")
 
-    taps = _clipped_taps(xd.shape[2:], wd.shape)
+    taps = _clipped_taps("shared_conv", xd.shape[2:], wd.shape)
     w_flat = wd.reshape(-1)
     out = np.zeros_like(xd)
-    for i, out_sl, in_sl in taps:
+    for i, _, out_sl, in_sl in taps:
         out[out_sl] += w_flat[i] * xd[in_sl]
     if b is not None:
         out += b.data[0]
@@ -355,7 +347,7 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp(g):
         gw = np.empty_like(w_flat)
         gx = None
-        for i, out_sl, in_sl in _centre_first(taps):
+        for i, _, out_sl, in_sl in _centre_first(taps):
             gw[i] = np.sum(g[out_sl] * xd[in_sl])
             gx = _add_tap(gx, w_flat[i] * g[out_sl], in_sl)
         gw = gw.reshape(wd.shape)
@@ -569,10 +561,10 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     if c % groups != 0:
         raise ShapeError(f"ddc_forward: groups {groups} must divide channels {c}")
     _check_weights("ddc_forward", x, offsets, kernels)
+    taps = _clipped_taps("ddc_forward", (h, w), (kernel_size,) * 2)
 
     dtype = xd.dtype
     rep = c // groups
-    half = (kernel_size - 1) // 2
     npos = n * h * w
     rows = np.arange(h, dtype=dtype).reshape(1, h, 1)
     cols = np.arange(w, dtype=dtype).reshape(1, 1, w)
@@ -589,9 +581,7 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
 
     out_t = np.zeros((n, h, w, groups, rep), dtype=dtype)
     saved = []
-    for tap in range(kk):
-        dy = tap // kernel_size - half
-        dx = tap % kernel_size - half
+    for tap, (dy, dx), _, _ in taps:
         r = (rows + dtype.type(dy)) + od[:, 2 * tap]
         q = (cols + dtype.type(dx)) + od[:, 2 * tap + 1]
         sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
@@ -658,11 +648,11 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     _check_weights("involution3d", x, kernels, bias)
 
     grouped = (n, groups, c // groups, t, h, w)
-    taps = _clipped_taps((t, h, w), (kernel_size,) * 3)
+    taps = _clipped_taps("involution3d", (t, h, w), (kernel_size,) * 3)
     x_g = xd.reshape(grouped)
     out = np.zeros_like(xd)
     out_g = out.reshape(grouped)
-    for i, out_sl, in_sl in taps:
+    for i, _, out_sl, in_sl in taps:
         out_g[out_sl] += kd[:, :, i, None][out_sl] * x_g[in_sl]
     out += bias.data.reshape(1, c, 1, 1, 1)
     add_flops(2 * xd.size * k3)
@@ -674,7 +664,7 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
         g_g = g.reshape(grouped)
         g_kern = np.zeros_like(kd)
         gx = None
-        for i, out_sl, in_sl in _centre_first(taps):
+        for i, _, out_sl, in_sl in _centre_first(taps):
             g_out = g_g[out_sl]
             g_kern[:, :, i][out_sl] = (g_out * x_g[in_sl]).sum(axis=2)
             gx = _add_tap(gx, g_out * kd[:, :, i, None][out_sl], in_sl)
@@ -783,7 +773,6 @@ class DDCLayer(Module):
             raise ShapeError(f"DDC kernel size must be odd, got {kernel_size}")
         if channels % groups != 0:
             raise ShapeError(f"groups {groups} must divide channels {channels}")
-        self.channels = channels
         self.kernel_size = kernel_size
         self.groups = groups
         kk = kernel_size * kernel_size
@@ -791,9 +780,7 @@ class DDCLayer(Module):
         self.kernel_conv = PointwiseConv(channels, groups * kk, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        if c != self.channels:
-            raise ShapeError(f"DDCLayer: expected {self.channels} channels, got {c}")
+        n, _, h, w = x.shape
         kk = self.kernel_size * self.kernel_size
         offsets = self.offset_conv(x)
         kernels = reshape(self.kernel_conv(x), (n, self.groups, kk, h, w))
@@ -817,7 +804,6 @@ class Involution3D(Module):
         if channels % groups != 0:
             raise ShapeError(f"groups {groups} must divide channels {channels}")
         rng = rng or np.random.default_rng(0)
-        self.channels = channels
         self.kernel_size = kernel_size
         self.groups = groups
         hidden = channels // reduction
@@ -826,9 +812,7 @@ class Involution3D(Module):
         self.bias = Param(np.zeros(channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, t, h, w = x.shape
-        if c != self.channels:
-            raise ShapeError(f"Involution3D: expected {self.channels} channels, got {c}")
+        n, _, t, h, w = x.shape
         k3 = self.kernel_size ** 3
         kernels = reshape(self.span(gelu(self.reduce(x))), (n, self.groups, k3, t, h, w))
         return involution3d_forward(x, kernels, self.bias, self.kernel_size)
@@ -852,8 +836,6 @@ class PatchEmbed(Module):
             raise ShapeError(f"patch_embed: input must be (B, T, C, H, W), got {x.shape}")
         b, t, c, h, w = x.shape
         p = self.patch_size
-        if h % p != 0 or w % p != 0:
-            raise ShapeError(f"patch_embed: patch size {p} must divide H={h} and W={w}")
         folded = reshape(x, (b * t, c, h, w))
         patches = pixel_unshuffle(folded, p)
         return reshape(self.proj(patches), (b, t, self.embed_dim, h // p, w // p))

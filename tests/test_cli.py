@@ -111,6 +111,25 @@ def test_train_epochs_zero_emits_initial_checkpoint():
     assert summary["final"]["test"]["metrics"]["rmse"] >= 0
 
 
+def test_verbose_train_prints_one_line_per_epoch(capsys):
+    synth()
+    capsys.readouterr()
+    assert run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS, "--verbose") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("epoch ")] == [
+        "epoch 0", "epoch 1"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_diverging_training_exit_3(capsys):
+    synth(steps=40)
+    capsys.readouterr()
+    assert run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS,
+                   "--lr", "1e30") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
 def test_flags_override_config_file():
     synth()
     with open("cfg.json", "w") as f:
@@ -288,6 +307,14 @@ def test_profile_search_reports_match(capsys):
 
 def test_profile_bad_shape_exit_1():
     assert run_cli("profile", "--shape", "1,2,3") == 1
+
+
+def test_profile_limit_below_0_exit_1(capsys):
+    assert run_cli("profile", "--search", "--limit", "-1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
+    assert run_cli("profile", "--search", "--limit", "0") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1  # the header, no hits
 
 
 @pytest.mark.parametrize("shape", ["1,4,2,-32,32", "0,4,2,8,8", "1,4,2,8,0"])

@@ -5,7 +5,9 @@ it or raise their own typed format error, and nothing else. Inputs are raw
 bytes, valid files with bytes overwritten, cut or appended, and valid
 headers followed by arbitrary bytes, so that examples get past the magic.
 Any JSON object over the config field names, read by ``ddcn profile
---config``, either profiles (exit 0) or is a usage error (exit 1). Any argv
+--config``, either profiles (exit 0) or is a usage error (exit 1). Any
+bytes given there end in exit 0, 1 or 2; bytes that are not UTF-8 JSON, or
+JSON nested too deep to parse, are a config parse error (exit 2). Any argv
 for ``synth``, ``ingest`` and ``eval`` over small sizes, wide integers and
 any float ends in the exit code its values call for (0, 1 or 2), never in a
 traceback.
@@ -142,6 +144,43 @@ def _quiet_main(argv) -> tuple[int, str]:
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     return code, err.getvalue()
+
+
+def _profile_config_bytes(blob: bytes) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "wb") as f:
+            f.write(blob)
+        return _quiet_main(["profile", "--config", path])
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=64),
+    _json.map(lambda doc: json.dumps(doc).encode("utf-8")),
+    st.binary(max_size=16).map(lambda b: b'{"depth": 1, "' + b + b'": 2}'),
+))
+def test_profile_config_bytes_end_in_a_documented_exit_code(blob):
+    code, err = _profile_config_bytes(blob)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("usage error:" if code == 1 else "config parse error:"), err
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2, err
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"depth": 1,',  # JSON syntax error
+    b"[" * 200_000 + b"]" * 200_000,  # nested deeper than the parser recurses
+    b'{"depth": 1, "\xff": 2}',  # not UTF-8
+    "{}".encode("utf-16"),  # JSON, but not UTF-8
+], ids=["syntax", "deep", "bad-utf8", "utf16"])
+def test_profile_config_that_does_not_decode_exit_2(blob):
+    code, err = _profile_config_bytes(blob)
+    assert code == 2 and err.startswith("config parse error:"), err
 
 
 @pytest.fixture(scope="module")

@@ -286,6 +286,21 @@ def test_shared_conv_matches_oracle_2d_and_3d():
     )
 
 
+@pytest.mark.parametrize("op, x_shape, w_shape", [
+    ("standard_conv", (1, 2, 4, 4), (3, 2, 3, 3, 3)),  # 3D kernel, 2D input
+    ("standard_conv", (1, 2, 3, 4, 4), (3, 2, 3, 3)),  # 2D kernel, 3D input
+    ("standard_conv", (1, 2, 4, 4), (3, 2, 2, 2)),  # even
+    ("standard_conv", (1, 2, 3, 4, 4), (3, 2, 3, 4, 3)),  # even on one axis
+    ("shared_conv", (1, 2, 4, 4), (3, 3, 3)),
+    ("shared_conv", (1, 2, 3, 4, 4), (3, 3)),
+    ("shared_conv", (1, 2, 4, 4), (2, 2)),
+    ("shared_conv", (1, 2, 3, 4, 4), (3, 3, 4)),
+])
+def test_kernel_of_wrong_rank_or_even_size_rejected(op, x_shape, w_shape):
+    with pytest.raises(ShapeError):
+        getattr(ops, op)(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+
+
 # ---------------------------------------------------------------------------
 # Bilinear sampling
 # ---------------------------------------------------------------------------
@@ -583,6 +598,20 @@ def test_ddc_misaligned_fields_rejected():
         ops.ddc_forward(x, Tensor(np.zeros((1, 18, 5, 5))), Tensor(np.zeros((1, 1, 9, 4, 4))), 3)
     with pytest.raises(ShapeError, match="kernels"):
         ops.ddc_forward(x, Tensor(np.zeros((1, 18, 4, 4))), Tensor(np.zeros((1, 1, 8, 4, 4))), 3)
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_dynamic_ops_reject_a_kernel_size_that_is_even_or_below_1(k):
+    # Every field is aligned with K*K (or K^3) taps, so only K itself is wrong.
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    offsets = Tensor(np.zeros((1, 2 * k * k, 4, 4)))
+    with pytest.raises(ShapeError, match="kernel sizes must be odd"):
+        ops.ddc_forward(x, offsets, Tensor(np.zeros((1, 1, k * k, 4, 4))), k)
+    if k > 0:
+        x3 = Tensor(np.zeros((1, 2, 3, 4, 4)))
+        kernels = Tensor(np.zeros((1, 1, k ** 3, 3, 4, 4)))
+        with pytest.raises(ShapeError, match="kernel sizes must be odd"):
+            ops.involution3d_forward(x3, kernels, Tensor(np.zeros(2)), k)
 
 
 # ---------------------------------------------------------------------------
