@@ -11,13 +11,16 @@ independent nested-loop oracles can reproduce outputs bit-for-bit. The
 pointwise convolution is the standard convolution's K=1 case: both run one
 core (``_conv``), which evaluates the contracted order on channel-first rows.
 Each input channel's tap window is copied into one contiguous row, and every
-output channel takes ``w * row`` through one reused product buffer, so the
+output channel takes ``w * row`` through a reused product buffer, so the
 additions happen in the contracted order as long, contiguous row updates.
 Above a work threshold the core splits the batch into shards, one per CPU up
-to 8, on one module-level thread pool. That is a partition, not an order:
-each output element sums within its own batch element, so the bits do not
-depend on the shard count. The calling thread allocates every buffer and
-keeps all tape, FLOP and probe bookkeeping; pool threads run numpy only.
+to 8, on one module-level thread pool. Every shard walks the output channels
+in blocks sized so that a block's accumulator and product buffer stay in L2,
+and regenerates the rows for each block. Both splits are partitions, not
+orders: each output element sums within its own batch element and output
+channel, so the bits depend on neither the shard nor the block count. The
+calling thread allocates every buffer and keeps all tape, FLOP and probe
+bookkeeping; pool threads run numpy only.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
 and owns their centred, row-major tap order: it gives each tap's displacement,
 which the deformable convolution samples around, and its window clipped to the
@@ -98,8 +101,10 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=F32) -> np.
 
 # The exact-order conv forward shards its batch over one pool, created once;
 # its threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds
-# run inline as one shard. Tests force sharding by patching these constants.
+# run inline as one shard. Tests force sharding and output-channel blocks
+# (``_conv``) by patching these constants.
 _SHARD_MIN_MACS = 1 << 22
+_BLOCK_BYTES = 1280 << 10
 _POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1, 8)
 _POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
@@ -122,21 +127,27 @@ def _ordered_contract(w2, x, taps, bias, out, acc, tmp, buf):
     """out[n, co, pos] = sum_k w2[co, k] * row_k[n, pos] + bias[co], in ascending ``k``.
 
     Row ``k`` is the k-th (channel, tap) window of (N, C, *spatial) ``x``
-    (``_window_rows``, through row buffer ``buf``). The sum starts from the
-    zeroed (C_out, N * prod(spatial)) accumulator ``acc`` and adds one outer
-    product ``w2[:, k] * row_k`` at a time through the product buffer
-    ``tmp``, bias last, which is the scalar oracle's order for every output
-    element. It is then copied into the C-contiguous (N, C_out, *spatial)
-    ``out``: later pairwise reductions depend on memory layout, so the
-    result must not be a transposed view. Runs numpy only, so it may run on
-    a pool thread: it calls no primitive and enters no scope.
+    (``_window_rows``, through row buffer ``buf``). The output channels run
+    in blocks of ``len(acc)`` rows, a partition like the batch shards. Each
+    block's sum starts from the zero-filled accumulator ``acc`` and adds one
+    outer product ``w2[block, k] * row_k`` at a time through the product
+    buffer ``tmp``, bias last, which is the scalar oracle's order for every
+    output element. It is then copied into its channels of the C-contiguous
+    (N, C_out, *spatial) ``out``: later pairwise reductions depend on memory
+    layout, so the result must not be a transposed view. Runs numpy only, so
+    it may run on a pool thread: it calls no primitive and enters no scope.
     """
-    for w_k, row in zip(w2.T, _window_rows(x, taps, buf)):
-        np.multiply.outer(w_k, row, out=tmp)
-        acc += tmp
-    if bias is not None:
-        acc += bias
-    np.copyto(out, acc.reshape((acc.shape[0], x.shape[0]) + x.shape[2:]).swapaxes(0, 1))
+    for lo in range(0, len(w2), len(acc)):
+        hi = lo + len(acc)  # slices clip the last block to the channels left
+        w_blk = w2[lo:hi]
+        blk, prod = acc[:len(w_blk)], tmp[:len(w_blk)]
+        blk.fill(0)
+        for w_k, row in zip(w_blk.T, _window_rows(x, taps, buf)):
+            np.multiply.outer(w_k, row, out=prod)
+            blk += prod
+        if bias is not None:
+            blk += bias[lo:hi]
+        np.copyto(out[:, lo:hi], blk.reshape((len(blk), x.shape[0]) + x.shape[2:]).swapaxes(0, 1))
 
 
 def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
@@ -242,12 +253,16 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     # so the buffers sit above it in the heap, where the allocator can hand
     # them back on return. With the result allocated after them, peak RSS of
     # a training step rose by ~2%; with buffers allocated by each worker and
-    # the shards concatenated, by ~9%.
+    # the shards concatenated, by ~9%. Each shard's accumulator and product
+    # buffer hold ``rows`` output channels: the result cut into blocks of at
+    # most about _BLOCK_BYTES (at least one, for an empty batch), so on two
+    # cores each shard's pair fits a 2 MiB L2.
     out = np.empty((n, c_out) + spatial, dtype=xd.dtype)
+    rows = -(-c_out // max(1, -(-out.nbytes // _BLOCK_BYTES)))
     bias = None if b is None else b.data[:, None]
     jobs = []
     for lo, hi in zip(bounds, bounds[1:]):
-        acc = np.zeros((c_out, (hi - lo) * positions), dtype=xd.dtype)
+        acc = np.empty((rows, (hi - lo) * positions), dtype=xd.dtype)
         tmp = np.empty_like(acc)
         buf = np.empty((hi - lo,) + spatial, dtype=xd.dtype)
         jobs.append((xd[lo:hi], taps, bias, out[lo:hi], acc, tmp, buf))
@@ -780,9 +795,9 @@ class DDCLayer(Module):
         self.kernel_conv = PointwiseConv(channels, groups * kk, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
+        offsets = self.offset_conv(x)  # checks the input's rank and channels
         n, _, h, w = x.shape
         kk = self.kernel_size * self.kernel_size
-        offsets = self.offset_conv(x)
         kernels = reshape(self.kernel_conv(x), (n, self.groups, kk, h, w))
         return ddc_forward(x, offsets, kernels, self.kernel_size)
 
@@ -812,9 +827,9 @@ class Involution3D(Module):
         self.bias = Param(np.zeros(channels, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        n, _, t, h, w = x.shape
         k3 = self.kernel_size ** 3
-        kernels = reshape(self.span(gelu(self.reduce(x))), (n, self.groups, k3, t, h, w))
+        shape = x.shape[:1] + (self.groups, k3) + x.shape[2:]  # the op checks the rank
+        kernels = reshape(self.span(gelu(self.reduce(x))), shape)
         return involution3d_forward(x, kernels, self.bias, self.kernel_size)
 
 

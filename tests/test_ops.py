@@ -36,6 +36,22 @@ def shards(request, monkeypatch):
     return count
 
 
+@pytest.fixture
+def blocks(request, monkeypatch):
+    """Cap the exact-order conv forward's accumulators at ``request.param``
+    bytes, so even tiny shapes split their output channels into blocks.
+    Returns the (C_out, rows per block) pair of every contraction run."""
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", request.param)
+    runs, contract = [], ops._ordered_contract
+
+    def spy(w2, x, taps, bias, out, acc, *rest):
+        runs.append((len(w2), len(acc)))
+        contract(w2, x, taps, bias, out, acc, *rest)
+
+    monkeypatch.setattr(ops, "_ordered_contract", spy)
+    return runs
+
+
 # Each dtype unforced, under its usual id, then with 2 and 3 forced shards.
 SHARDED_DTYPES = [
     pytest.param(dtype, count, id=dtype.__name__ + ("" if count is None else f"-shards{count}"))
@@ -233,7 +249,31 @@ def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
         assert np.array_equal(_bits(out), _bits(ref))
 
 
-def test_sharded_forward_peak_bytes_match_serial():
+@pytest.mark.parametrize("blocks", [1, 1500], indirect=True, ids=lambda c: f"cap{c}")
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+def test_conv_bits_match_oracle_in_output_channel_blocks(dtype, shards, with_bias, blocks):
+    # The signed-zero oracle cases above (2D and 3D, K=1 and 3), with the
+    # output channels split into blocks: a partition, like the shards.
+    test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias)
+    test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(
+        dtype, shards, with_bias
+    )
+    if ops._BLOCK_BYTES == 1:
+        assert all(rows == 1 for _, rows in blocks)
+    else:  # blocks of 2 or 3 of C_out = 7 or 5 channels, the last one shorter
+        assert any(1 < rows < c_out and c_out % rows for c_out, rows in blocks)
+
+
+@pytest.mark.parametrize("blocks", [1, 200], indirect=True, ids=lambda c: f"cap{c}")
+@pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_blocked_conv_bits_match_oracle_for_any_batch(n, shards, blocks):
+    test_sharded_conv_bits_match_oracle_for_any_batch(n, shards)
+    assert n == 0 or any(rows < c_out for c_out, rows in blocks)
+
+
+def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
     # The calling thread allocates the result and every shard's buffers,
     # which together are as large as the serial ones.
     rng = np.random.default_rng(43)
@@ -260,9 +300,13 @@ def test_sharded_forward_peak_bytes_match_serial():
     # (32-64 KiB on short rows).
     result_bytes = 8 * 32 * 32 * 32 * 4
     slack = result_bytes // 8
+    # Accumulators capped at half the result: two blocks of 16 channels in
+    # one shard, one block of 16 channels for half the batch in each of two.
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", result_bytes // 2)
     serial = peak(1)
-    # The result, the accumulator and the product buffer, and little else.
-    assert 3 * result_bytes < serial <= 3 * result_bytes + slack
+    # The result plus one accumulator block and one product block per
+    # shard, and little else.
+    assert 2 * result_bytes < serial <= 2 * result_bytes + slack
     assert peak(2) <= serial + slack
 
 
@@ -655,6 +699,11 @@ def test_ddc_layer_constant_kernels_equal_standard_conv():
     assert np.max(np.abs(got - ref)) < 1e-6
 
 
+def test_ddc_layer_rejects_input_of_wrong_rank():
+    with pytest.raises(ShapeError, match="standard_conv: kernel sizes"):
+        ops.DDCLayer(4)(Tensor(np.zeros((1, 4, 4), dtype=np.float32)))
+
+
 def test_ddc_layer_gradcheck():
     rng = np.random.default_rng(20)
     layer = ops.DDCLayer(2, rng=rng, dtype=np.float64)
@@ -754,6 +803,11 @@ def test_involution_batch_permutation_equivariance():
     out = layer.forward(Tensor(x)).data
     out_perm = layer.forward(Tensor(x[perm])).data
     assert np.array_equal(out_perm, out[perm])
+
+
+def test_involution_layer_rejects_input_of_wrong_rank():
+    with pytest.raises(ShapeError, match="involution3d: input must be"):
+        ops.Involution3D(4)(Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32)))
 
 
 def test_involution_invalid_construction_rejected():
