@@ -101,10 +101,6 @@ def _write_json(path, doc):
     _emit_artifact(path)
 
 
-def _echo_config(out_dir: Path, model_cfg, train_cfg, extras: dict):
-    _write_json(out_dir / "config.json", {**asdict(model_cfg), **asdict(train_cfg), **extras})
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -148,8 +144,8 @@ def cmd_train(args) -> int:
         model, dataset, train_cfg, out_dir=out_dir,
         mask_threshold=args.mape_threshold, log=print if args.verbose else None,
     )
-    _echo_config(out_dir, model_cfg, train_cfg,
-                 {"data": str(args.data), "out": str(args.out)})
+    _write_json(out_dir / "config.json", {**asdict(model_cfg), **asdict(train_cfg),
+                                          "data": str(args.data), "out": str(args.out)})
     for name in ("best.ckpt", "record.jsonl", "summary.json"):
         _emit_artifact(out_dir / name)
     test = run.final["test"]["metrics"]
@@ -227,9 +223,7 @@ def _parse_shape(text) -> tuple:
         shape = tuple(int(s) for s in text.lower().replace("x", ",").split(","))
     except ValueError:
         raise UsageError(f"bad shape {text!r}; expected e.g. 1,4,2,32,32")
-    if len(shape) != 5:
-        raise UsageError(f"shape must have 5 dims (B,T,C,H,W), got {shape}")
-    return shape
+    return profile_mod._input_dims(shape)
 
 
 def cmd_profile(args) -> int:

@@ -155,15 +155,8 @@ def stats_from_windows(windows: Sequence[WindowSample]) -> ChannelStats:
     """Per-channel min/max over every frame a window set touches."""
     if not windows:
         raise ValueError("cannot compute stats from an empty window set")
-    c = windows[0].input.shape[1]
-    lo = np.full(c, np.inf, dtype=np.float32)
-    hi = np.full(c, -np.inf, dtype=np.float32)
-    for sample in windows:
-        lo = np.minimum(lo, sample.input.min(axis=(0, 2, 3)))
-        hi = np.maximum(hi, sample.input.max(axis=(0, 2, 3)))
-        lo = np.minimum(lo, sample.target.min(axis=(1, 2)))
-        hi = np.maximum(hi, sample.target.max(axis=(1, 2)))
-    return ChannelStats(minimum=lo, maximum=hi)
+    frames = np.concatenate([s.input for s in windows] + [s.target[None] for s in windows])
+    return ChannelStats(minimum=frames.min(axis=(0, 2, 3)), maximum=frames.max(axis=(0, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

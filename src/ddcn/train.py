@@ -47,7 +47,6 @@ __all__ = [
     "l1_loss",
     "AdamW",
     "iter_batches",
-    "eval_l1",
     "eval_metrics",
     "evaluate",
     "train_loop",
@@ -93,6 +92,8 @@ class TrainConfig(TypedConfig):
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be >= 1 or null, got {self.patience}")
         return self
@@ -213,12 +214,6 @@ def evaluate(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats, 
     return total / pred.size, compute_metrics(pred, actual, mask_threshold)
 
 
-def eval_l1(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
-            batch_size: int) -> float:
-    """Mean absolute error over all elements, in normalized space."""
-    return evaluate(model, windows, stats, batch_size)[0]
-
-
 def eval_metrics(model: DDCN, windows: Sequence[WindowSample], stats: ChannelStats,
                  batch_size: int, mask_threshold: float = MAPE_MASK_THRESHOLD) -> MetricsReport:
     """Denormalize predictions and score them against raw targets."""
@@ -278,11 +273,6 @@ def _first_nonfinite_param(model: DDCN) -> str:
     return "none (all parameter values and gradients finite)"
 
 
-def _split_report(model, windows, stats, batch_size, mask_threshold):
-    l1, report = evaluate(model, windows, stats, batch_size, mask_threshold)
-    return {"l1_normalized": l1, "metrics": report.to_dict()}
-
-
 def train_loop(
     model: DDCN,
     dataset: TrafficDataset,
@@ -295,10 +285,15 @@ def train_loop(
     ``errmap`` re-create), checkpoint the best validation epoch, and
     evaluate every split with the restored best parameters.
 
-    Raises NumericalError naming the first offending parameter if the loss
-    goes non-finite.
+    Raises ShapeError, before ``out_dir`` is created, if the dataset's
+    (C, H, W) is not the model's, and NumericalError naming the first
+    offending parameter if the loss goes non-finite.
     """
     cfg.validate()
+    expected = (model.config.in_channels, *model.grid_size)
+    if dataset.frames.shape[1:] != expected:
+        raise ShapeError(f"dataset frames are (C, H, W) = {dataset.frames.shape[1:]}, "
+                         f"model expects {expected}")
     windows = make_windows(dataset, model.config.input_steps)
     parts = split(windows)
     stats = stats_from_windows(parts.train)
@@ -336,7 +331,7 @@ def train_loop(
             seen += xb.shape[0]
         train_l1 = total / seen
         samples_per_s = seen / (time.perf_counter() - t0)
-        val_l1 = eval_l1(model, parts.val, stats, cfg.batch_size)
+        val_l1 = evaluate(model, parts.val, stats, cfg.batch_size)[0]
         records.append(
             EpochRecord(epoch, train_l1, val_l1, time.perf_counter() - t0, samples_per_s)
         )
@@ -352,21 +347,19 @@ def train_loop(
     if best_state is None:
         # Zero-epoch run: the initial parameters are the checkpoint.
         best_state = model.state()
-        best_val = eval_l1(model, parts.val, stats, cfg.batch_size)
+        best_val = evaluate(model, parts.val, stats, cfg.batch_size)[0]
         best_epoch = -1
     model.load_state(best_state)
 
-    final = {
-        name: _split_report(model, part, stats, cfg.batch_size, mask_threshold)
-        for name, part in zip(("train", "val", "test"), parts)
-    }
+    final = {}
+    for name, part in zip(("train", "val", "test"), parts):
+        l1, report = evaluate(model, part, stats, cfg.batch_size, mask_threshold)
+        final[name] = {"l1_normalized": l1, "metrics": report.to_dict()}
 
-    checkpoint_path = None
+    run = RunRecord(records, best_epoch, best_val, final)
     if out_dir is not None:
-        checkpoint_path = str(out_dir / "best.ckpt")
-        save_checkpoint(checkpoint_path, dict(model.named_params()))
-    run = RunRecord(records, best_epoch, best_val, final, checkpoint_path)
-    if out_dir is not None:
+        run.checkpoint_path = str(out_dir / "best.ckpt")
+        save_checkpoint(run.checkpoint_path, dict(model.named_params()))
         run.write_jsonl(out_dir / "record.jsonl")
         run.write_summary(out_dir / "summary.json")
     return run

@@ -86,6 +86,40 @@ def test_train_on_too_few_windows_exit_1_and_writes_nothing(capsys):
     assert not os.path.exists("run")
 
 
+def test_train_config_contradicting_dataset_exit_1_and_writes_nothing(capsys):
+    synth()  # 2 channels on an 8x8 grid
+    with open("c.json", "w") as f:
+        json.dump({"in_channels": 1}, f)
+    capsys.readouterr()
+    assert run_cli("train", "--config", "c.json", "--data", "data.grdt", "--out", "run",
+                   *TRAIN_FLAGS) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert "(2, 8, 8)" in captured.err and "(1, 8, 8)" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists("run")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["synth", "--out", "s.grdt", "--seed", "-1"], None),
+    (["train", "--data", "data.grdt", "--out", "run", "--seed", "-1"], None),
+    (["train", "--config", "neg.json", "--data", "data.grdt", "--out", "run"], None),
+    (["gradcheck", "--instances", "1"], "-2"),
+], ids=["synth_flag", "train_flag", "train_config", "gradcheck_env"])
+def test_negative_seed_is_usage_error(argv, env, monkeypatch, capsys):
+    synth()
+    with open("neg.json", "w") as f:
+        json.dump({"seed": -1}, f)
+    if env is not None:
+        monkeypatch.setenv("DDCN_SEED", env)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: seed must be >= 0, got {env or -1}\n"
+    assert captured.out == ""
+    assert not os.path.exists("s.grdt") and not os.path.exists("run")
+
+
 def test_train_writes_run_dir_and_lists_artifacts(capsys):
     synth()
     code = run_cli("train", "--data", "data.grdt", "--out", "run", *TRAIN_FLAGS)
@@ -294,6 +328,15 @@ def test_profile_report_and_json(capsys):
     assert doc["total_params"] == sum(l["params"] for l in doc["layers"])
     out = capsys.readouterr().out
     assert "TOTAL" in out
+
+
+def test_profile_time_prints_one_forward_line(capsys):
+    assert run_cli("profile", "--shape", "1,4,2,8,8", "--time") == 0
+    out = capsys.readouterr().out
+    assert "TOTAL" in out
+    timed = [line for line in out.splitlines() if line.startswith("one forward")]
+    assert len(timed) == 1
+    assert timed[0].startswith("one forward at (1, 4, 2, 8, 8):")
 
 
 def test_profile_search_reports_match(capsys):

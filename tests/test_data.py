@@ -120,6 +120,25 @@ def test_stats_train_only():
     assert np.array_equal(stats.maximum, ref_hi)
 
 
+@pytest.mark.parametrize("t_in, pick", [(1, slice(None, None, 3)), (4, slice(7, 8))],
+                         ids=["every_third", "single"])
+def test_stats_any_window_set(t_in, pick):
+    rng = np.random.default_rng(5)
+    frames = rng.uniform(0, 10, (30, 2, 3, 3)).astype(np.float32)
+    # Frame 2 is in no picked window; its extremes must not leak in.
+    frames[2, 0] = 1000.0
+    frames[2, 1] = 0.0
+    windows = make_windows(_dataset(frames), t_in)[pick]
+    stats = stats_from_windows(windows)
+    touched = [frame for s in windows for frame in (*s.input, s.target)]
+    for c in range(2):
+        values = [float(v) for frame in touched for v in frame[c].ravel()]
+        ref = np.array([min(values), max(values)], dtype=np.float32)
+        got = np.array([stats.minimum[c], stats.maximum[c]], dtype=np.float32)
+        assert got.view(np.uint32).tolist() == ref.view(np.uint32).tolist()
+    assert stats.minimum.dtype == stats.maximum.dtype == np.float32
+
+
 def test_synth_deterministic_and_nonnegative():
     spec = SynthSpec(height=8, width=6, steps=128, seed=7)
     a = synth_traffic(spec)

@@ -398,11 +398,14 @@ def _write_record(path, good):
 
 
 def _write_config(path, good):
-    from ddcn.cli import _echo_config
+    from dataclasses import asdict
+
+    from ddcn.cli import _write_json
     from ddcn.model import ModelConfig
     from ddcn.train import TrainConfig
 
-    _echo_config(path.parent, ModelConfig(), TrainConfig(), {"data": "x" if good else object()})
+    _write_json(path, {**asdict(ModelConfig()), **asdict(TrainConfig()),
+                       "data": "x" if good else object()})
 
 
 def _write_eval(path, good):

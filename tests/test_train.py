@@ -36,7 +36,6 @@ from ddcn.numerics import (
 from ddcn.train import (
     AdamW,
     TrainConfig,
-    eval_l1,
     eval_metrics,
     evaluate,
     finite_difference,
@@ -277,7 +276,6 @@ def test_evaluate_one_pass_matches_separate_l1_and_metrics_passes():
     assert sum(calls) == len(parts.test)  # each window predicted once
     assert l1 == total / count
     assert report == expected
-    assert eval_l1(model, parts.test, stats, 3) == l1
     assert eval_metrics(model, parts.test, stats, 3, mask_threshold=0.05) == report
 
 
@@ -299,6 +297,17 @@ def test_run_record_files(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["best_val_l1"] == run.best_val_l1
     assert set(summary["final"]) == {"train", "val", "test"}
+
+
+@pytest.mark.parametrize("in_channels, grid", [(1, (8, 8)), (2, (4, 8))],
+                         ids=["channels", "grid"])
+def test_train_loop_rejects_model_dataset_mismatch_before_out_dir(tmp_path, in_channels, grid):
+    model = DDCN(ModelConfig(in_channels=in_channels, embed_dim=8, depth=1), grid)
+    with pytest.raises(ShapeError) as exc:
+        train_loop(model, tiny_dataset(), TrainConfig(batch_size=8, epochs=1),
+                   out_dir=tmp_path / "run")
+    assert "(2, 8, 8)" in str(exc.value) and str((in_channels, *grid)) in str(exc.value)
+    assert not (tmp_path / "run").exists()
 
 
 def one_epoch_sha():
