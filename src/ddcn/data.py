@@ -152,11 +152,12 @@ def minmax_denormalize(x: np.ndarray, stats: ChannelStats) -> np.ndarray:
 
 
 def stats_from_windows(windows: Sequence[WindowSample]) -> ChannelStats:
-    """Per-channel min/max over every frame a window set touches."""
+    """Per-channel min/max over every frame a window set touches, copying no frame."""
     if not windows:
         raise ValueError("cannot compute stats from an empty window set")
-    frames = np.concatenate([s.input for s in windows] + [s.target[None] for s in windows])
-    return ChannelStats(minimum=frames.min(axis=(0, 2, 3)), maximum=frames.max(axis=(0, 2, 3)))
+    ext = np.array([(f.min(axis=(0, 2, 3)), f.max(axis=(0, 2, 3)))
+                    for s in windows for f in (s.input, s.target[None])])
+    return ChannelStats(minimum=ext[:, 0].min(axis=0), maximum=ext[:, 1].max(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dataset pipeline: normalization, windows, splits, synthesis, GRDT IO."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,25 @@ def test_stats_any_window_set(t_in, pick):
         got = np.array([stats.minimum[c], stats.maximum[c]], dtype=np.float32)
         assert got.view(np.uint32).tolist() == ref.view(np.uint32).tolist()
     assert stats.minimum.dtype == stats.maximum.dtype == np.float32
+
+
+def test_stats_peak_bytes_do_not_grow_with_the_window_count():
+    # Each window reduces to per-channel extremes, so a window adds a few
+    # small arrays to the peak. Copying the frames each window touches, as
+    # one concatenation does, adds T_in + 1 frames (40 KiB here) per window.
+    frames = np.random.default_rng(6).uniform(0, 10, (200, 2, 32, 32)).astype(np.float32)
+    windows = make_windows(_dataset(frames), 4)
+
+    def peak(ws):
+        tracemalloc.start()
+        try:
+            stats_from_windows(ws)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, every = peak(windows[:16]), peak(windows)
+    assert (every - few) / (len(windows) - 16) < frames[0].nbytes / 4
 
 
 def test_synth_deterministic_and_nonnegative():

@@ -258,10 +258,14 @@ def test_capture_sees_every_module_once_and_leaves_are_cost_rows(flags):
     assert ("blocks.0.st_att.att_op" in leaves) != cfg.use_involution3d
 
 
-def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_call(monkeypatch):
+@pytest.mark.parametrize("flags", [{}, dict(use_ddc=False, use_involution3d=False)],
+                         ids=["full", "ablation"])
+def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_call(flags,
+                                                                                  monkeypatch):
     # Pool threads run numpy only, so every tape entry, FLOP and capture of a
-    # sharded forward lands in the calling thread's scopes.
-    cfg = small_config(depth=2)
+    # sharded forward lands in the calling thread's scopes. The ablation
+    # model's shared convs shard too.
+    cfg = small_config(depth=2, **flags)
     model = DDCN(cfg, (8, 8), seed=6)
     shape = (4, 4, 2, 8, 8)
     x = Tensor(RNG(13).uniform(0, 1, shape).astype(np.float32))

@@ -228,6 +228,15 @@ def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(d
     w2.data[0] = -np.abs(w2.data[0])
     out2 = ops.standard_conv(x2, w2, b).data
     assert np.array_equal(_bits(out2), _bits(standard_conv_oracle(x2.data, w2.data, bd)))
+    # The shared conv, the core's one-channel case, on the same inputs: a
+    # non-positive filter sums only -0.0 products at all-zero positions.
+    b1 = _t(rng, (1,), dtype=dtype) if with_bias else None
+    for xs, ws in ((x, (3, 3, 3)), (x2, (3, 3))):
+        w1 = Tensor._wrap(-np.abs(_t(rng, ws, dtype=dtype).data))
+        out1 = ops.shared_conv(xs, w1, b1).data
+        ref1 = shared_conv_oracle(xs.data, w1.data, None if b1 is None else b1.data)
+        assert out1.flags.c_contiguous
+        assert np.array_equal(_bits(out1), _bits(ref1))
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
@@ -235,16 +244,23 @@ def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(d
 def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
     # Batches smaller than, equal to and not divisible by the shard count,
     # and an empty one: the partition never changes a bit.
+    # The shared conv shards the N*C planes, and its last two kernels are
+    # wider than the input: 5x5 on 4x4, and 3x3x3 on a size-1 axis.
     rng = np.random.default_rng(42)
-    for x_shape, w_shape in [((n, 3, 4, 5), (4, 3)), ((n, 3, 2, 3, 4), (4, 3)),
-                             ((n, 3, 4, 5), (4, 3, 3, 3)), ((n, 2, 3, 4, 4), (3, 2, 3, 3, 3))]:
+    pointwise = (ops.pointwise_conv, pointwise_conv_oracle)
+    standard = (ops.standard_conv, standard_conv_oracle)
+    shared = (ops.shared_conv, shared_conv_oracle)
+    for (op, oracle), x_shape, w_shape, b_shape in [
+        (pointwise, (n, 3, 4, 5), (4, 3), (4,)), (pointwise, (n, 3, 2, 3, 4), (4, 3), (4,)),
+        (standard, (n, 3, 4, 5), (4, 3, 3, 3), (4,)),
+        (standard, (n, 2, 3, 4, 4), (3, 2, 3, 3, 3), (3,)),
+        (shared, (n, 3, 4, 5), (3, 3), (1,)), (shared, (n, 2, 3, 4, 4), (3, 3, 3), (1,)),
+        (shared, (n, 2, 4, 4), (5, 5), (1,)), (shared, (n, 3, 1, 4, 4), (3, 3, 3), (1,)),
+    ]:
         x = Tensor._wrap(rng.uniform(-2.0, 2.0, x_shape).astype(np.float32))  # N=0 allowed
         w = _t(rng, w_shape, dtype=np.float32)
-        b = _t(rng, w_shape[:1], dtype=np.float32)
-        if len(w_shape) == 2:
-            out, ref = ops.pointwise_conv(x, w, b).data, pointwise_conv_oracle(x.data, w.data, b.data)
-        else:
-            out, ref = ops.standard_conv(x, w, b).data, standard_conv_oracle(x.data, w.data, b.data)
+        b = _t(rng, b_shape, dtype=np.float32)
+        out, ref = op(x, w, b).data, oracle(x.data, w.data, b.data)
         assert out.shape == ref.shape and out.flags.c_contiguous
         assert np.array_equal(_bits(out), _bits(ref))
 
@@ -281,14 +297,14 @@ def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
     w = _t(rng, (32, 64), dtype=np.float32)
     b = _t(rng, (32,), dtype=np.float32)
 
-    def peak(count):
+    def peak(count, op=ops.pointwise_conv, args=(x, w, b)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ops, "_SHARD_MIN_MACS", 0)
             mp.setattr(ops, "_POOL_SIZE", count)
-            ops.pointwise_conv(x, w, b)  # start the pool's threads untraced
+            op(*args)  # start the pool's threads untraced
             tracemalloc.start()
             try:
-                ops.pointwise_conv(x, w, b)
+                op(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -308,6 +324,14 @@ def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
     # shard, and little else.
     assert 2 * result_bytes < serial <= 2 * result_bytes + slack
     assert peak(2) <= serial + slack
+    # The shared conv's one output channel, its result as large as x, is
+    # blocked by batch element: four blocks, so the result plus a quarter of
+    # x each for the accumulator, the product and the row buffer.
+    shared = (ops.shared_conv,
+              (x, _t(rng, (3, 3), dtype=np.float32), _t(rng, (1,), dtype=np.float32)))
+    serial = peak(1, *shared)
+    assert x.data.nbytes < serial <= 1.75 * x.data.nbytes + slack
+    assert peak(2, *shared) <= serial + slack
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +680,17 @@ def test_dynamic_ops_reject_a_kernel_size_that_is_even_or_below_1(k):
         kernels = Tensor(np.zeros((1, 1, k ** 3, 3, 4, 4)))
         with pytest.raises(ShapeError, match="kernel sizes must be odd"):
             ops.involution3d_forward(x3, kernels, Tensor(np.zeros(2)), k)
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: ops.DDCLayer(2, kernel_size=2), (1, 2, 4, 4)),
+    (lambda: ops.DDCLayer(2, kernel_size=-1), (1, 2, 4, 4)),
+    (lambda: ops.Involution3D(4, kernel_size=2), (1, 4, 3, 4, 4)),
+], ids=["ddc-even", "ddc-negative", "involution-even"])
+def test_dynamic_layers_reject_a_kernel_size_that_is_even_or_below_1_by_the_first_call(make, shape):
+    # The layers leave the kernel size to their op's tap helper.
+    with pytest.raises(ShapeError, match="kernel sizes must be odd"):
+        make()(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------

@@ -310,9 +310,9 @@ def test_train_loop_rejects_model_dataset_mismatch_before_out_dir(tmp_path, in_c
     assert not (tmp_path / "run").exists()
 
 
-def one_epoch_sha():
+def one_epoch_sha(**flags):
     """SHA-256 of every parameter after one training epoch of a tiny DDCN."""
-    model = tiny_model(seed=3)
+    model = tiny_model(seed=3, **flags)
     train_loop(model, tiny_dataset(seed=3), TrainConfig(batch_size=8, epochs=1, seed=3))
     digest = hashlib.sha256()
     for name, p in model.named_params():
@@ -322,11 +322,13 @@ def one_epoch_sha():
 
 def test_training_bits_do_not_depend_on_shards_or_blas_threads(monkeypatch):
     monkeypatch.setattr(ops, "_SHARD_MIN_MACS", 0)
-    by_shards = set()
+    by_shards, ablation = set(), set()
     for count in (1, 2):
         monkeypatch.setattr(ops, "_POOL_SIZE", count)
         by_shards.add(one_epoch_sha())
-    assert len(by_shards) == 1
+        # The ablation model's shared convs shard their channel planes.
+        ablation.add(one_epoch_sha(use_ddc=False, use_involution3d=False))
+    assert len(by_shards) == len(ablation) == 1
     # The BLAS thread count is fixed when numpy loads, so each runs in its
     # own interpreter; these run the default partition.
     script = "import sys; sys.path[:0] = sys.argv[1:]; import test_train; print(test_train.one_epoch_sha())"
