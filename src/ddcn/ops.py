@@ -11,28 +11,35 @@ independent nested-loop oracles can reproduce outputs bit-for-bit. The
 pointwise convolution is the standard convolution's K=1 case, and the
 shared-filter convolution its one-channel case on the input's (N*C, 1,
 *spatial) planes: all three run one forward (``_conv_forward``), which
-evaluates the contracted order on channel-first rows.
-Each input channel's tap window is copied into one contiguous row, and every
-output channel takes ``w * row`` through a reused product buffer, so the
-additions happen in the contracted order as long, contiguous row updates.
-Above a work threshold the core splits the batch into shards, one per CPU up
-to 8, on one module-level thread pool. Every shard walks its output channels,
-and its batch where one channel is too long, in blocks sized so that a block's
-accumulator and product buffer stay in L2, and regenerates the rows for each
-block. Both splits are partitions, not orders: each output element sums within
-its own batch element and output channel, so the bits depend on neither the
-shard nor the block count. The calling thread allocates every buffer and keeps
-all tape, FLOP and probe bookkeeping; pool threads run numpy only.
+evaluates the contracted order, output element by output element, from +0
+over (input channel, tap) with the bias last. Above a work threshold the core
+splits the batch into shards, one per CPU up to 8, on one module-level thread
+pool. Each shard is one call of a compiled kernel (``exact_conv.c``, built
+with the system C compiler and cached per user by ``_load_kernel``), which
+packs each block of positions once and holds a tile of accumulators in
+registers across all terms, with one rounded multiply and one rounded add per
+term, so it has the bits of the scalar loop. Without a compiler, or for an
+input it does not take, the same order runs as a numpy loop: each input
+channel's tap window is copied into one contiguous row, and every output
+channel takes ``w * row`` through a reused product buffer, in output-channel
+blocks (and batch blocks where one channel is too long) sized so that a
+block's accumulator and product buffer stay in L2. Shards and blocks are
+partitions, not orders: each output element sums within its own batch
+element and output channel, so the bits depend on neither the path nor the
+shard or block count. The calling thread allocates every buffer and keeps
+all tape, FLOP and probe bookkeeping; pool threads run numpy or the kernel
+only.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
+(by ``_check_kernel_sizes``, which the dynamic layers' constructors call too)
 and owns their centred, row-major tap order: it gives each tap's displacement,
 which the deformable convolution samples around, and its window clipped to the
 input, so no zero-padded input or gradient is ever built. A read from the
-padding is an absent term: it would add an exact zero to a sum that starts at
-+0, which never changes the sum. Bilinear sampling has one primitive: a sparse
-(CSR) sampling matrix (``_sampling_matrix``), whose product sums each row's
-four corner terms from zero in the contracted corner order, and its backward
-(``_sampling_grads``). The deformable convolution samples each tap through it
-and accumulates the taps left to right; ``bilinear_sample``, the
+padding is the term ``w * (+0)``: for a finite weight an exact zero, which
+never changes a sum that starts at +0. Bilinear sampling has one primitive: a
+sparse (CSR) sampling matrix (``_sampling_matrix``), whose product sums each
+row's four corner terms from zero in the contracted corner order, and its
+backward (``_sampling_grads``). The deformable convolution samples each tap
+through it and accumulates the taps left to right; ``bilinear_sample``, the
 gradient-checked scalar op, is a one-position view of it.
 
 A taped call keeps only what its backward pass reads. The deformable
@@ -53,16 +60,24 @@ count, so training stays bit-reproducible per seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import itertools
 import math
 import os
+import platform
+import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from .numerics import (
     F32,
+    F64,
     Module,
     Param,
     ShapeError,
@@ -111,6 +126,74 @@ _POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
                  else os.cpu_count() or 1, 8)
 _POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
 
+# The compiled contraction (``exact_conv.c``), built by ``_load_kernel`` on
+# first use. Tests force the numpy contraction by clearing _NATIVE, and a
+# missing compiler by patching _CC.
+_NATIVE = True
+_CC = "cc"
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
+
+
+@functools.cache
+def _load_kernel() -> dict | None:
+    """The compiled exact-order contraction per dtype, or None.
+
+    Builds ``exact_conv.c`` with the system C compiler into
+    ``$XDG_CACHE_HOME/ddcn`` (else ``~/.cache/ddcn``, created mode 0700) and
+    loads it with ``ctypes``, which releases the GIL during each call. The
+    file is named by SHA-256 over the source, the flags, the compiler's
+    ``--version`` and the host CPU, so a cache shared between hosts never
+    loads a ``-march=native`` build for another CPU. A build writes a
+    temporary file and renames it into place, so processes building at once
+    leave one working file. Any failure (no compiler, a failed build, an
+    unwritable cache) returns None, silently: the numpy loop runs instead.
+    """
+    try:
+        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+        digest.update(" ".join(_CFLAGS).encode())
+        digest.update(subprocess.run([_CC, "--version"], capture_output=True, check=True,
+                                     timeout=60).stdout)
+        digest.update(platform.machine().encode())
+        try:
+            with open("/proc/cpuinfo", "rb") as f:
+                digest.update(next((line for line in f if line.startswith(b"flags")), b""))
+        except OSError:
+            pass
+        root = os.environ.get("XDG_CACHE_HOME", "")
+        cache = (Path(root) if os.path.isabs(root) else Path.home() / ".cache") / "ddcn"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        lib = cache / f"exact_conv-{digest.hexdigest()[:32]}.so"
+        if not lib.exists():
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                               capture_output=True, check=True, timeout=300)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        dll = ctypes.CDLL(str(lib))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    kernels = {}
+    for dtype, name in ((np.dtype(F32), "ddcn_contract_f32"), (np.dtype(F64), "ddcn_contract_f64")):
+        fn = getattr(dll, name)
+        fn.argtypes, fn.restype = [ctypes.c_void_p] * 5, ctypes.c_int
+        kernels[dtype] = fn
+    return kernels
+
+
+def _runs_compiled(x: np.ndarray) -> bool:
+    """Whether the compiled kernel contracts ``x``: a dtype it was built for
+    (native float32 or float64), aligned, at most three spatial axes, and a
+    C-contiguous plane (the last two)."""
+    (s1, s2), (t1, t2) = ((1,) + x.shape[2:])[-2:], ((0,) + x.strides[2:])[-2:]
+    return (_NATIVE and x.ndim <= 5 and x.flags.aligned
+            and (s2 == 1 or t2 == x.itemsize) and (s1 == 1 or t1 == s2 * x.itemsize)
+            and x.dtype in (_load_kernel() or {}))
+
 
 def _check_weights(op: str, x, *weights):
     for wt in weights:
@@ -123,20 +206,29 @@ def _check_weights(op: str, x, *weights):
 # ---------------------------------------------------------------------------
 
 
-def _ordered_contract(w2, x, taps, bias, out, acc, tmp, buf):
+def _ordered_contract(w2, x, taps, bias, out, *buffers):
     """out[n, co, pos] = sum_k w2[co, k] * row_k[n, pos] + bias[co], in ascending ``k``.
 
-    Row ``k`` is the k-th (channel, tap) window of (N, C, *spatial) ``x``
-    (``_window_rows``, through row buffer ``buf``). Blocks of ``len(buf)``
-    batch elements and ``len(acc)`` output channels partition the result,
-    like the shards. Each block's sum starts from the zero-filled ``acc`` and
-    adds one outer product ``w2[block, k] * row_k`` at a time through the
-    product buffer ``tmp``, bias last: the scalar oracle's order for every
-    output element. It is copied into the C-contiguous (N, C_out, *spatial)
-    ``out``: later pairwise reductions depend on memory layout, so the
-    result must not be a transposed view. Runs numpy only, so it may run on
-    a pool thread: it calls no primitive and enters no scope.
+    Row ``k`` is the k-th (channel, tap) window of (N, C, *spatial) ``x``,
+    zero where the tap leaves the input. The result goes into the
+    C-contiguous (N, C_out, *spatial) ``out``: later pairwise reductions
+    depend on memory layout, so it must not be a transposed view. Calls no
+    primitive and enters no scope, so it may run on a pool thread.
+
+    Without ``buffers``, the compiled kernel (``_load_kernel``) runs the
+    whole call, holding a tile of accumulators in registers across all
+    ``k``. With ``(acc, tmp, buf)``, numpy does: rows come from
+    ``_window_rows`` through row buffer ``buf``, blocks of ``len(buf)`` batch
+    elements and ``len(acc)`` output channels partition the result, like the
+    shards, and each block's sum starts from the zero-filled ``acc`` and adds
+    one outer product ``w2[block, k] * row_k`` at a time through the product
+    buffer ``tmp``, bias last. Both are the scalar oracle's order for every
+    output element, so their bits are equal.
     """
+    if not buffers:
+        _compiled_contract(w2, x, taps, bias, out)
+        return
+    acc, tmp, buf = buffers
     for n0 in range(0, len(x), len(buf)):
         xb, bb = x[n0:n0 + len(buf)], buf[:len(x) - n0]  # the last block may be shorter
         for lo in range(0, len(w2), len(acc)):
@@ -152,6 +244,25 @@ def _ordered_contract(w2, x, taps, bias, out, acc, tmp, buf):
                       blk.reshape((len(blk),) + bb.shape).swapaxes(0, 1))
 
 
+def _compiled_contract(w2, x, taps, bias, out):
+    """``_ordered_contract`` as one call of the compiled kernel, which reads
+    the strided ``x`` and each tap's clipped window in place."""
+    pad = 5 - x.ndim  # the kernel takes three spatial axes, led by size-1 ones
+    strides = [s // x.itemsize for s in x.strides]
+    geom = [len(x), x.shape[1], len(w2), len(taps), *(1,) * pad, *x.shape[2:],
+            strides[0], strides[1], strides[2] if pad == 0 else 0]
+    for _, ds, out_sl, _ in taps:
+        geom += (0, 0, 1) * pad
+        for d, sl in zip(ds, out_sl[1:]):
+            geom += (d, sl.start, sl.stop)
+    geom = np.array(geom, dtype=np.int64)
+    w2 = np.ascontiguousarray(w2)
+    bias = None if bias is None else np.ascontiguousarray(bias)  # alive through the call
+    if _load_kernel()[x.dtype](x.ctypes.data, w2.ctypes.data, None if bias is None else
+                               bias.ctypes.data, out.ctypes.data, geom.ctypes.data):
+        raise MemoryError("exact-order conv kernel: buffer allocation failed")
+
+
 def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
     """The row-major taps of a centred, shape-preserving kernel, one odd size
     per spatial axis, each clipped to the input.
@@ -162,13 +273,9 @@ def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
     per axis, the outputs it feeds and the equally shaped input block they
     read. The slices lead with an Ellipsis, so they index an (N, C, *spatial)
     array or a grouped reshape. Raises ShapeError unless ``ksizes`` holds one
-    odd size >= 1 per axis of ``spatial``.
+    odd size >= 1 per axis of ``spatial`` (``_check_kernel_sizes``).
     """
-    if len(ksizes) != len(spatial) or any(k < 1 or k % 2 == 0 for k in ksizes):
-        raise ShapeError(
-            f"{op}: kernel sizes must be odd and >= 1, one per spatial axis of {spatial}, "
-            f"got {ksizes}"
-        )
+    _check_kernel_sizes(op, ksizes, len(spatial))
     per_axis = []
     for s, k in zip(spatial, ksizes):
         axis = []
@@ -182,6 +289,17 @@ def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
         ds, out_sl, in_sl = zip(*axes)
         taps.append((i, ds, (...,) + out_sl, (...,) + in_sl))
     return taps
+
+
+def _check_kernel_sizes(op: str, ksizes: tuple, rank: int):
+    """The kernel-size rule of every tap operator, which ``_clipped_taps``
+    and the dynamic layers' constructors share: ``rank`` sizes, each odd and
+    >= 1. Raises ShapeError otherwise."""
+    if len(ksizes) != rank or any(k < 1 or k % 2 == 0 for k in ksizes):
+        raise ShapeError(
+            f"{op}: kernel sizes must be odd and >= 1, one per spatial axis ({rank}), "
+            f"got {ksizes}"
+        )
 
 
 def _centre_first(taps: list) -> list:
@@ -238,10 +356,11 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     macs = n * c_out * c_in * positions * len(taps)
     shards = max(1, min(n, _POOL_SIZE)) if macs >= _SHARD_MIN_MACS else 1
     bounds = [n * i // shards for i in range(shards + 1)]
-    # This thread allocates the result first and then every shard's buffers,
-    # so the buffers sit above it in the heap, where the allocator can hand
-    # them back on return. With the result allocated after them, peak RSS of
-    # a training step rose by ~2%; with buffers allocated by each worker and
+    # This thread allocates the result first and then, for the numpy loop,
+    # every shard's buffers (the compiled kernel takes none), so the buffers
+    # sit above the result in the heap, where the allocator can hand them
+    # back on return. With the result allocated after them, peak RSS of a
+    # training step rose by ~2%; with buffers allocated by each worker and
     # the shards concatenated, by ~9%. The result is cut into ``blocks`` of
     # at most about _BLOCK_BYTES (at least one): by output channel, and by
     # batch element too where a block would hold less than one channel (the
@@ -251,13 +370,14 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     blocks = max(1, -(-out.nbytes // _BLOCK_BYTES))
     rows = -(-c_out // blocks)
     bias = None if b is None else b.data[:, None]
+    compiled = _runs_compiled(xd)
     jobs = []
     for lo, hi in zip(bounds, bounds[1:]):
-        span = max(1, -(-(hi - lo) // -(-blocks // c_out)))
-        acc = np.empty((rows, span * positions), dtype=xd.dtype)
-        tmp = np.empty_like(acc)
-        buf = np.empty((span,) + spatial, dtype=xd.dtype)
-        jobs.append((xd[lo:hi], taps, bias, out[lo:hi], acc, tmp, buf))
+        jobs.append((xd[lo:hi], taps, bias, out[lo:hi]))
+        if not compiled:
+            span = max(1, -(-(hi - lo) // -(-blocks // c_out)))
+            acc = np.empty((rows, span * positions), dtype=xd.dtype)
+            jobs[-1] += (acc, np.empty_like(acc), np.empty((span,) + spatial, dtype=xd.dtype))
     w2 = wk.reshape(c_out, -1)
     futures = [_POOL.submit(_ordered_contract, w2, *job) for job in jobs[1:]]
     try:
@@ -787,6 +907,7 @@ class DDCLayer(Module):
     OFFSET_KERNEL = 3
 
     def __init__(self, channels, kernel_size=3, groups=1, rng=None, dtype=F32):
+        _check_kernel_sizes("ddc_forward", (kernel_size,) * 2, 2)
         if channels % groups != 0:
             raise ShapeError(f"groups {groups} must divide channels {channels}")
         self.kernel_size = kernel_size
@@ -813,6 +934,7 @@ class Involution3D(Module):
     """
 
     def __init__(self, channels, kernel_size=3, groups=1, reduction=4, rng=None, dtype=F32):
+        _check_kernel_sizes("involution3d", (kernel_size,) * 3, 3)
         if channels % reduction != 0:
             raise ShapeError(f"reduction {reduction} must divide channels {channels}")
         if channels % groups != 0:

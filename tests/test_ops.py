@@ -1,6 +1,11 @@
 """Operator correctness: identities, degeneracies, exact oracle equivalence."""
 
+import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +41,25 @@ def shards(request, monkeypatch):
     return count
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def path(request, monkeypatch):
+    """Run the exact-order conv forward through the compiled kernel or, with
+    _NATIVE cleared, the numpy loop. Skips the compiled path where no C
+    compiler built the kernel."""
+    if request.param == "numpy":
+        monkeypatch.setattr(ops, "_NATIVE", False)
+    elif ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    return request.param
+
+
 @pytest.fixture
 def blocks(request, monkeypatch):
     """Cap the exact-order conv forward's accumulators at ``request.param``
     bytes, so even tiny shapes split their output channels into blocks.
-    Returns the (C_out, rows per block) pair of every contraction run."""
+    Returns the (C_out, rows per block) pair of every contraction run.
+    Blocks and their buffers belong to the numpy loop, so this pins it."""
+    monkeypatch.setattr(ops, "_NATIVE", False)
     monkeypatch.setattr(ops, "_BLOCK_BYTES", request.param)
     runs, contract = [], ops._ordered_contract
 
@@ -73,6 +92,7 @@ def test_pointwise_scalar_affine():
     assert out.data.reshape(-1)[0] == 7.0
 
 
+@pytest.mark.usefixtures("path")
 def test_pointwise_identity():
     rng = np.random.default_rng(0)
     x = _t(rng, (2, 4, 3, 3), dtype=np.float32)
@@ -83,6 +103,7 @@ def test_pointwise_identity():
 
 
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+@pytest.mark.usefixtures("path")
 def test_pointwise_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(1)
     x = _t(rng, (1, 3, 4, 4), dtype=dtype)
@@ -92,6 +113,7 @@ def test_pointwise_matches_loop_oracle_exactly(dtype, shards):
     assert np.array_equal(out.data, pointwise_conv_oracle(x.data, w.data, b.data))
 
 
+@pytest.mark.usefixtures("path")
 def test_pointwise_3d_spatial_rank():
     rng = np.random.default_rng(2)
     x = _t(rng, (2, 3, 2, 3, 3))
@@ -112,6 +134,7 @@ def test_pointwise_channel_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("path")
 def test_standard_conv_k1_equals_pointwise_exactly():
     rng = np.random.default_rng(3)
     x = _t(rng, (2, 3, 4, 4), dtype=np.float32)
@@ -123,6 +146,7 @@ def test_standard_conv_k1_equals_pointwise_exactly():
     )
 
 
+@pytest.mark.usefixtures("path")
 def test_standard_conv_delta_kernel_identity():
     rng = np.random.default_rng(4)
     x = _t(rng, (2, 3, 5, 5), dtype=np.float32)
@@ -134,6 +158,7 @@ def test_standard_conv_delta_kernel_identity():
 
 
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+@pytest.mark.usefixtures("path")
 def test_standard_conv_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(5)
     x = _t(rng, (2, 3, 5, 4), dtype=dtype)
@@ -143,6 +168,7 @@ def test_standard_conv_matches_loop_oracle_exactly(dtype, shards):
     assert np.array_equal(out.data, standard_conv_oracle(x.data, w.data, b.data))
 
 
+@pytest.mark.usefixtures("path")
 def test_standard_conv3d_matches_loop_oracle_exactly():
     rng = np.random.default_rng(6)
     x = _t(rng, (1, 2, 3, 4, 4))
@@ -180,67 +206,96 @@ def _bits(a):
     return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
-def _signed_zero_case(rng, shape, dtype):
+def _subnormal(rng, a):
+    """``a`` with about half its entries scaled by the smallest normal number:
+    those below 1 in magnitude become subnormal, zeros keep their sign."""
+    return np.where(rng.random(a.shape) < 0.5, a * np.finfo(a.dtype).tiny, a).astype(a.dtype)
+
+
+def _signed_zero_case(rng, shape, dtype, subnormal=False):
     """A non-contiguous (N, C, T, H, W) input with an all-zero corner.
 
     The data is laid out (N, T, C, H, W) and viewed transposed (the axis
     swap ``STAttBlock`` makes, left as a strided view). About a third of the values are zero and a
     3x3x3 corner is zero in every channel, so zero inputs meet negative
-    weights and some outputs sum only -0.0 products.
+    weights and some outputs sum only -0.0 products. With ``subnormal``,
+    about half the values are scaled toward the subnormal range
+    (``_subnormal``).
     """
     n, c, t, h, w = shape
     base = rng.uniform(-2.0, 2.0, (n, t, c, h, w)).astype(dtype)
     base[rng.random(base.shape) < 0.3] = 0
     base[:, :3, :, :3, :3] = 0
+    if subnormal:
+        base = _subnormal(rng, base)
     view = base.transpose(0, 2, 1, 3, 4)
     assert not view.flags.c_contiguous
     return Tensor._wrap(view)
 
 
+def _weight(rng, shape, dtype, subnormal, negative_first=True):
+    """A weight (or bias) whose first output channel is non-positive, with
+    subnormal entries too if ``subnormal``."""
+    w = _t(rng, shape, dtype=dtype)
+    if negative_first:
+        w.data[0] = -np.abs(w.data[0])
+    if subnormal:
+        w.data[...] = _subnormal(rng, w.data)
+    return w
+
+
+# Each signed-zero case runs as is, then with subnormal inputs and weights:
+# products of two subnormals underflow to signed zeros, and sums of
+# subnormals are exact, so flushing either to zero changes bits.
 @pytest.mark.parametrize("with_bias", [False, True])
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+@pytest.mark.usefixtures("path")
 def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(40)
-    x = _signed_zero_case(rng, (2, 3, 4, 4, 5), dtype)
-    w = _t(rng, (7, 3), dtype=dtype)  # c_out > c_in
-    w.data[0] = -np.abs(w.data[0])  # at all-zero positions, channel 0 sums only -0.0
-    b = _t(rng, (7,), dtype=dtype) if with_bias else None
-    out = ops.pointwise_conv(x, w, b).data
-    ref = pointwise_conv_oracle(x.data, w.data, None if b is None else b.data)
-    assert out.flags.c_contiguous
-    assert np.array_equal(_bits(out), _bits(ref))
+    for subnormal in (False, True):
+        x = _signed_zero_case(rng, (2, 3, 4, 4, 5), dtype, subnormal)
+        # c_out > c_in; at all-zero positions, channel 0 sums only -0.0
+        w = _weight(rng, (7, 3), dtype, subnormal)
+        b = _weight(rng, (7,), dtype, subnormal, negative_first=False) if with_bias else None
+        out = ops.pointwise_conv(x, w, b).data
+        ref = pointwise_conv_oracle(x.data, w.data, None if b is None else b.data)
+        assert out.flags.c_contiguous
+        assert np.array_equal(_bits(out), _bits(ref))
 
 
 @pytest.mark.parametrize("with_bias", [False, True])
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
+@pytest.mark.usefixtures("path")
 def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(41)
-    x = _signed_zero_case(rng, (1, 2, 4, 5, 5), dtype)
-    b = _t(rng, (5,), dtype=dtype) if with_bias else None
-    bd = None if b is None else b.data
-    for w in (_t(rng, (5, 2, 3, 3, 3), dtype=dtype), _t(rng, (5, 2, 1, 1, 1), dtype=dtype)):
-        w.data[0] = -np.abs(w.data[0])
-        out = ops.standard_conv(x, w, b).data
-        assert out.flags.c_contiguous
-        assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, bd)))
-    x2 = Tensor._wrap(x.data[:, :, 0])  # 2D, still non-contiguous
-    w2 = _t(rng, (5, 2, 3, 3), dtype=dtype)
-    w2.data[0] = -np.abs(w2.data[0])
-    out2 = ops.standard_conv(x2, w2, b).data
-    assert np.array_equal(_bits(out2), _bits(standard_conv_oracle(x2.data, w2.data, bd)))
-    # The shared conv, the core's one-channel case, on the same inputs: a
-    # non-positive filter sums only -0.0 products at all-zero positions.
-    b1 = _t(rng, (1,), dtype=dtype) if with_bias else None
-    for xs, ws in ((x, (3, 3, 3)), (x2, (3, 3))):
-        w1 = Tensor._wrap(-np.abs(_t(rng, ws, dtype=dtype).data))
-        out1 = ops.shared_conv(xs, w1, b1).data
-        ref1 = shared_conv_oracle(xs.data, w1.data, None if b1 is None else b1.data)
-        assert out1.flags.c_contiguous
-        assert np.array_equal(_bits(out1), _bits(ref1))
+    for subnormal in (False, True):
+        x = _signed_zero_case(rng, (1, 2, 4, 5, 5), dtype, subnormal)
+        b = _weight(rng, (5,), dtype, subnormal, negative_first=False) if with_bias else None
+        bd = None if b is None else b.data
+        for shape in ((5, 2, 3, 3, 3), (5, 2, 1, 1, 1)):
+            w = _weight(rng, shape, dtype, subnormal)
+            out = ops.standard_conv(x, w, b).data
+            assert out.flags.c_contiguous
+            assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, bd)))
+        x2 = Tensor._wrap(x.data[:, :, 0])  # 2D, still non-contiguous
+        w2 = _weight(rng, (5, 2, 3, 3), dtype, subnormal)
+        out2 = ops.standard_conv(x2, w2, b).data
+        assert np.array_equal(_bits(out2), _bits(standard_conv_oracle(x2.data, w2.data, bd)))
+        # The shared conv, the core's one-channel case, on the same inputs: a
+        # non-positive filter sums only -0.0 products at all-zero positions.
+        b1 = _weight(rng, (1,), dtype, subnormal, negative_first=False) if with_bias else None
+        for xs, ws in ((x, (3, 3, 3)), (x2, (3, 3))):
+            w1 = _weight(rng, ws, dtype, subnormal, negative_first=False)
+            w1.data[...] = -np.abs(w1.data)
+            out1 = ops.shared_conv(xs, w1, b1).data
+            ref1 = shared_conv_oracle(xs.data, w1.data, None if b1 is None else b1.data)
+            assert out1.flags.c_contiguous
+            assert np.array_equal(_bits(out1), _bits(ref1))
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+@pytest.mark.usefixtures("path")
 def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
     # Batches smaller than, equal to and not divisible by the shard count,
     # and an empty one: the partition never changes a bit.
@@ -291,7 +346,9 @@ def test_blocked_conv_bits_match_oracle_for_any_batch(n, shards, blocks):
 
 def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
     # The calling thread allocates the result and every shard's buffers,
-    # which together are as large as the serial ones.
+    # which together are as large as the serial ones. The buffers are the
+    # numpy loop's, so this pins it.
+    monkeypatch.setattr(ops, "_NATIVE", False)
     rng = np.random.default_rng(43)
     x = _t(rng, (8, 64, 32, 32), dtype=np.float32)
     w = _t(rng, (32, 64), dtype=np.float32)
@@ -334,11 +391,142 @@ def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
     assert peak(2, *shared) <= serial + slack
 
 
+def test_compiled_forward_peak_is_its_result(monkeypatch):
+    # The compiled kernel allocates no accumulator, product or row buffer in
+    # Python: serial or sharded, a forward peaks at its result plus small
+    # objects (the kernel's int64 geometry, views, the extra shard's Future).
+    # The numpy loop's buffers take the pointwise conv to 2x its result and
+    # the shared conv to 1.75x.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    rng = np.random.default_rng(44)
+    x = _t(rng, (8, 64, 32, 32), dtype=np.float32)
+    pointwise = (ops.pointwise_conv, (x, _t(rng, (32, 64), dtype=np.float32),
+                                      _t(rng, (32,), dtype=np.float32)))
+    shared = (ops.shared_conv, (x, _t(rng, (3, 3), dtype=np.float32),
+                                _t(rng, (1,), dtype=np.float32)))
+    for op, args in (pointwise, shared):
+        result_bytes = op(*args).data.nbytes
+        slack = result_bytes // 64
+        peaks = []
+        for count in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+                mp.setattr(ops, "_POOL_SIZE", count)
+                op(*args)  # start the pool's threads untraced
+                tracemalloc.start()
+                try:
+                    op(*args)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert result_bytes <= peaks[0] <= result_bytes + slack
+        assert peaks[1] <= result_bytes + slack
+
+
+# ---------------------------------------------------------------------------
+# Building and loading the compiled kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """An empty kernel cache under ``tmp_path`` and a loader that has not
+    loaded anything yet. Returns the cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(ops, "_load_kernel", functools.cache(ops._load_kernel.__wrapped__))
+    return tmp_path / "ddcn"
+
+
+def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypatch):
+    calls, run = [], subprocess.run
+
+    def spy(argv, *args, **kwargs):
+        calls.append(list(argv))
+        return run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    assert any("-o" in argv for argv in calls)
+    built = sorted(fresh_loader.iterdir())
+    assert len(built) == 1 and fresh_loader.stat().st_mode & 0o777 == 0o700
+    # A second process: the compiler is asked for its version, the cache
+    # key, and nothing is built.
+    calls.clear()
+    ops._load_kernel.cache_clear()
+    assert ops._load_kernel() is not None
+    assert calls == [[ops._CC, "--version"]]
+    assert sorted(fresh_loader.iterdir()) == built
+
+
+@pytest.mark.parametrize("fault", ["missing-compiler", "failing-compiler", "unwritable-cache"])
+def test_kernel_fault_runs_the_numpy_loop_with_equal_bits_and_no_output(fault, fresh_loader,
+                                                                        tmp_path, monkeypatch,
+                                                                        capfd):
+    if fault == "missing-compiler":
+        monkeypatch.setattr(ops, "_CC", str(tmp_path / "no-such-cc"))
+    elif fault == "failing-compiler":
+        cc = tmp_path / "failing-cc"
+        cc.write_text('#!/bin/sh\nif [ "$1" = --version ]; then echo failing-cc 1.0; exit 0; fi\n'
+                      'echo "failing-cc: error" >&2\nexit 1\n')
+        cc.chmod(0o755)
+        monkeypatch.setattr(ops, "_CC", str(cc))
+    else:
+        fresh_loader.write_text("")  # a file where the cache directory goes
+    contract, runs = ops._ordered_contract, []
+
+    def spy(*args):
+        runs.append(len(args))
+        contract(*args)
+
+    monkeypatch.setattr(ops, "_ordered_contract", spy)
+    rng = np.random.default_rng(45)
+    x = _signed_zero_case(rng, (2, 3, 4, 4, 5), np.float32)
+    w = _weight(rng, (5, 3, 3, 3, 3), np.float32, subnormal=False)
+    b = _t(rng, (5,), dtype=np.float32)
+    out = ops.standard_conv(x, w, b).data
+    assert ops._load_kernel() is None
+    assert runs == [8]  # w2, x, taps, bias, out and the numpy loop's three buffers
+    assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, b.data)))
+    assert capfd.readouterr().err == ""
+    if fault == "failing-compiler":
+        assert list(fresh_loader.iterdir()) == []  # the temporary file is gone
+
+
+def test_two_processes_building_into_one_empty_cache_both_load_the_kernel(tmp_path):
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import numpy as np\n"
+        "from ddcn import ops\n"
+        "from ddcn.numerics import Tensor\n"
+        "if ops._load_kernel() is None: sys.exit('no kernel')\n"
+        "rng = np.random.default_rng(46)\n"
+        "x, w = (Tensor(rng.uniform(-2, 2, s).astype(np.float32)) for s in [(2, 3, 4, 5), (4, 3, 3, 3)])\n"
+        "out = ops.standard_conv(x, w).data\n"
+        "ops._NATIVE = False\n"
+        "sys.exit(0 if np.array_equal(out.view(np.uint32), ops.standard_conv(x, w).data.view(np.uint32)) else 'bits')\n"
+    )
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    src = str(Path(ops.__file__).parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", script, src], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
+    results = [(p.wait(timeout=300), p.stderr.read()) for p in procs]
+    for p in procs:
+        p.stdout.close()
+        p.stderr.close()
+    if any(err.strip() == "no kernel" for _, err in results):
+        pytest.skip("no C compiler built the exact-order kernel")
+    assert results == [(0, ""), (0, "")]
+    assert len(list((tmp_path / "ddcn").iterdir())) == 1
+
+
 # ---------------------------------------------------------------------------
 # Shared-filter convolution
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("path")
 def test_shared_conv_matches_oracle_2d_and_3d():
     rng = np.random.default_rng(8)
     x2 = _t(rng, (2, 3, 4, 4))
@@ -688,9 +876,18 @@ def test_dynamic_ops_reject_a_kernel_size_that_is_even_or_below_1(k):
     (lambda: ops.Involution3D(4, kernel_size=2), (1, 4, 3, 4, 4)),
 ], ids=["ddc-even", "ddc-negative", "involution-even"])
 def test_dynamic_layers_reject_a_kernel_size_that_is_even_or_below_1_by_the_first_call(make, shape):
-    # The layers leave the kernel size to their op's tap helper.
+    # The layers check the kernel size by their op's tap helper's rule.
     with pytest.raises(ShapeError, match="kernel sizes must be odd"):
         make()(Tensor(np.zeros(shape, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("layer", [ops.DDCLayer, ops.Involution3D])
+@pytest.mark.parametrize("k", [2, 0, -1])
+def test_dynamic_layers_reject_a_kernel_size_that_is_even_or_below_1_at_construction(layer, k):
+    # One rule with ``_clipped_taps``: no weight is drawn for K*K or K^3
+    # taps that are not there (K = -1 once asked numpy for -1 rows).
+    with pytest.raises(ShapeError, match="kernel sizes must be odd"):
+        layer(4, kernel_size=k)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +1054,7 @@ def test_involution_invalid_construction_rejected():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("path")
 def test_patch_embed_identity_when_p1_and_identity_projection():
     rng = np.random.default_rng(26)
     layer = ops.PatchEmbed(3, 1, 3, rng=rng, dtype=np.float64)
@@ -873,6 +1071,7 @@ def test_patch_embed_shape_contract():
     assert layer.forward(x).shape == (2, 4, 64, 8, 4)
 
 
+@pytest.mark.usefixtures("path")
 def test_patch_embed_matches_per_patch_matmul_oracle():
     rng = np.random.default_rng(28)
     layer = ops.PatchEmbed(2, 2, 5, rng=rng, dtype=np.float64)
@@ -895,6 +1094,7 @@ def test_patch_back_shape_contract():
     assert layer.forward(x).shape == (2, 2, 16, 8)
 
 
+@pytest.mark.usefixtures("path")
 def test_patch_back_identity_when_p1_t1():
     rng = np.random.default_rng(30)
     layer = ops.PatchBack(1, 3, 1, 3, rng=rng, dtype=np.float64)
