@@ -1,4 +1,7 @@
-/* The exact-order contraction of ddcn's fixed-weight convolutions.
+/* ddcn's compiled kernels: the exact-order contraction of the fixed-weight
+   convolutions, then the 3D involution's forward and VJP (further below).
+
+   The contraction:
 
    out[n, co, pos] = (...((+0 + w[co, 0] * v_0) + w[co, 1] * v_1) ...) + bias[co]
 
@@ -144,3 +147,236 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out, const 
 
 DEFINE_CONTRACT(float, f32)
 DEFINE_CONTRACT(double, f64)
+
+/* The 3D involution: per-position kernels shared by the channels of a group.
+
+   out[n, c, p] = (...((+0 + k[n, g, 0, p] * x[n, c, p + d_0]) + ...) + bias[c]
+
+   over the row-major taps whose read p + d_i stays in the (T, H, W) volume;
+   the other taps are skipped, not multiplied by zero, so a non-finite kernel
+   value at a clipped tap reaches no output. The VJP has the numpy VJP's
+   order for every element:
+
+   gx[n, c, p]        = g[n, c, p] * k[n, g, centre, p], then + g[n, c, p - d_i]
+                        * k[n, g, i, p - d_i] for the other taps in ascending i
+                        whose output p - d_i is in the volume;
+   g_kern[n, g, i, p] = +0, then + g[n, c, p] * x[n, c, p + d_i] for the
+                        group's channels c in ascending order if the read is in
+                        the volume, else +0.
+
+   One call runs one shard. Per (batch element, group), the kernels and the
+   group's channels of x (and g) are copied into zero-bordered rows, so every
+   tap reads whole vectors of a row, shifted by its x displacement, without
+   leaving the buffer; a lane whose tap is clipped along x keeps its sum
+   (``blend``). ``gi`` is int64: N, C, G, taps, T, H, W, then the element
+   strides of x (batch, channel, T), k (batch, group, tap, T) and g (batch,
+   channel, T), then per tap and axis (displacement d, first output, end
+   output) as for the contraction. Each (H, W) plane of x, k and g is
+   C-contiguous; out, gx and g_kern are C-contiguous. Returns 0, or -1 if a
+   buffer cannot be allocated. */
+
+enum { I_N, I_C, I_G, I_TAPS, I_T, I_H, I_W, I_SX, I_SK = I_SX + 3, I_SG = I_SK + 4,
+       I_TAP = I_SG + 3 };
+
+/* Whether tap ``tap`` feeds output row (t, y). */
+static int feeds(const int64_t *tap, int64_t t, int64_t y)
+{
+    return t >= tap[1] && t < tap[2] && y >= tap[4] && y < tap[5];
+}
+
+/* The largest x displacement of any tap: the zero border of a copied row. */
+static int64_t reach(const int64_t *gi)
+{
+    int64_t r = 0;
+    for (int64_t i = 0; i < gi[I_TAPS]; i++) {
+        const int64_t dx = gi[I_TAP + i * 9 + 6];
+        r = dx > r ? dx : -dx > r ? -dx : r;
+    }
+    return r;
+}
+
+#define DEFINE_INVOLUTION(T, I, SUFFIX)                                                     \
+typedef I ivec_##SUFFIX __attribute__((vector_size(VBYTES)));                               \
+enum { VL_##SUFFIX = VBYTES / sizeof(T) };                                                  \
+                                                                                            \
+static inline vec_##SUFFIX load_##SUFFIX(const T *p)                                        \
+{                                                                                           \
+    vec_##SUFFIX v;                                                                         \
+    memcpy(&v, p, sizeof v);                                                                \
+    return v;                                                                               \
+}                                                                                           \
+                                                                                            \
+/* The first ``len`` lanes of ``v`` to p. */                                               \
+static inline void store_##SUFFIX(T *p, vec_##SUFFIX v, int64_t len)                        \
+{                                                                                           \
+    if (len >= VL_##SUFFIX)                                                                 \
+        memcpy(p, &v, sizeof v);                                                            \
+    else                                                                                    \
+        memcpy(p, &v, len * sizeof(T));                                                     \
+}                                                                                           \
+                                                                                            \
+/* Lane l of ``in`` where j0 + l lies in [lo, hi), else lane l of ``out``. */              \
+static inline vec_##SUFFIX blend_##SUFFIX(int64_t j0, int64_t lo, int64_t hi,               \
+                                          vec_##SUFFIX in, vec_##SUFFIX out)                \
+{                                                                                           \
+    static const I iota[16] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};       \
+    ivec_##SUFFIX j;                                                                        \
+    memcpy(&j, iota, sizeof j);                                                             \
+    j += (I)j0;                                                                             \
+    const ivec_##SUFFIX m = (j >= (I)lo) & (j < (I)hi);                                     \
+    return (vec_##SUFFIX)((m & (ivec_##SUFFIX)in) | (~m & (ivec_##SUFFIX)out));             \
+}                                                                                           \
+                                                                                            \
+/* acc + prod in the lanes j0 + l of a row of w that lie in [lo, hi), acc elsewhere. */     \
+static inline vec_##SUFFIX add_in_##SUFFIX(int64_t j0, int64_t w, int64_t lo, int64_t hi,   \
+                                           vec_##SUFFIX acc, vec_##SUFFIX prod)             \
+{                                                                                           \
+    const int64_t end = j0 + VL_##SUFFIX < w ? j0 + VL_##SUFFIX : w;                        \
+    if (lo <= j0 && end <= hi)                                                              \
+        return acc + prod;                                                                  \
+    return blend_##SUFFIX(j0, lo, hi, acc + prod, acc);                                     \
+}                                                                                           \
+                                                                                            \
+/* Volumes [0, planes) of ``src`` (volume p at src + p * sp, its T slices of (H, W)       \
+   sp_t apart) into the zero-bordered rows of ``dst``: row (p, t, y) at ((p * T + t) * H    \
+   + y) * wp, the values at offset rx. */                                                   \
+static void pad_##SUFFIX(const T *src, int64_t sp, int64_t sp_t, int64_t planes,           \
+                         const int64_t *gi, int64_t rx, int64_t wp, T *dst)                 \
+{                                                                                           \
+    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W];                                   \
+    for (int64_t p = 0; p < planes; p++)                                                    \
+        for (int64_t t = 0; t < tt; t++)                                                    \
+            for (int64_t y = 0; y < h; y++)                                                 \
+                memcpy(dst + ((p * tt + t) * h + y) * wp + rx, src + p * sp + t * sp_t      \
+                       + y * w, w * sizeof(T));                                             \
+}                                                                                           \
+                                                                                            \
+int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,                \
+                             const int64_t *gi)                                             \
+{                                                                                           \
+    const int64_t c_all = gi[I_C], rep = c_all / gi[I_G], taps = gi[I_TAPS];               \
+    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W], *sx = gi + I_SX, *sk = gi + I_SK; \
+    const int64_t rx = reach(gi), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                 \
+    const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
+    if (gi[I_N] == 0 || plane == 0 || nv == 0)                                              \
+        return 0;                                                                           \
+    T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
+    if (!kp || !xp) {                                                                       \
+        free(kp);                                                                           \
+        free(xp);                                                                           \
+        return -1;                                                                          \
+    }                                                                                       \
+    for (int64_t n = 0; n < gi[I_N]; n++)                                                   \
+        for (int64_t grp = 0; grp < gi[I_G]; grp++) {                                       \
+            pad_##SUFFIX(k + n * sk[0] + grp * sk[1], sk[2], sk[3], taps, gi, rx, wp, kp);  \
+            pad_##SUFFIX(x + n * sx[0] + grp * rep * sx[1], sx[1], sx[2], rep, gi, rx, wp, \
+                         xp);                                                               \
+            for (int64_t t = 0; t < tt; t++)                                                \
+                for (int64_t y = 0; y < h; y++)                                             \
+                    for (int64_t r = 0; r < rep; r++) {                                     \
+                        const int64_t c = grp * rep + r;                                    \
+                        T *o = out + ((n * c_all + c) * tt + t) * h * w + y * w;            \
+                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
+                            vec_##SUFFIX acc = {0};                                         \
+                            for (int64_t i = 0; i < taps; i++) {                            \
+                                const int64_t *tap = gi + I_TAP + i * 9;                    \
+                                if (!feeds(tap, t, y) || tap[8] <= j0                       \
+                                    || tap[7] >= j0 + VL_##SUFFIX)                          \
+                                    continue;                                               \
+                                const T *kr = kp + i * plane + (t * h + y) * wp + rx + j0;  \
+                                const T *xr = xp + r * plane                                \
+                                              + ((t + tap[0]) * h + y + tap[3]) * wp + rx   \
+                                              + j0 + tap[6];                                \
+                                acc = add_in_##SUFFIX(j0, w, tap[7], tap[8], acc,           \
+                                                      load_##SUFFIX(kr)                     \
+                                                      * load_##SUFFIX(xr));                 \
+                            }                                                               \
+                            store_##SUFFIX(o + j0, acc + bias[c], w - j0);                  \
+                        }                                                                   \
+                    }                                                                       \
+        }                                                                                   \
+    free(kp);                                                                               \
+    free(xp);                                                                               \
+    return 0;                                                                               \
+}                                                                                           \
+                                                                                            \
+int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g_kern,     \
+                                 const int64_t *gi)                                         \
+{                                                                                           \
+    const int64_t c_all = gi[I_C], rep = c_all / gi[I_G], taps = gi[I_TAPS];               \
+    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W], centre = taps / 2;               \
+    const int64_t *sx = gi + I_SX, *sk = gi + I_SK, *sg = gi + I_SG;                        \
+    const int64_t rx = reach(gi), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                 \
+    const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
+    if (gi[I_N] == 0 || plane == 0 || nv == 0)                                              \
+        return 0;                                                                           \
+    T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
+    T *gp = calloc(rep * plane, sizeof(T));                                                 \
+    if (!kp || !xp || !gp) {                                                                \
+        free(kp);                                                                           \
+        free(xp);                                                                           \
+        free(gp);                                                                           \
+        return -1;                                                                          \
+    }                                                                                       \
+    const vec_##SUFFIX zero = {0};                                                          \
+    for (int64_t n = 0; n < gi[I_N]; n++)                                                   \
+        for (int64_t grp = 0; grp < gi[I_G]; grp++) {                                       \
+            pad_##SUFFIX(k + n * sk[0] + grp * sk[1], sk[2], sk[3], taps, gi, rx, wp, kp);  \
+            pad_##SUFFIX(x + n * sx[0] + grp * rep * sx[1], sx[1], sx[2], rep, gi, rx, wp, \
+                         xp);                                                               \
+            pad_##SUFFIX(g + n * sg[0] + grp * rep * sg[1], sg[1], sg[2], rep, gi, rx, wp, \
+                         gp);                                                               \
+            for (int64_t t = 0; t < tt; t++)                                                \
+                for (int64_t y = 0; y < h; y++) {                                           \
+                    const int64_t row = (t * h + y) * wp + rx;                              \
+                    for (int64_t r = 0; r < rep; r++) {                                     \
+                        const int64_t c = grp * rep + r;                                    \
+                        T *o = gx + ((n * c_all + c) * tt + t) * h * w + y * w;             \
+                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
+                            vec_##SUFFIX acc = load_##SUFFIX(gp + r * plane + row + j0)     \
+                                               * load_##SUFFIX(kp + centre * plane + row    \
+                                                               + j0);                       \
+                            for (int64_t i = 0; i < taps; i++) {                            \
+                                const int64_t *tap = gi + I_TAP + i * 9;                    \
+                                const int64_t ot = t - tap[0], oy = y - tap[3];             \
+                                const int64_t lo = tap[7] + tap[6], hi = tap[8] + tap[6];   \
+                                if (i == centre || !feeds(tap, ot, oy) || hi <= j0          \
+                                    || lo >= j0 + VL_##SUFFIX)                              \
+                                    continue;                                               \
+                                const int64_t at = (ot * h + oy) * wp + rx + j0 - tap[6];   \
+                                acc = add_in_##SUFFIX(j0, w, lo, hi, acc,                   \
+                                                      load_##SUFFIX(gp + r * plane + at)    \
+                                                      * load_##SUFFIX(kp + i * plane + at));\
+                            }                                                               \
+                            store_##SUFFIX(o + j0, acc, w - j0);                            \
+                        }                                                                   \
+                    }                                                                       \
+                    for (int64_t i = 0; i < taps; i++) {                                    \
+                        const int64_t *tap = gi + I_TAP + i * 9;                            \
+                        T *o = g_kern + (((n * gi[I_G] + grp) * taps + i) * tt + t) * h * w \
+                               + y * w;                                                     \
+                        if (!feeds(tap, t, y)) {                                            \
+                            memset(o, 0, w * sizeof(T));                                    \
+                            continue;                                                       \
+                        }                                                                   \
+                        const int64_t at = ((t + tap[0]) * h + y + tap[3]) * wp + rx        \
+                                           + tap[6];                                        \
+                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
+                            vec_##SUFFIX acc = zero;                                        \
+                            for (int64_t r = 0; r < rep; r++)                               \
+                                acc = acc + load_##SUFFIX(gp + r * plane + row + j0)        \
+                                            * load_##SUFFIX(xp + r * plane + at + j0);      \
+                            store_##SUFFIX(o + j0, blend_##SUFFIX(j0, tap[7], tap[8], acc,  \
+                                                                  zero), w - j0);           \
+                        }                                                                   \
+                    }                                                                       \
+                }                                                                           \
+        }                                                                                   \
+    free(kp);                                                                               \
+    free(xp);                                                                               \
+    free(gp);                                                                               \
+    return 0;                                                                               \
+}
+
+DEFINE_INVOLUTION(float, int32_t, f32)
+DEFINE_INVOLUTION(double, int64_t, f64)

@@ -28,19 +28,24 @@ partitions, not orders: each output element sums within its own batch
 element and output channel, so the bits depend on neither the path nor the
 shard or block count. The calling thread allocates every buffer and keeps
 all tape, FLOP and probe bookkeeping; pool threads run numpy or the kernel
-only.
+only. The 3D involution's forward and VJP run on the same file's involution
+entry points in batch shards on the same pool, when its input, kernels and
+output gradient are float32 or float64 with C-contiguous (H, W) planes;
+otherwise numpy loops over the taps run, with the same bits.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
 (by ``_check_kernel_sizes``, which the dynamic layers' constructors call too)
 and owns their centred, row-major tap order: it gives each tap's displacement,
 which the deformable convolution samples around, and its window clipped to the
 input, so no zero-padded input or gradient is ever built. A read from the
 padding is the term ``w * (+0)``: for a finite weight an exact zero, which
-never changes a sum that starts at +0. Bilinear sampling has one primitive: a
-sparse (CSR) sampling matrix (``_sampling_matrix``), whose product sums each
-row's four corner terms from zero in the contracted corner order, and its
-backward (``_sampling_grads``). The deformable convolution samples each tap
-through it and accumulates the taps left to right; ``bilinear_sample``, the
-gradient-checked scalar op, is a one-position view of it.
+never changes a sum that starts at +0. The involution skips such a term, so
+a non-finite kernel value at a clipped tap reaches no output. Bilinear
+sampling has one primitive: a sparse (CSR) sampling matrix
+(``_sampling_matrix``), whose product sums each row's four corner terms from
+zero in the contracted corner order, and its backward (``_sampling_grads``).
+The deformable convolution samples each tap through it and accumulates the
+taps left to right; ``bilinear_sample``, the gradient-checked scalar op, is a
+one-position view of it.
 
 A taped call keeps only what its backward pass reads. The deformable
 convolution keeps each tap's sampling matrix, not its samples: its kernel
@@ -55,7 +60,12 @@ validated against finite differences rather than an exact summation order.
 Backward channel contractions run as BLAS ``matmul``, and the deformable
 convolution scatters its input gradient through the transpose of each tap's
 sampling matrix. Both sum in the same order on every call for a fixed thread
-count, so training stays bit-reproducible per seed.
+count, so training stays bit-reproducible per seed. The involution VJP has
+one order on both of its paths: its input gradient takes the centre tap's
+``g * k`` and adds every other tap's in ``_centre_first`` order; its kernel
+gradient sums ``g * x`` over each group's channels in ascending order from +0
+(numpy's ``sum`` over a non-inner axis), +0 where the tap is clipped; its
+bias gradient is one whole-batch sum on the calling thread.
 """
 
 from __future__ import annotations
@@ -126,28 +136,33 @@ _POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
                  else os.cpu_count() or 1, 8)
 _POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
 
-# The compiled contraction (``exact_conv.c``), built by ``_load_kernel`` on
-# first use. Tests force the numpy contraction by clearing _NATIVE, and a
-# missing compiler by patching _CC.
+# The compiled kernels (``exact_conv.c``), built by ``_load_kernel`` on first
+# use. Tests force the numpy loops by clearing _NATIVE, and a missing
+# compiler by patching _CC.
 _NATIVE = True
 _CC = "cc"
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
+# The entry points of exact_conv.c, each built per dtype as ddcn_<name>_f32
+# and _f64, and their pointer-argument counts. Each returns 0, or -1 where it
+# could not allocate a buffer.
+_ENTRY_POINTS = {"contract": 5, "involution": 5, "involution_vjp": 6}
 
 
 @functools.cache
 def _load_kernel() -> dict | None:
-    """The compiled exact-order contraction per dtype, or None.
+    """The compiled kernels, keyed by (entry point, dtype), or None.
 
     Builds ``exact_conv.c`` with the system C compiler into
     ``$XDG_CACHE_HOME/ddcn`` (else ``~/.cache/ddcn``, created mode 0700) and
     loads it with ``ctypes``, which releases the GIL during each call. The
     file is named by SHA-256 over the source, the flags, the compiler's
     ``--version`` and the host CPU, so a cache shared between hosts never
-    loads a ``-march=native`` build for another CPU. A build writes a
+    loads a ``-march=native`` build for another CPU. The result holds every
+    entry point of _ENTRY_POINTS in float32 and float64. A build writes a
     temporary file and renames it into place, so processes building at once
     leave one working file. Any failure (no compiler, a failed build, an
-    unwritable cache) returns None, silently: the numpy loop runs instead.
+    unwritable cache) returns None, silently: the numpy loops run instead.
     """
     try:
         digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
@@ -178,21 +193,44 @@ def _load_kernel() -> dict | None:
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
     kernels = {}
-    for dtype, name in ((np.dtype(F32), "ddcn_contract_f32"), (np.dtype(F64), "ddcn_contract_f64")):
-        fn = getattr(dll, name)
-        fn.argtypes, fn.restype = [ctypes.c_void_p] * 5, ctypes.c_int
-        kernels[dtype] = fn
+    for name, args in _ENTRY_POINTS.items():
+        for dtype, suffix in ((np.dtype(F32), "f32"), (np.dtype(F64), "f64")):
+            fn = getattr(dll, f"ddcn_{name}_{suffix}")
+            fn.argtypes, fn.restype = [ctypes.c_void_p] * args, ctypes.c_int
+            kernels[name, dtype] = fn
     return kernels
 
 
-def _runs_compiled(x: np.ndarray) -> bool:
-    """Whether the compiled kernel contracts ``x``: a dtype it was built for
-    (native float32 or float64), aligned, at most three spatial axes, and a
-    C-contiguous plane (the last two)."""
-    (s1, s2), (t1, t2) = ((1,) + x.shape[2:])[-2:], ((0,) + x.strides[2:])[-2:]
-    return (_NATIVE and x.ndim <= 5 and x.flags.aligned
-            and (s2 == 1 or t2 == x.itemsize) and (s1 == 1 or t1 == s2 * x.itemsize)
-            and x.dtype in (_load_kernel() or {}))
+def _runs_compiled(*arrays: np.ndarray) -> bool:
+    """Whether the compiled kernels take ``arrays``: one dtype they were
+    built for (native float32 or float64), and each array aligned with a
+    C-contiguous plane (its last two axes past the batch and channel axes;
+    size 1 where it has fewer)."""
+    for a in arrays:
+        (s1, s2), (t1, t2) = ((1,) + a.shape[2:])[-2:], ((0,) + a.strides[2:])[-2:]
+        if not (a.dtype == arrays[0].dtype and a.flags.aligned
+                and (s2 == 1 or t2 == a.itemsize) and (s1 == 1 or t1 == s2 * a.itemsize)):
+            return False
+    return _NATIVE and ("contract", arrays[0].dtype) in (_load_kernel() or {})
+
+
+def _shard_bounds(n: int, macs: int) -> list:
+    """The batch bounds of the shards that a call of ``macs`` multiply-adds
+    over ``n`` batch elements runs in: one per pool thread (at most ``n``)
+    from _SHARD_MIN_MACS up, else one."""
+    shards = max(1, min(n, _POOL_SIZE)) if macs >= _SHARD_MIN_MACS else 1
+    return [n * i // shards for i in range(shards + 1)]
+
+
+def _run_shards(fn, jobs: list):
+    """``fn(*job)`` for every job: the first on this thread, the others on
+    _POOL. Waits for all of them, and re-raises the first error."""
+    futures = [_POOL.submit(fn, *job) for job in jobs[1:]]
+    try:
+        fn(*jobs[0])
+    finally:
+        for f in futures:
+            f.result()
 
 
 def _check_weights(op: str, x, *weights):
@@ -249,18 +287,27 @@ def _compiled_contract(w2, x, taps, bias, out):
     the strided ``x`` and each tap's clipped window in place."""
     pad = 5 - x.ndim  # the kernel takes three spatial axes, led by size-1 ones
     strides = [s // x.itemsize for s in x.strides]
-    geom = [len(x), x.shape[1], len(w2), len(taps), *(1,) * pad, *x.shape[2:],
-            strides[0], strides[1], strides[2] if pad == 0 else 0]
+    geom = np.array([len(x), x.shape[1], len(w2), len(taps), *(1,) * pad, *x.shape[2:],
+                     strides[0], strides[1], strides[2] if pad == 0 else 0,
+                     *_tap_geometry(taps, pad)], dtype=np.int64)
+    w2 = np.ascontiguousarray(w2)
+    bias = None if bias is None else np.ascontiguousarray(bias)  # alive through the call
+    contract = _load_kernel()["contract", x.dtype]
+    if contract(x.ctypes.data, w2.ctypes.data, None if bias is None else bias.ctypes.data,
+                out.ctypes.data, geom.ctypes.data):
+        raise MemoryError("exact-order conv kernel: buffer allocation failed")
+
+
+def _tap_geometry(taps: list, pad: int = 0) -> list:
+    """The compiled kernels' view of ``taps``: per tap and spatial axis, led
+    by ``pad`` axes of size 1, its displacement and the first and end output
+    it feeds."""
+    geom = []
     for _, ds, out_sl, _ in taps:
         geom += (0, 0, 1) * pad
         for d, sl in zip(ds, out_sl[1:]):
             geom += (d, sl.start, sl.stop)
-    geom = np.array(geom, dtype=np.int64)
-    w2 = np.ascontiguousarray(w2)
-    bias = None if bias is None else np.ascontiguousarray(bias)  # alive through the call
-    if _load_kernel()[x.dtype](x.ctypes.data, w2.ctypes.data, None if bias is None else
-                               bias.ctypes.data, out.ctypes.data, geom.ctypes.data):
-        raise MemoryError("exact-order conv kernel: buffer allocation failed")
+    return geom
 
 
 def _clipped_taps(op: str, spatial: tuple, ksizes: tuple) -> list:
@@ -300,6 +347,15 @@ def _check_kernel_sizes(op: str, ksizes: tuple, rank: int):
             f"{op}: kernel sizes must be odd and >= 1, one per spatial axis ({rank}), "
             f"got {ksizes}"
         )
+
+
+def _check_counts(**counts):
+    """The dynamic layers' rule for their channel, group and reduction
+    counts, checked before any is used as a divisor: each >= 1. Raises
+    ShapeError naming the first that is not."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ShapeError(f"{name} must be >= 1, got {value}")
 
 
 def _centre_first(taps: list) -> list:
@@ -354,8 +410,7 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     taps = _clipped_taps(op, spatial, wk.shape[2:])
     positions = math.prod(spatial)
     macs = n * c_out * c_in * positions * len(taps)
-    shards = max(1, min(n, _POOL_SIZE)) if macs >= _SHARD_MIN_MACS else 1
-    bounds = [n * i // shards for i in range(shards + 1)]
+    bounds = _shard_bounds(n, macs)
     # This thread allocates the result first and then, for the numpy loop,
     # every shard's buffers (the compiled kernel takes none), so the buffers
     # sit above the result in the heap, where the allocator can hand them
@@ -370,7 +425,7 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     blocks = max(1, -(-out.nbytes // _BLOCK_BYTES))
     rows = -(-c_out // blocks)
     bias = None if b is None else b.data[:, None]
-    compiled = _runs_compiled(xd)
+    compiled = xd.ndim <= 5 and _runs_compiled(xd)  # up to three spatial axes
     jobs = []
     for lo, hi in zip(bounds, bounds[1:]):
         jobs.append((xd[lo:hi], taps, bias, out[lo:hi]))
@@ -379,12 +434,7 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
             acc = np.empty((rows, span * positions), dtype=xd.dtype)
             jobs[-1] += (acc, np.empty_like(acc), np.empty((span,) + spatial, dtype=xd.dtype))
     w2 = wk.reshape(c_out, -1)
-    futures = [_POOL.submit(_ordered_contract, w2, *job) for job in jobs[1:]]
-    try:
-        _ordered_contract(w2, *jobs[0])
-    finally:
-        for f in futures:
-            f.result()
+    _run_shards(functools.partial(_ordered_contract, w2), jobs)
     add_flops(2 * macs)
     return out, taps
 
@@ -767,7 +817,22 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     kernels[n, g(c), tap, t, y, x] * x[n, c, t+dt-h, y+dy-h, x+dx-h]
     + bias[c], with h = (K-1)/2; reads outside the volume are absent terms
     (zero padding). Kernels are shared across the channels of each group and
-    left unnormalized.
+    left unnormalized. The result is C-contiguous.
+
+    Exact order (matched by the quintuple-loop oracle): each output element
+    sums from +0 over the taps in row-major order, then adds the bias. A tap
+    whose read leaves the volume is skipped, not multiplied by a zero, so a
+    non-finite kernel value there reaches no output. For float32 and float64
+    inputs and kernels with C-contiguous (H, W) planes, a compiled kernel
+    (``exact_conv.c``) runs the forward and the VJP in batch shards on the
+    conv pool; otherwise a numpy loop over the taps does, with the same bits.
+
+    The VJP reproduces the numpy loop's order on both paths: the input
+    gradient takes the centre tap's ``g * k`` and adds every other tap's in
+    ``_centre_first`` order into its clipped region; the kernel gradient of
+    tap i sums ``g * x`` over the group's channels in ascending order from
+    +0, and is +0 where the tap is clipped. The bias gradient is one
+    whole-batch sum on the calling thread, which a batch split would change.
     """
     xd, kd = x.data, kernels.data
     if xd.ndim != 5:
@@ -787,31 +852,78 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
 
     grouped = (n, groups, c // groups, t, h, w)
     taps = _clipped_taps("involution3d", (t, h, w), (kernel_size,) * 3)
-    x_g = xd.reshape(grouped)
-    out = np.zeros_like(xd)
-    out_g = out.reshape(grouped)
-    for i, _, out_sl, in_sl in taps:
-        out_g[out_sl] += kd[:, :, i, None][out_sl] * x_g[in_sl]
-    out += bias.data.reshape(1, c, 1, 1, 1)
-    add_flops(2 * xd.size * k3)
+    macs = xd.size * k3
+    if _runs_compiled(xd, kd):
+        out = np.empty(xd.shape, dtype=xd.dtype)
+        _compiled_involution("involution", taps, macs, xd, kd, None,
+                             np.ascontiguousarray(bias.data), out)
+    else:
+        x_g = xd.reshape(grouped)
+        out = np.zeros(xd.shape, dtype=xd.dtype)
+        out_g = out.reshape(grouped)
+        for i, _, out_sl, in_sl in taps:
+            out_g[out_sl] += kd[:, :, i, None][out_sl] * x_g[in_sl]
+        out += bias.data.reshape(1, c, 1, 1, 1)
+    add_flops(2 * macs)
 
     result = Tensor._wrap(out)
 
     def vjp(g):
-        x_g = xd.reshape(grouped)
-        g_g = g.reshape(grouped)
-        g_kern = np.zeros_like(kd)
-        gx = None
-        for i, _, out_sl, in_sl in _centre_first(taps):
-            g_out = g_g[out_sl]
-            g_kern[:, :, i][out_sl] = (g_out * x_g[in_sl]).sum(axis=2)
-            gx = _add_tap(gx, g_out * kd[:, :, i, None][out_sl], in_sl)
-        gx = gx.reshape(xd.shape)
+        # numpy's ``sum(axis=2)`` below adds a group's channels one at a time
+        # from +0, the compiled order, except over a tap region of one
+        # position: there the channel axis is its innermost loop, which sums
+        # 8 or more terms pairwise. Such calls keep the numpy VJP.
+        pairwise = c // groups >= 8 and any(
+            math.prod(sl.stop - sl.start for sl in out_sl[1:]) == 1 for _, _, out_sl, _ in taps
+        )
+        if not pairwise and _runs_compiled(xd, kd, g):
+            gx = np.empty(xd.shape, dtype=g.dtype)
+            g_kern = np.empty(kd.shape, dtype=g.dtype)
+            _compiled_involution("involution_vjp", taps, 2 * macs, xd, kd, g, gx, g_kern)
+        else:
+            x_g = xd.reshape(grouped)
+            g_g = g.reshape(grouped)
+            g_kern = np.zeros_like(kd)
+            gx = None
+            for i, _, out_sl, in_sl in _centre_first(taps):
+                g_out = g_g[out_sl]
+                g_kern[:, :, i][out_sl] = (g_out * x_g[in_sl]).sum(axis=2)
+                gx = _add_tap(gx, g_out * kd[:, :, i, None][out_sl], in_sl)
+            gx = gx.reshape(xd.shape)
         gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, g_kern, gb)
 
     record((x, kernels, bias), result, vjp)
     return result
+
+
+def _compiled_involution(name: str, taps: list, macs: int, xd, kd, g, *arrays):
+    """Runs the involution entry point ``name`` of ``exact_conv.c`` on
+    ``(xd, kd[, g], *arrays)`` in batch shards (``_shard_bounds`` of
+    ``macs``): "involution" with ``arrays`` = (bias, out), "involution_vjp"
+    with (gx, g_kern). Each shard gets its batch slice of every array but
+    the 1-D bias, and the calling thread allocated every result, so shards
+    write disjoint slices."""
+    fn = _load_kernel()[name, xd.dtype]
+    args = (xd, kd) + (() if g is None else (g,)) + arrays
+
+    def strides(a, axes):
+        return [s // a.itemsize for s in a.strides[:axes]]
+
+    geom = np.array([len(xd), xd.shape[1], kd.shape[1], len(taps), *xd.shape[2:],
+                     *strides(xd, 3), *strides(kd, 4),
+                     *((0, 0, 0) if g is None else strides(g, 3)), *_tap_geometry(taps)],
+                    dtype=np.int64)
+
+    def shard(lo, hi):
+        shard_geom = geom.copy()
+        shard_geom[0] = hi - lo
+        if fn(*(a[lo:hi].ctypes.data if a.ndim > 1 else a.ctypes.data for a in args),
+              shard_geom.ctypes.data):
+            raise MemoryError("involution kernel: buffer allocation failed")
+
+    bounds = _shard_bounds(len(xd), macs)
+    _run_shards(shard, list(zip(bounds, bounds[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +1020,7 @@ class DDCLayer(Module):
 
     def __init__(self, channels, kernel_size=3, groups=1, rng=None, dtype=F32):
         _check_kernel_sizes("ddc_forward", (kernel_size,) * 2, 2)
+        _check_counts(channels=channels, groups=groups)
         if channels % groups != 0:
             raise ShapeError(f"groups {groups} must divide channels {channels}")
         self.kernel_size = kernel_size
@@ -935,6 +1048,7 @@ class Involution3D(Module):
 
     def __init__(self, channels, kernel_size=3, groups=1, reduction=4, rng=None, dtype=F32):
         _check_kernel_sizes("involution3d", (kernel_size,) * 3, 3)
+        _check_counts(channels=channels, groups=groups, reduction=reduction)
         if channels % reduction != 0:
             raise ShapeError(f"reduction {reduction} must divide channels {channels}")
         if channels % groups != 0:

@@ -43,9 +43,9 @@ def shards(request, monkeypatch):
 
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request, monkeypatch):
-    """Run the exact-order conv forward through the compiled kernel or, with
-    _NATIVE cleared, the numpy loop. Skips the compiled path where no C
-    compiler built the kernel."""
+    """Run the compiled kernels (the exact-order conv forward, the involution
+    forward and VJP) or, with _NATIVE cleared, the numpy loops. Skips the
+    compiled path where no C compiler built the kernels."""
     if request.param == "numpy":
         monkeypatch.setattr(ops, "_NATIVE", False)
     elif ops._load_kernel() is None:
@@ -183,6 +183,7 @@ def test_standard_conv3d_matches_loop_oracle_exactly():
     (ops.shared_conv, [(2, 2, 2, 3, 4), (5, 3, 1), (1,)]),
     (lambda x, k, b: ops.involution3d_forward(x, k, b, 3), [(1, 2, 1, 2, 3), (1, 1, 27, 1, 2, 3), (2,)]),
 ], ids=["standard_conv", "shared_conv", "involution3d"])
+@pytest.mark.usefixtures("path")
 def test_clipped_tap_gradients_match_finite_differences(op, shapes):
     # Kernels wider than the input: the outer taps of the size-2 (size-1)
     # axis miss the input entirely, and every other tap is clipped.
@@ -446,8 +447,12 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypat
         return run(argv, *args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", spy)
-    if ops._load_kernel() is None:
+    kernels = ops._load_kernel()
+    if kernels is None:
         pytest.skip("no C compiler built the exact-order kernel")
+    assert set(kernels) == {(name, np.dtype(dtype))
+                            for name in ("contract", "involution", "involution_vjp")
+                            for dtype in (np.float32, np.float64)}
     assert any("-o" in argv for argv in calls)
     built = sorted(fresh_loader.iterdir())
     assert len(built) == 1 and fresh_loader.stat().st_mode & 0o777 == 0o700
@@ -486,9 +491,20 @@ def test_kernel_fault_runs_the_numpy_loop_with_equal_bits_and_no_output(fault, f
     w = _weight(rng, (5, 3, 3, 3, 3), np.float32, subnormal=False)
     b = _t(rng, (5,), dtype=np.float32)
     out = ops.standard_conv(x, w, b).data
+    # The involution, forward and backward, runs its numpy loops.
+    xi = _signed_zero_case(rng, (2, 4, 3, 4, 5), np.float32)
+    ki = _weight(rng, (2, 2, 27, 3, 4, 5), np.float32, subnormal=False)
+    bi = _t(rng, (4,), dtype=np.float32)
+    with Tape() as tape:
+        out_i = ops.involution3d_forward(xi, ki, bi, 3)
+        loss = reduce_sum(out_i)
+    backward(loss, tape)
     assert ops._load_kernel() is None
     assert runs == [8]  # w2, x, taps, bias, out and the numpy loop's three buffers
     assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, b.data)))
+    assert np.array_equal(_bits(out_i.data),
+                          _bits(involution3d_oracle(xi.data, ki.data, bi.data, 3)))
+    assert all(t.grad.shape == t.data.shape for t in (xi, ki, bi))
     assert capfd.readouterr().err == ""
     if fault == "failing-compiler":
         assert list(fresh_loader.iterdir()) == []  # the temporary file is gone
@@ -747,6 +763,7 @@ def test_ddc_tape_bytes_bounded():
     (lambda x, k, b: ops.involution3d_forward(x, k, b, 3),
      [(2, 8, 4, 8, 8), (2, 1, 27, 4, 8, 8), (8,)]),
 ], ids=["standard_conv", "shared_conv3d", "involution3d"])
+@pytest.mark.usefixtures("path")
 def test_conv_tape_holds_no_padded_copy(op, shapes):
     # Each VJP reads the input it already holds through clipped tap slices,
     # so a taped call keeps only small index objects beyond its output
@@ -774,6 +791,7 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
      [(2, 16, 4, 16, 16), (2, 1, 27, 4, 16, 16), (16,)], 5.0),
     (lambda x, w: ops.pointwise_conv(x, w), [(8, 64, 8, 8), (32, 64)], 1.25),
 ], ids=["standard_conv", "shared_conv2d", "shared_conv3d", "involution3d", "pointwise_conv"])
+@pytest.mark.usefixtures("path")
 def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     # Peak bytes a VJP allocates, as a multiple of its input's bytes. Taps
     # are clipped to the input, so no zero-padded input or gradient exists:
@@ -890,6 +908,22 @@ def test_dynamic_layers_reject_a_kernel_size_that_is_even_or_below_1_at_construc
         layer(4, kernel_size=k)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: ops.DDCLayer(8, groups=v), "groups"),
+    (lambda v: ops.Involution3D(8, groups=v), "groups"),
+    (lambda v: ops.Involution3D(8, reduction=v), "reduction"),
+    (lambda v: ops.DDCLayer(v), "channels"),
+    (lambda v: ops.Involution3D(v), "channels"),
+], ids=["ddc-groups", "involution-groups", "involution-reduction", "ddc-channels",
+        "involution-channels"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_dynamic_layers_reject_a_count_below_1_at_construction(make, name, value):
+    # Checked before the count divides anything: 0 once raised
+    # ZeroDivisionError, a negative count numpy's "negative dimensions".
+    with pytest.raises(ShapeError, match=f"{name} must be >= 1, got {value}"):
+        make(value)
+
+
 # ---------------------------------------------------------------------------
 # DDC layer (both branches)
 # ---------------------------------------------------------------------------
@@ -996,6 +1030,7 @@ def test_involution_zero_kernels_bias_half():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("path")
 def test_involution_agg_matches_quintuple_loop_oracle(dtype):
     rng = np.random.default_rng(23)
     x = _t(rng, (1, 2, 3, 4, 4), dtype=dtype)
@@ -1005,6 +1040,145 @@ def test_involution_agg_matches_quintuple_loop_oracle(dtype):
     assert np.array_equal(
         out.data, involution3d_oracle(x.data, kernels.data, bias.data, 3)
     )
+
+
+# Each dtype with 1, 2 and 3 forced shards.
+INVOLUTION_SHARDS = [
+    pytest.param(dtype, count, id=f"{dtype.__name__}-shards{count}")
+    for count in (1, 2, 3)
+    for dtype in (np.float32, np.float64)
+]
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("dtype, shards", INVOLUTION_SHARDS, indirect=["shards"])
+@pytest.mark.usefixtures("path")
+def test_involution_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, groups):
+    # Taps clipped on a size-2 axis (T) and a size-1 axis (H) of a strided
+    # input with all-zero regions, met by batch 0's non-positive kernels, so
+    # some outputs sum only -0.0 products; then subnormal inputs and weights.
+    rng = np.random.default_rng(47)
+    for subnormal in (False, True):
+        for shape in ((3, 4, 2, 1, 5), (2, 4, 3, 4, 5)):
+            x = _signed_zero_case(rng, shape, dtype, subnormal)
+            kernels = _weight(rng, (shape[0], groups, 27) + shape[2:], dtype, subnormal)
+            bias = _weight(rng, shape[1:2], dtype, subnormal, negative_first=False)
+            out = ops.involution3d_forward(x, kernels, bias, 3).data
+            ref = involution3d_oracle(x.data, kernels.data, bias.data, 3)
+            assert out.flags.c_contiguous
+            assert np.array_equal(_bits(out), _bits(ref))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.usefixtures("path")
+def test_involution_skips_a_non_finite_kernel_at_a_clipped_tap(value):
+    # A tap whose read leaves the volume is an absent term, not k * (+0):
+    # on both paths the result is the oracle's with those kernel values 0.
+    rng = np.random.default_rng(48)
+    x = _t(rng, (2, 4, 2, 3, 4), dtype=np.float32)
+    kernels = _t(rng, (2, 2, 27, 2, 3, 4), lo=-1.0, hi=1.0, dtype=np.float32)
+    kernels.data[:, :, 0, 0] = value  # tap (-1, -1, -1) at t = 0 reads t = -1
+    kernels.data[:, :, 26, :, :, -1] = value  # tap (1, 1, 1) at the last column
+    bias = _t(rng, (4,), dtype=np.float32)
+    out = ops.involution3d_forward(x, kernels, bias, 3).data
+    finite = np.where(np.isfinite(kernels.data), kernels.data, 0).astype(np.float32)
+    assert np.isfinite(out).all()
+    assert np.array_equal(_bits(out), _bits(involution3d_oracle(x.data, finite, bias.data, 3)))
+
+
+def _vjp_bits_match_numpy(vjp, g, monkeypatch):
+    """Runs ``vjp`` on the compiled path and, with _NATIVE cleared, on the
+    numpy path, and asserts equal bits for every gradient."""
+    compiled = vjp(g)
+    with monkeypatch.context() as mp:
+        mp.setattr(ops, "_NATIVE", False)
+        reference = vjp(g)
+    for got, want in zip(compiled, reference, strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _signed_zeros(rng, shape, dtype):
+    """Uniform values in (-1, 1), a third of them +0.0 or -0.0."""
+    a = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    a[rng.random(shape) < 0.15] = 0
+    a[rng.random(shape) < 0.15] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_involution_vjp_bits_match_numpy_for_any_batch(n, shards, monkeypatch):
+    # Batches smaller than, equal to and not divisible by the shard count,
+    # and an empty one; one and several groups; taps clipped on size-1 and
+    # size-2 axes; and a group of 8 channels over one-position tap regions,
+    # where numpy's channel sum turns pairwise and the numpy VJP runs.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    vjps = []
+    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+    rng = np.random.default_rng(49)
+    for dtype, (c, t, h, w), groups in [
+        (np.float32, (4, 3, 4, 5), 1), (np.float64, (6, 1, 2, 5), 2),
+        (np.float32, (9, 2, 3, 4), 3), (np.float64, (8, 2, 2, 2), 1),
+    ]:
+        x = Tensor._wrap(_signed_zeros(rng, (n, c, t, h, w), dtype))
+        kernels = Tensor._wrap(_signed_zeros(rng, (n, groups, 27, t, h, w), dtype))
+        bias = Tensor._wrap(_signed_zeros(rng, (c,), dtype))
+        ops.involution3d_forward(x, kernels, bias, 3)
+        _vjp_bits_match_numpy(vjps[-1], _signed_zeros(rng, (n, c, t, h, w), dtype), monkeypatch)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "strided-plane"])
+def test_involution_vjp_bits_match_numpy_for_a_non_contiguous_output_gradient(layout,
+                                                                                monkeypatch):
+    # A transposed gradient keeps C-contiguous planes and runs compiled; one
+    # with a strided plane runs the numpy VJP.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    vjps = []
+    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+    rng = np.random.default_rng(50)
+    n, c, t, h, w = 3, 4, 3, 4, 5
+    x = Tensor._wrap(_signed_zeros(rng, (n, c, t, h, w), np.float32))
+    kernels = Tensor._wrap(_signed_zeros(rng, (n, 2, 27, t, h, w), np.float32))
+    ops.involution3d_forward(x, kernels, Tensor._wrap(_signed_zeros(rng, (c,), np.float32)), 3)
+    if layout == "transposed":
+        g = _signed_zeros(rng, (n, t, c, h, w), np.float32).transpose(0, 2, 1, 3, 4)
+    else:
+        g = _signed_zeros(rng, (n, c, t, h, 2 * w), np.float32)[..., ::2]
+    assert not g.flags.c_contiguous
+    assert ops._runs_compiled(x.data, kernels.data, g) == (layout == "transposed")
+    _vjp_bits_match_numpy(vjps[0], g, monkeypatch)
+
+
+def test_compiled_involution_vjp_peak_is_its_gradients(monkeypatch):
+    # The calling thread allocates the input and kernel gradients, and the
+    # shards write into them: serial or sharded, a VJP peaks at those two
+    # plus small objects (the bias gradient, the geometry, views, Futures).
+    # The numpy VJP's per-tap temporaries add at least a third of the input.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    vjps = []
+    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+    rng = np.random.default_rng(51)
+    args = [_t(rng, s, dtype=np.float32) for s in [(4, 32, 4, 16, 16), (4, 1, 27, 4, 16, 16),
+                                                    (32,)]]
+    ops.involution3d_forward(*args, 3)
+    g = rng.uniform(-1, 1, args[0].shape).astype(np.float32)
+    grads = args[0].data.nbytes + args[1].data.nbytes
+    for count in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+            mp.setattr(ops, "_POOL_SIZE", count)
+            vjps[0](g)  # start the pool's threads untraced
+            tracemalloc.start()
+            try:
+                vjps[0](g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert grads <= peak <= grads + grads // 64
 
 
 def test_involution_layer_gradcheck():
