@@ -1,5 +1,6 @@
 /* ddcn's compiled kernels: the exact-order contraction of the fixed-weight
-   convolutions, then the 3D involution's forward and VJP (further below).
+   convolutions, then the forwards and VJPs of the 3D involution and of the
+   deformable dynamic convolution (further below).
 
    The contraction:
 
@@ -380,3 +381,227 @@ int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g
 
 DEFINE_INVOLUTION(float, int32_t, f32)
 DEFINE_INVOLUTION(double, int64_t, f64)
+
+/* The deformable dynamic convolution (DDC): per-position kernels applied at
+   offset-displaced bilinear samples.
+
+   out[n, c, p] = (...((+0 + k[n, g, 0, p] * s_0) + k[n, g, 1, p] * s_1) ...)
+
+   over the row-major taps i, where s_i samples channel c at r = (y + dy_i) +
+   off[n, 2i, p], q = (x + dx_i) + off[n, 2i + 1, p]:
+
+   s = (((+0 + w00 * v00) + w01 * v01) + w10 * v10) + w11 * v11
+
+   with r0 = floor(r), wr = r - r0 (likewise q0, wq), w00 = (1 - wr)(1 - wq),
+   w01 = (1 - wr) wq, w10 = wr (1 - wq), w11 = wr wq, and v_ab the input at
+   (r0 + a, q0 + b), or +0 (still multiplied) where that cell is off the grid.
+   That is ``ddc_oracle``'s order. Whether a cell is on the grid is decided on
+   the floats, so a NaN or infinite coordinate reads no cell and gives NaN.
+
+   The VJP has one order of its own, which no shard count or address changes.
+   Per batch element, positions row-major, taps ascending and groups
+   ascending, with gs = g * k: the input gradient at the four corners adds
+   w_ab * gs in order 00, 01, 10, 11; q_ab sums g * v_ab over the group's
+   channels, lane l of VL taking channels l, l + VL, ... from +0, then the
+   lanes in ascending order from +0; g_kern = (((+0 + w00 q00) + w01 q01) +
+   w10 q10) + w11 q11 and p_ab = k * q_ab summed over the groups from +0. Then
+   g_r = (p10 - p00)(1 - wq) + (p11 - p01) wq and g_q = (p01 - p00)(1 - wr) +
+   (p11 - p10) wr.
+
+   One call runs one shard. Per batch element, x (and g) are copied into
+   channel-last rows of ``cs`` elements, each group's channels padded with
+   zeros to whole vectors, plus one zero row that off-grid corners read (and
+   whose gradient is dropped). ``gd`` is int64: N, C, G, taps, H, W, the
+   element strides of x (batch, channel), off (batch, channel), k (batch,
+   group, tap) and g (batch, channel), then per tap and axis (displacement d,
+   first output, end output) as for the contraction. Each (H, W) plane of x,
+   off, k and g is C-contiguous; out, gx, g_off and g_kern are C-contiguous.
+   Returns 0, or -1 if a buffer cannot be allocated. */
+
+enum { D_N, D_C, D_G, D_TAPS, D_H, D_W, D_SX, D_SO = D_SX + 2, D_SK = D_SO + 2,
+       D_SG = D_SK + 3, D_TAP = D_SG + 2 };
+
+#define DEFINE_DDC(T, FLOOR, SUFFIX)                                                        \
+/* The width of a channel-last row: each group's channels padded with zeros to ``repp``,  \
+   a whole number of vectors. */                                                            \
+static int64_t row_width_##SUFFIX(const int64_t *gd, int64_t *repp)                         \
+{                                                                                           \
+    const int64_t rep = gd[D_C] / gd[D_G];                                                  \
+    *repp = (rep + VL_##SUFFIX - 1) / VL_##SUFFIX * VL_##SUFFIX;                            \
+    return gd[D_G] * *repp;                                                                 \
+}                                                                                           \
+                                                                                            \
+/* The C channels of one batch element (channel ci at planes + ci * sc) into the            \
+   channel-last rows: channel ci of position p at rows + p * cs + col(ci). */               \
+static void to_rows_##SUFFIX(const T *planes, int64_t sc, const int64_t *gd, int64_t repp,  \
+                             T *rows)                                                       \
+{                                                                                           \
+    const int64_t rep = gd[D_C] / gd[D_G], hw = gd[D_H] * gd[D_W], cs = gd[D_G] * repp;     \
+    for (int64_t ci = 0; ci < gd[D_C]; ci++) {                                              \
+        const T *plane = planes + ci * sc;                                                  \
+        T *col = rows + ci / rep * repp + ci % rep;                                         \
+        for (int64_t p = 0; p < hw; p++)                                                    \
+            col[p * cs] = plane[p];                                                         \
+    }                                                                                       \
+}                                                                                           \
+                                                                                            \
+/* The inverse of to_rows into the C-contiguous planes of one batch element. */             \
+static void from_rows_##SUFFIX(const T *rows, const int64_t *gd, int64_t repp, T *planes)   \
+{                                                                                           \
+    const int64_t rep = gd[D_C] / gd[D_G], hw = gd[D_H] * gd[D_W], cs = gd[D_G] * repp;     \
+    for (int64_t ci = 0; ci < gd[D_C]; ci++) {                                              \
+        const T *col = rows + ci / rep * repp + ci % rep;                                   \
+        T *plane = planes + ci * hw;                                                        \
+        for (int64_t p = 0; p < hw; p++)                                                    \
+            plane[p] = col[p * cs];                                                         \
+    }                                                                                       \
+}                                                                                           \
+                                                                                            \
+/* The bilinear weights w00, w01, w10, w11 of (r, q), its fractional parts, and the rows    \
+   of its four corners (row hw, the zero row, where a corner is off the grid). */           \
+static inline void bilinear_##SUFFIX(T r, T q, const int64_t *gd, T *wt, T *frac,           \
+                                     int64_t *cell)                                         \
+{                                                                                           \
+    const int64_t h = gd[D_H], w = gd[D_W];                                                 \
+    const T one = 1, r0 = FLOOR(r), q0 = FLOOR(q), wr = r - r0, wq = q - q0;                \
+    wt[0] = (one - wr) * (one - wq);                                                        \
+    wt[1] = (one - wr) * wq;                                                                \
+    wt[2] = wr * (one - wq);                                                                \
+    wt[3] = wr * wq;                                                                        \
+    frac[0] = wr;                                                                           \
+    frac[1] = wq;                                                                           \
+    const int rows[2] = {r0 >= 0 && r0 < (T)h, r0 >= -1 && r0 < (T)(h - 1)};                \
+    const int cols[2] = {q0 >= 0 && q0 < (T)w, q0 >= -1 && q0 < (T)(w - 1)};                \
+    for (int a = 0; a < 2; a++)                                                             \
+        for (int b = 0; b < 2; b++)                                                         \
+            cell[2 * a + b] = rows[a] && cols[b] ? ((int64_t)r0 + a) * w + (int64_t)q0 + b  \
+                                                 : h * w;                                   \
+}                                                                                           \
+                                                                                            \
+/* Tap t's sampling point at position (y, x) of batch element n. */                         \
+static inline void point_##SUFFIX(const T *off, const int64_t *gd, int64_t n, int64_t t,    \
+                                  int64_t y, int64_t x, T *wt, T *frac, int64_t *cell)      \
+{                                                                                           \
+    const int64_t *tap = gd + D_TAP + t * 6, *so = gd + D_SO, p = y * gd[D_W] + x;          \
+    const T *o = off + n * so[0] + 2 * t * so[1] + p;                                       \
+    bilinear_##SUFFIX((T)(y + tap[0]) + o[0], (T)(x + tap[3]) + o[so[1]], gd, wt, frac,     \
+                      cell);                                                                \
+}                                                                                           \
+                                                                                            \
+int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_t *gd)      \
+{                                                                                           \
+    const int64_t c = gd[D_C], taps = gd[D_TAPS], w = gd[D_W], hw = gd[D_H] * w;            \
+    const int64_t *sk = gd + D_SK;                                                          \
+    int64_t repp;                                                                           \
+    const int64_t cs = row_width_##SUFFIX(gd, &repp);                                       \
+    if (gd[D_N] == 0 || hw == 0 || c == 0)                                                  \
+        return 0;                                                                           \
+    T *xt = calloc((hw + 1) * cs, sizeof(T)), *ot = malloc(hw * cs * sizeof(T));            \
+    T *wts = malloc(taps * 4 * sizeof(T));                                                  \
+    int64_t *cells = malloc(taps * 4 * sizeof(int64_t));                                    \
+    if (!xt || !ot || !wts || !cells) {                                                     \
+        free(xt);                                                                           \
+        free(ot);                                                                           \
+        free(wts);                                                                          \
+        free(cells);                                                                        \
+        return -1;                                                                          \
+    }                                                                                       \
+    for (int64_t n = 0; n < gd[D_N]; n++) {                                                 \
+        to_rows_##SUFFIX(x + n * gd[D_SX], gd[D_SX + 1], gd, repp, xt);                     \
+        for (int64_t p = 0; p < hw; p++) {                                                  \
+            T frac[2];                                                                      \
+            for (int64_t t = 0; t < taps; t++)                                              \
+                point_##SUFFIX(off, gd, n, t, p / w, p % w, wts + 4 * t, frac,              \
+                               cells + 4 * t);                                              \
+            for (int64_t grp = 0; grp < gd[D_G]; grp++) {                                   \
+                const T *kp = k + n * sk[0] + grp * sk[1] + p;                              \
+                for (int64_t j = grp * repp; j < (grp + 1) * repp; j += VL_##SUFFIX) {      \
+                    vec_##SUFFIX acc = {0};                                                 \
+                    for (int64_t t = 0; t < taps; t++) {                                    \
+                        const T *wt = wts + 4 * t;                                          \
+                        const int64_t *cell = cells + 4 * t;                                \
+                        const vec_##SUFFIX zero = {0};                                      \
+                        vec_##SUFFIX s = zero                                               \
+                                         + wt[0] * load_##SUFFIX(xt + cell[0] * cs + j);    \
+                        s = s + wt[1] * load_##SUFFIX(xt + cell[1] * cs + j);               \
+                        s = s + wt[2] * load_##SUFFIX(xt + cell[2] * cs + j);               \
+                        s = s + wt[3] * load_##SUFFIX(xt + cell[3] * cs + j);               \
+                        acc = acc + kp[t * sk[2]] * s;                                      \
+                    }                                                                       \
+                    memcpy(ot + p * cs + j, &acc, sizeof acc);                              \
+                }                                                                           \
+            }                                                                               \
+        }                                                                                   \
+        from_rows_##SUFFIX(ot, gd, repp, out + n * c * hw);                                 \
+    }                                                                                       \
+    free(xt);                                                                               \
+    free(ot);                                                                               \
+    free(wts);                                                                              \
+    free(cells);                                                                            \
+    return 0;                                                                               \
+}                                                                                           \
+                                                                                            \
+int ddcn_ddc_vjp_##SUFFIX(const T *x, const T *off, const T *k, const T *g, T *gx,          \
+                          T *g_off, T *g_kern, const int64_t *gd)                           \
+{                                                                                           \
+    const int64_t c = gd[D_C], groups = gd[D_G], taps = gd[D_TAPS], w = gd[D_W];            \
+    const int64_t hw = gd[D_H] * w, *sk = gd + D_SK;                                        \
+    int64_t repp;                                                                           \
+    const int64_t cs = row_width_##SUFFIX(gd, &repp);                                       \
+    if (gd[D_N] == 0 || hw == 0 || c == 0)                                                  \
+        return 0;                                                                           \
+    T *xt = calloc((hw + 1) * cs, sizeof(T)), *gt = calloc(hw * cs, sizeof(T));             \
+    T *gxt = malloc((hw + 1) * cs * sizeof(T));                                             \
+    if (!xt || !gt || !gxt) {                                                               \
+        free(xt);                                                                           \
+        free(gt);                                                                           \
+        free(gxt);                                                                          \
+        return -1;                                                                          \
+    }                                                                                       \
+    for (int64_t n = 0; n < gd[D_N]; n++) {                                                 \
+        to_rows_##SUFFIX(x + n * gd[D_SX], gd[D_SX + 1], gd, repp, xt);                     \
+        to_rows_##SUFFIX(g + n * gd[D_SG], gd[D_SG + 1], gd, repp, gt);                     \
+        memset(gxt, 0, (hw + 1) * cs * sizeof(T));                                          \
+        for (int64_t p = 0; p < hw; p++)                                                    \
+            for (int64_t t = 0; t < taps; t++) {                                            \
+                T wt[4], frac[2], pk[4] = {0, 0, 0, 0};                                     \
+                int64_t cell[4];                                                            \
+                point_##SUFFIX(off, gd, n, t, p / w, p % w, wt, frac, cell);                \
+                for (int64_t grp = 0; grp < groups; grp++) {                                \
+                    const T kv = k[n * sk[0] + grp * sk[1] + t * sk[2] + p];                \
+                    vec_##SUFFIX qv[4] = {{0}};                                             \
+                    for (int64_t j = grp * repp; j < (grp + 1) * repp; j += VL_##SUFFIX) {  \
+                        const vec_##SUFFIX gv = load_##SUFFIX(gt + p * cs + j);             \
+                        const vec_##SUFFIX gs = gv * kv;                                    \
+                        for (int a = 0; a < 4; a++) {                                       \
+                            T *d = gxt + cell[a] * cs + j;                                  \
+                            qv[a] = qv[a] + gv * load_##SUFFIX(xt + cell[a] * cs + j);      \
+                            const vec_##SUFFIX sum = load_##SUFFIX(d) + wt[a] * gs;         \
+                            memcpy(d, &sum, sizeof sum);                                    \
+                        }                                                                   \
+                    }                                                                       \
+                    T q[4], gk = 0;                                                         \
+                    for (int a = 0; a < 4; a++) {                                           \
+                        q[a] = 0;                                                           \
+                        for (int l = 0; l < VL_##SUFFIX; l++)                               \
+                            q[a] = q[a] + qv[a][l];                                         \
+                        gk = gk + wt[a] * q[a];                                             \
+                        pk[a] = pk[a] + kv * q[a];                                          \
+                    }                                                                       \
+                    g_kern[((n * groups + grp) * taps + t) * hw + p] = gk;                  \
+                }                                                                           \
+                const T one = 1, wr = frac[0], wq = frac[1];                                \
+                T *go = g_off + (n * 2 * taps + 2 * t) * hw + p;                            \
+                go[0] = (pk[2] - pk[0]) * (one - wq) + (pk[3] - pk[1]) * wq;                \
+                go[hw] = (pk[1] - pk[0]) * (one - wr) + (pk[3] - pk[2]) * wr;               \
+            }                                                                               \
+        from_rows_##SUFFIX(gxt, gd, repp, gx + n * c * hw);                                 \
+    }                                                                                       \
+    free(xt);                                                                               \
+    free(gt);                                                                               \
+    free(gxt);                                                                              \
+    return 0;                                                                               \
+}
+
+DEFINE_DDC(float, __builtin_floorf, f32)
+DEFINE_DDC(double, __builtin_floor, f64)

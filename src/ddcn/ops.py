@@ -28,44 +28,50 @@ partitions, not orders: each output element sums within its own batch
 element and output channel, so the bits depend on neither the path nor the
 shard or block count. The calling thread allocates every buffer and keeps
 all tape, FLOP and probe bookkeeping; pool threads run numpy or the kernel
-only. The 3D involution's forward and VJP run on the same file's involution
-entry points in batch shards on the same pool, when its input, kernels and
-output gradient are float32 or float64 with C-contiguous (H, W) planes;
-otherwise numpy loops over the taps run, with the same bits.
+only. The 3D involution's and the deformable convolution's forwards and VJPs
+run on the same file's entry points in batch shards on the same pool
+(``_compiled_shards``), when their fields are float32 or float64 with
+C-contiguous (H, W) planes; otherwise the involution's numpy loops over the
+taps and the deformable convolution's sampling matrices run, with the same
+forward bits.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
-(by ``_check_kernel_sizes``, which the dynamic layers' constructors call too)
+(by ``_check_kernel_sizes``, which the layers' constructors call too)
 and owns their centred, row-major tap order: it gives each tap's displacement,
 which the deformable convolution samples around, and its window clipped to the
 input, so no zero-padded input or gradient is ever built. A read from the
 padding is the term ``w * (+0)``: for a finite weight an exact zero, which
 never changes a sum that starts at +0. The involution skips such a term, so
 a non-finite kernel value at a clipped tap reaches no output. Bilinear
-sampling has one primitive: a sparse (CSR) sampling matrix
-(``_sampling_matrix``), whose product sums each row's four corner terms from
-zero in the contracted corner order, and its backward (``_sampling_grads``).
-The deformable convolution samples each tap through it and accumulates the
-taps left to right; ``bilinear_sample``, the gradient-checked scalar op, is a
-one-position view of it.
+sampling sums each point's four corner terms from +0 in the contracted
+corner order, an off-grid corner's term being ``w * (+0)``. The compiled
+deformable convolution samples every tap of a position in one pass over the
+channels, and accumulates the taps left to right. Without it, each tap
+samples through a sparse (CSR) sampling matrix (``_sampling_matrix``), with
+its backward (``_sampling_grads``); ``bilinear_sample``, the
+gradient-checked scalar op, is a one-position view of that matrix.
 
-A taped call keeps only what its backward pass reads. The deformable
-convolution keeps each tap's sampling matrix, not its samples: its kernel
-and offset gradients come from four per-corner channel reductions of the
-input against the output gradient. The standard, shared and involution
-convolutions keep their input and the clipped tap slices. Their VJPs assign
-the centre tap's input gradient and add every other tap into its clipped
-region.
+A taped call keeps only what its backward pass reads. The compiled
+deformable convolution keeps nothing but its three input fields: its VJP
+recomputes each tap's corners and weights. Without the kernel it keeps each
+tap's sampling matrix, not its samples. On both paths its kernel and offset
+gradients come from four per-corner channel reductions of the input against
+the output gradient. The standard, shared and involution convolutions keep
+their input and the clipped tap slices. Their VJPs assign the centre tap's
+input gradient and add every other tap into its clipped region.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
-Backward channel contractions run as BLAS ``matmul``, and the deformable
-convolution scatters its input gradient through the transpose of each tap's
-sampling matrix. Both sum in the same order on every call for a fixed thread
-count, so training stays bit-reproducible per seed. The involution VJP has
-one order on both of its paths: its input gradient takes the centre tap's
-``g * k`` and adds every other tap's in ``_centre_first`` order; its kernel
-gradient sums ``g * x`` over each group's channels in ascending order from +0
-(numpy's ``sum`` over a non-inner axis), +0 where the tap is clipped; its
-bias gradient is one whole-batch sum on the calling thread.
+Backward channel contractions run as BLAS ``matmul``. The compiled deformable
+convolution scatters its input gradient corner by corner in one fixed order
+for any shard count (``ddc_forward``); without the kernel it scatters through
+the transpose of each tap's sampling matrix. Each sums in the same order on
+every call for a fixed thread count, so training stays bit-reproducible per
+seed on each path. The involution VJP has one order on both of its paths:
+its input gradient takes the centre tap's ``g * k`` and adds every other
+tap's in ``_centre_first`` order; its kernel gradient sums ``g * x`` over
+each group's channels in ascending order from +0 (numpy's ``sum`` over a
+non-inner axis), +0 where the tap is clipped; its bias gradient is one
+whole-batch sum on the calling thread.
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
 # The entry points of exact_conv.c, each built per dtype as ddcn_<name>_f32
 # and _f64, and their pointer-argument counts. Each returns 0, or -1 where it
 # could not allocate a buffer.
-_ENTRY_POINTS = {"contract": 5, "involution": 5, "involution_vjp": 6}
+_ENTRY_POINTS = {"contract": 5, "involution": 5, "involution_vjp": 6, "ddc": 5, "ddc_vjp": 8}
 
 
 @functools.cache
@@ -231,6 +237,32 @@ def _run_shards(fn, jobs: list):
     finally:
         for f in futures:
             f.result()
+
+
+def _element_strides(a: np.ndarray, axes: int) -> list:
+    """The element strides of the first ``axes`` axes of ``a``."""
+    return [s // a.itemsize for s in a.strides[:axes]]
+
+
+def _compiled_shards(name: str, macs: int, geom: list, *arrays):
+    """Runs entry point ``name`` of ``exact_conv.c`` on ``(*arrays, geom)``
+    in batch shards (``_shard_bounds`` of ``macs``). ``geom`` is the
+    kernel's int64 geometry, led by the batch size, which each shard gets as
+    its own. Each shard gets its batch slice of every array but a 1-D one,
+    and the calling thread allocated every result, so shards write disjoint
+    slices."""
+    fn = _load_kernel()[name, arrays[0].dtype]
+    geom = np.array(geom, dtype=np.int64)
+
+    def shard(lo, hi):
+        shard_geom = geom.copy()
+        shard_geom[0] = hi - lo
+        if fn(*(a[lo:hi].ctypes.data if a.ndim > 1 else a.ctypes.data for a in arrays),
+              shard_geom.ctypes.data):
+            raise MemoryError(f"{name} kernel: buffer allocation failed")
+
+    bounds = _shard_bounds(len(arrays[0]), macs)
+    _run_shards(shard, list(zip(bounds, bounds[1:])))
 
 
 def _check_weights(op: str, x, *weights):
@@ -350,8 +382,8 @@ def _check_kernel_sizes(op: str, ksizes: tuple, rank: int):
 
 
 def _check_counts(**counts):
-    """The dynamic layers' rule for their channel, group and reduction
-    counts, checked before any is used as a divisor: each >= 1. Raises
+    """The layers' rule for their channel, group, reduction and patch
+    counts, checked before any sizes a weight or divides: each >= 1. Raises
     ShapeError naming the first that is not."""
     for name, value in counts.items():
         if value < 1:
@@ -553,6 +585,15 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _probe_coords(r, q):
+    """Under a ``KinkProbe``, reports the fractional sampling points' (row
+    ``r``, col ``q``) distance to the nearest lattice line, min(|r - round(r)|,
+    |q - round(q)|), as "bilinear_coord". No points report nothing."""
+    if probing_active() and r.size:
+        probe_kink("bilinear_coord", min(float(np.abs(r - np.round(r)).min()),
+                                         float(np.abs(q - np.round(q)).min())))
+
+
 def _sampling_matrix(r, q, h: int, w: int, indptr):
     """The bilinear sampling matrix S of fractional (row, col) points.
 
@@ -570,12 +611,9 @@ def _sampling_matrix(r, q, h: int, w: int, indptr):
     fused multiply-adds, so a sample is exactly
     ((v00*w00 + v01*w01) + v10*w10) + v11*w11.
 
-    Under a ``KinkProbe``, the points' distance to the nearest lattice line,
-    min(|r - round(r)|, |q - round(q)|), is reported as "bilinear_coord".
+    Reports the points to a ``KinkProbe`` (``_probe_coords``).
     """
-    if probing_active():
-        probe_kink("bilinear_coord", min(float(np.abs(r - np.round(r)).min()),
-                                         float(np.abs(q - np.round(q)).min())))
+    _probe_coords(r, q)
     dtype = r.dtype
     one = dtype.type(1)
     npos = r.size
@@ -711,26 +749,29 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     x + dx + offsets[n, 2*tap + 1, y, x]). Offsets are in grid-cell units;
     out-of-bounds corners contribute zero. Kernels carry one weight set per
     channel group (g(c) = c // (C/G)); no channel mixing and no
-    normalization of the dynamic weights.
+    normalization of the dynamic weights. The result is C-contiguous.
 
-    Each tap samples through its bilinear sampling matrix S
-    (``_sampling_matrix``, the one sampling primitive, which
-    ``bilinear_sample`` also runs): a CSR matrix with one row per output
-    position and four corner entries per row. The samples of a tap are
-    ``S @ table``, where ``table`` holds the input in (N*H*W, C) layout plus
-    one zero row for S's dummy out-of-bounds column.
+    Exact accumulation order (matched by the nested-loop oracle): each tap's
+    four corner terms sum from +0 as (((+0 + v00*w00) + v01*w01) + v10*w10)
+    + v11*w11, an out-of-bounds corner's term being ``w * (+0)``; then the
+    kernel-weighted taps accumulate left to right from +0.
 
-    Exact accumulation order (matched by the nested-loop oracle): the sparse
-    product sums each row from zero in stored-entry order, so for each tap the
-    four corner terms sum as ((v00*w00 + v01*w01) + v10*w10) + v11*w11; then
-    the kernel-weighted taps accumulate left to right from zero.
+    For float32 and float64 fields with C-contiguous (H, W) planes, the
+    compiled kernels (``exact_conv.c``) run the forward and the VJP in batch
+    shards on the conv pool, sampling each tap in one pass over the
+    channels; a taped call keeps only its three inputs. A NaN or infinite
+    offset gives NaN at its position and reads no cell. Otherwise each tap
+    samples through its bilinear sampling matrix S (``_sampling_matrix``,
+    which ``bilinear_sample`` also runs), with the same forward bits
+    (``_ddc_sparse``).
 
-    Under a tape, each tap keeps S and the fractional parts of its
-    coordinates, not its samples; the call keeps the kernels in tap-major
-    layout, and the taps of one call share S's ``indptr``. The backward pass
-    rebuilds ``table`` from the input and reuses S for the input, kernel and
-    offset gradients (``_sampling_grads``): ``S.T`` times the kernel-weighted
-    output gradient, and the table's corner values reduced against it.
+    The VJP has one order per path, fixed for any shard count (gradients
+    have no order contract; both are checked against finite differences).
+    The compiled one walks each batch element's positions row-major and its
+    taps in order: it scatters ``w_k * g * k`` into the four corners,
+    reduces each corner's values against ``g`` over a group's channels
+    (q_k), and forms the kernel gradient sum_k w_k q_k and the offset
+    gradients from p_k = sum_g k q_k and the fractional coordinates.
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -750,7 +791,62 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         raise ShapeError(f"ddc_forward: groups {groups} must divide channels {c}")
     _check_weights("ddc_forward", x, offsets, kernels)
     taps = _clipped_taps("ddc_forward", (h, w), (kernel_size,) * 2)
+    flops = 10 * n * c * h * w * kk
+    if _runs_compiled(xd, od, kd):
+        out, vjp = _ddc_compiled(xd, od, kd, taps, flops)
+    else:
+        out, vjp = _ddc_sparse(xd, od, kd, taps)
+    add_flops(flops)
+    result = Tensor._wrap(out)
+    record((x, offsets, kernels), result, vjp)
+    return result
 
+
+def _ddc_compiled(xd, od, kd, taps, flops):
+    """``ddc_forward`` on the compiled kernels, in batch shards: its result,
+    and its VJP, which keeps nothing but the three input fields."""
+    n, c, h, w = xd.shape
+    if probing_active():
+        dy, dx = (np.array([ds[i] for _, ds, _, _ in taps], dtype=xd.dtype).reshape(1, -1, 1, 1)
+                  for i in (0, 1))
+        _probe_coords((np.arange(h, dtype=xd.dtype).reshape(1, 1, h, 1) + dy) + od[:, 0::2],
+                      (np.arange(w, dtype=xd.dtype).reshape(1, 1, 1, w) + dx) + od[:, 1::2])
+
+    def geometry(g=None):  # the DDC entry points' ``gd``
+        return [n, c, kd.shape[1], len(taps), h, w, *_element_strides(xd, 2),
+                *_element_strides(od, 2), *_element_strides(kd, 3),
+                *((0, 0) if g is None else _element_strides(g, 2)), *_tap_geometry(taps)]
+
+    out = np.empty(xd.shape, dtype=xd.dtype)
+    _compiled_shards("ddc", flops // 2, geometry(), xd, od, kd, out)
+
+    def vjp(g):
+        if not _runs_compiled(xd, g):
+            g = np.ascontiguousarray(g, dtype=xd.dtype)
+        gx, g_off, g_kern = (np.empty(a.shape, dtype=xd.dtype) for a in (xd, od, kd))
+        _compiled_shards("ddc_vjp", flops, geometry(g), xd, od, kd, g, gx, g_off, g_kern)
+        return (gx, g_off, g_kern)
+
+    return out, vjp
+
+
+def _ddc_sparse(xd, od, kd, taps):
+    """``ddc_forward`` through one CSR sampling matrix S per tap
+    (``_sampling_matrix``): its result, and its VJP.
+
+    A tap's samples are ``S @ table``, where ``table`` holds the input in
+    (N*H*W, C) layout plus one zero row for S's dummy out-of-bounds column.
+    The sparse product sums each row from zero in stored-entry order, which
+    is the contracted corner order. Under a tape, each tap keeps S and the
+    fractional parts of its coordinates, not its samples; the call keeps the
+    kernels in tap-major layout, and the taps share S's ``indptr``. The
+    backward pass rebuilds ``table`` from the input and reuses S for the
+    input, kernel and offset gradients (``_sampling_grads``): ``S.T`` times
+    the kernel-weighted output gradient, and the table's corner values
+    reduced against it.
+    """
+    n, c, h, w = xd.shape
+    groups, kk = kd.shape[1:3]
     dtype = xd.dtype
     rep = c // groups
     npos = n * h * w
@@ -775,10 +871,8 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
         out_t += kd_t[:, tap, ..., None] * (sampling @ table).reshape(n, h, w, groups, rep)
         saved.append((sampling, wr, wq))
-    add_flops(10 * n * c * h * w * kk)
 
     out = np.ascontiguousarray(out_t.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-    result = Tensor._wrap(out)
 
     def vjp(g):
         # Gradients are formed in the (N*H*W, C) table layout; the dummy
@@ -801,8 +895,7 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         gx = np.ascontiguousarray(gx_flat[:npos].reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return (gx, g_off, g_kern)
 
-    record((x, offsets, kernels), result, vjp)
-    return result
+    return out, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +946,16 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     grouped = (n, groups, c // groups, t, h, w)
     taps = _clipped_taps("involution3d", (t, h, w), (kernel_size,) * 3)
     macs = xd.size * k3
+
+    def geometry(g=None):  # the involution entry points' ``gi``
+        return [n, c, groups, len(taps), t, h, w, *_element_strides(xd, 3),
+                *_element_strides(kd, 4), *((0, 0, 0) if g is None else _element_strides(g, 3)),
+                *_tap_geometry(taps)]
+
     if _runs_compiled(xd, kd):
         out = np.empty(xd.shape, dtype=xd.dtype)
-        _compiled_involution("involution", taps, macs, xd, kd, None,
-                             np.ascontiguousarray(bias.data), out)
+        _compiled_shards("involution", macs, geometry(), xd, kd,
+                         np.ascontiguousarray(bias.data), out)
     else:
         x_g = xd.reshape(grouped)
         out = np.zeros(xd.shape, dtype=xd.dtype)
@@ -879,7 +978,7 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
         if not pairwise and _runs_compiled(xd, kd, g):
             gx = np.empty(xd.shape, dtype=g.dtype)
             g_kern = np.empty(kd.shape, dtype=g.dtype)
-            _compiled_involution("involution_vjp", taps, 2 * macs, xd, kd, g, gx, g_kern)
+            _compiled_shards("involution_vjp", 2 * macs, geometry(g), xd, kd, g, gx, g_kern)
         else:
             x_g = xd.reshape(grouped)
             g_g = g.reshape(grouped)
@@ -895,35 +994,6 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
 
     record((x, kernels, bias), result, vjp)
     return result
-
-
-def _compiled_involution(name: str, taps: list, macs: int, xd, kd, g, *arrays):
-    """Runs the involution entry point ``name`` of ``exact_conv.c`` on
-    ``(xd, kd[, g], *arrays)`` in batch shards (``_shard_bounds`` of
-    ``macs``): "involution" with ``arrays`` = (bias, out), "involution_vjp"
-    with (gx, g_kern). Each shard gets its batch slice of every array but
-    the 1-D bias, and the calling thread allocated every result, so shards
-    write disjoint slices."""
-    fn = _load_kernel()[name, xd.dtype]
-    args = (xd, kd) + (() if g is None else (g,)) + arrays
-
-    def strides(a, axes):
-        return [s // a.itemsize for s in a.strides[:axes]]
-
-    geom = np.array([len(xd), xd.shape[1], kd.shape[1], len(taps), *xd.shape[2:],
-                     *strides(xd, 3), *strides(kd, 4),
-                     *((0, 0, 0) if g is None else strides(g, 3)), *_tap_geometry(taps)],
-                    dtype=np.int64)
-
-    def shard(lo, hi):
-        shard_geom = geom.copy()
-        shard_geom[0] = hi - lo
-        if fn(*(a[lo:hi].ctypes.data if a.ndim > 1 else a.ctypes.data for a in args),
-              shard_geom.ctypes.data):
-            raise MemoryError("involution kernel: buffer allocation failed")
-
-    bounds = _shard_bounds(len(xd), macs)
-    _run_shards(shard, list(zip(bounds, bounds[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -964,6 +1034,7 @@ class PointwiseConv(Module):
     """Learnable 1x1 convolution over the channel axis, any spatial rank."""
 
     def __init__(self, in_channels, out_channels, rng=None, dtype=F32):
+        _check_counts(in_channels=in_channels, out_channels=out_channels)
         rng = rng or np.random.default_rng(0)
         self.weight = Param(uniform_init(rng, (out_channels, in_channels), in_channels, dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype))
@@ -980,6 +1051,8 @@ class StandardConv2d(Module):
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=3, dtype=F32):
+        _check_kernel_sizes("standard_conv", (kernel_size,) * 2, 2)
+        _check_counts(in_channels=in_channels, out_channels=out_channels)
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Param(np.zeros(shape, dtype=dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype))
@@ -997,6 +1070,7 @@ class SharedConv(Module):
     """
 
     def __init__(self, kernel_size=3, dims=2, rng=None, dtype=F32):
+        _check_kernel_sizes("shared_conv", (kernel_size,) * dims, dims)
         rng = rng or np.random.default_rng(0)
         shape = (kernel_size,) * dims
         self.weight = Param(uniform_init(rng, shape, kernel_size ** dims, dtype))
@@ -1077,6 +1151,7 @@ class PatchEmbed(Module):
     """
 
     def __init__(self, in_channels, patch_size, embed_dim, rng=None, dtype=F32):
+        _check_counts(in_channels=in_channels, patch_size=patch_size, embed_dim=embed_dim)
         self.patch_size = patch_size
         self.embed_dim = embed_dim
         self.proj = PointwiseConv(in_channels * patch_size ** 2, embed_dim, rng=rng, dtype=dtype)
@@ -1100,6 +1175,8 @@ class PatchBack(Module):
     """
 
     def __init__(self, input_steps, embed_dim, patch_size, out_channels, rng=None, dtype=F32):
+        _check_counts(input_steps=input_steps, embed_dim=embed_dim, patch_size=patch_size,
+                      out_channels=out_channels)
         self.input_steps = input_steps
         self.embed_dim = embed_dim
         self.patch_size = patch_size

@@ -2,6 +2,8 @@
 
 import functools
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddcn import ops
-from ddcn.numerics import Param, ShapeError, Tape, Tensor, backward, mul, reduce_sum
+from ddcn.numerics import KinkProbe, Param, ShapeError, Tape, Tensor, backward, mul, reduce_sum
 from ddcn.train import finite_difference, max_relative_error
 from oracles import (
     bilinear_oracle,
@@ -44,8 +46,9 @@ def shards(request, monkeypatch):
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request, monkeypatch):
     """Run the compiled kernels (the exact-order conv forward, the involution
-    forward and VJP) or, with _NATIVE cleared, the numpy loops. Skips the
-    compiled path where no C compiler built the kernels."""
+    and DDC forwards and VJPs) or, with _NATIVE cleared, the numpy loops and
+    the DDC's sampling matrices. Skips the compiled path where no C compiler
+    built the kernels."""
     if request.param == "numpy":
         monkeypatch.setattr(ops, "_NATIVE", False)
     elif ops._load_kernel() is None:
@@ -75,6 +78,12 @@ def blocks(request, monkeypatch):
 SHARDED_DTYPES = [
     pytest.param(dtype, count, id=dtype.__name__ + ("" if count is None else f"-shards{count}"))
     for count in (None, 2, 3)
+    for dtype in (np.float32, np.float64)
+]
+# Each dtype with 1, 2 and 3 forced shards.
+FORCED_SHARDS = [
+    pytest.param(dtype, count, id=f"{dtype.__name__}-shards{count}")
+    for count in (1, 2, 3)
     for dtype in (np.float32, np.float64)
 ]
 
@@ -211,6 +220,14 @@ def _subnormal(rng, a):
     """``a`` with about half its entries scaled by the smallest normal number:
     those below 1 in magnitude become subnormal, zeros keep their sign."""
     return np.where(rng.random(a.shape) < 0.5, a * np.finfo(a.dtype).tiny, a).astype(a.dtype)
+
+
+def _signed_zeros(rng, shape, dtype):
+    """Uniform values in (-1, 1), a third of them +0.0 or -0.0."""
+    a = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    a[rng.random(shape) < 0.15] = 0
+    a[rng.random(shape) < 0.15] = -0.0
+    return a
 
 
 def _signed_zero_case(rng, shape, dtype, subnormal=False):
@@ -451,7 +468,8 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypat
     if kernels is None:
         pytest.skip("no C compiler built the exact-order kernel")
     assert set(kernels) == {(name, np.dtype(dtype))
-                            for name in ("contract", "involution", "involution_vjp")
+                            for name in ("contract", "involution", "involution_vjp", "ddc",
+                                         "ddc_vjp")
                             for dtype in (np.float32, np.float64)}
     assert any("-o" in argv for argv in calls)
     built = sorted(fresh_loader.iterdir())
@@ -535,6 +553,21 @@ def test_two_processes_building_into_one_empty_cache_both_load_the_kernel(tmp_pa
         pytest.skip("no C compiler built the exact-order kernel")
     assert results == [(0, ""), (0, "")]
     assert len(list((tmp_path / "ddcn").iterdir())) == 1
+
+
+def test_kernel_source_builds_warning_free_without_fused_multiply_adds(tmp_path):
+    # The forward bits rest on one rounded multiply and one rounded add per
+    # term: a fused multiply-add rounds once and changes them.
+    if shutil.which(ops._CC) is None:
+        pytest.skip("no C compiler to build the exact-order kernel")
+    asm = tmp_path / "exact_conv.s"
+    proc = subprocess.run([ops._CC, *ops._CFLAGS, "-Wall", "-Wextra", "-Werror", "-S",
+                           "-o", str(asm), str(ops._KERNEL_SOURCE)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # x86 vfmadd/vfmsub/vfnmadd/vfnmsub, aarch64 fmadd/fmsub/fnmadd/fnmsub/fmla/fmls
+    fused = re.findall(r"^\s*(v?fn?m(?:add|sub)\w*|fml[as]\b)", asm.read_text(), re.M)
+    assert fused == []
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +696,7 @@ def _one_hot_center_kernels(n, g, k, h, w, dtype=np.float64):
     return kern
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_zero_offsets_one_hot_center_is_identity():
     rng = np.random.default_rng(14)
     x = _t(rng, (2, 4, 5, 5))
@@ -672,6 +706,7 @@ def test_ddc_zero_offsets_one_hot_center_is_identity():
     assert np.array_equal(out.data, x.data)
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_uniform_kernels_average_with_zero_padding():
     x = Tensor(np.ones((1, 1, 3, 3)))
     offsets = Tensor(np.zeros((1, 18, 3, 3)))
@@ -682,6 +717,7 @@ def test_ddc_uniform_kernels_average_with_zero_padding():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("path")
 def test_ddc_matches_loop_oracle_exactly(dtype):
     rng = np.random.default_rng(15)
     x = _t(rng, (1, 1, 5, 5), dtype=dtype)
@@ -691,6 +727,7 @@ def test_ddc_matches_loop_oracle_exactly(dtype):
     assert np.array_equal(out.data, ddc_oracle(x.data, offsets.data, kernels.data, 3))
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_grouped_matches_oracle():
     rng = np.random.default_rng(16)
     x = _t(rng, (2, 4, 4, 4))
@@ -701,6 +738,7 @@ def test_ddc_grouped_matches_oracle():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("path")
 def test_ddc_matches_loop_oracle_bitwise(dtype):
     # Compared as raw bits, so a zero of the wrong sign counts as a mismatch.
     # Offsets reach 4 cells: some taps have all four corners off the grid and
@@ -730,12 +768,100 @@ def test_ddc_matches_loop_oracle_bitwise(dtype):
     assert np.array_equal(_bits(out), _bits(expected))
 
 
+def _ddc_case(rng, n, c, h, w, groups, dtype, subnormal=False):
+    """DDC fields: an input viewed transposed from (C, N, H, W), a third of
+    it +0.0 or -0.0 (about half of it subnormal with ``subnormal``), offsets
+    reaching 4 cells with integer offsets for taps 2 and 3, and kernels that
+    are non-positive in batch 0 (subnormal too with ``subnormal``)."""
+    base = _signed_zeros(rng, (c, n, h, w), dtype) * dtype(2)
+    x = (_subnormal(rng, base) if subnormal else base).transpose(1, 0, 2, 3)
+    od = rng.uniform(-4, 4, (n, 18, h, w)).astype(dtype)
+    od[:, 4:8] = np.round(od[:, 4:8])
+    kd = rng.uniform(-1, 1, (n, groups, 9, h, w)).astype(dtype)
+    kd[:1] = -np.abs(kd[:1])
+    return x, od, (_subnormal(rng, kd) if subnormal else kd)
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("dtype, shards", FORCED_SHARDS, indirect=["shards"])
+@pytest.mark.usefixtures("path")
+def test_ddc_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, groups):
+    # Batches smaller than, equal to and not divisible by the shard count,
+    # and an empty one; taps with all four corners off the grid and on
+    # lattice points; zero samples met by non-positive kernels.
+    rng = np.random.default_rng(52)
+    h, w = 4, 5
+    for n in (0, 1, 3, 5):
+        for subnormal in (False, True):
+            x, od, kd = _ddc_case(rng, n, 4, h, w, groups, dtype, subnormal)
+            assert n < 2 or not x.flags.c_contiguous  # n = 1 is contiguous
+            taps = np.arange(9).reshape(1, 9, 1, 1)
+            r = np.arange(h).reshape(1, 1, h, 1) + taps // 3 - 1 + od[:, 0::2]
+            q = np.arange(w).reshape(1, 1, 1, w) + taps % 3 - 1 + od[:, 1::2]
+            assert n == 0 or ((r < -1) | (r >= h) | (q < -1) | (q >= w)).any()
+            out = ops.ddc_forward(Tensor._wrap(x), Tensor._wrap(od), Tensor._wrap(kd), 3).data
+            assert out.flags.c_contiguous
+            assert np.array_equal(_bits(out), _bits(ddc_oracle(x, od, kd, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_compiled_ddc_gives_nan_exactly_where_an_offset_is_not_finite(dtype):
+    # Corners are tested on the floats: a NaN or infinite coordinate reads
+    # no cell and makes NaN at its position, in every channel; a finite one
+    # far off the grid reads +0 cells. Every other bit is the oracle's.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    rng = np.random.default_rng(53)
+    n, c, h, w = 2, 4, 4, 5
+    x = _signed_zeros(rng, (n, c, h, w), dtype)
+    od = rng.uniform(-1.5, 1.5, (n, 18, h, w)).astype(dtype)
+    kd = rng.uniform(-1, 1, (n, 2, 9, h, w)).astype(dtype)
+    od[0, 0, 0, 0], od[1, 17, 3, 4] = 1e30, -1e30
+    finite = od.copy()
+    bad = np.zeros((n, 1, h, w), dtype=bool)
+    for (b, i, y, xx), value in [((0, 4, 1, 2), np.nan), ((1, 9, 2, 0), np.inf),
+                                 ((1, 0, 3, 3), -np.inf), ((0, 17, 0, 4), np.nan)]:
+        od[b, i, y, xx] = value
+        bad[b, 0, y, xx] = True
+    assert ops._runs_compiled(x, od, kd)
+    out = ops.ddc_forward(Tensor._wrap(x), Tensor._wrap(od), Tensor._wrap(kd), 3).data
+    bad = np.broadcast_to(bad, out.shape)
+    assert np.array_equal(np.isnan(out), bad)
+    ref = ddc_oracle(x, finite, kd, 3)
+    assert np.array_equal(_bits(out)[~bad], _bits(ref)[~bad])
+
+
+@pytest.mark.usefixtures("path")
+def test_ddc_under_a_kink_probe_reports_its_nearest_lattice_distance():
+    # The smallest distance of any tap's (row, col) to a lattice line, on
+    # both paths; an empty batch reports nothing (it once raised ValueError
+    # from a reduction over no points).
+    rng = np.random.default_rng(56)
+    x, od, kd = (Tensor._wrap(rng.uniform(-1, 1, s)) for s in [(2, 2, 4, 4), (2, 18, 4, 4),
+                                                                (2, 1, 9, 4, 4)])
+    with KinkProbe() as probe:
+        ops.ddc_forward(x, od, kd, 3)
+    taps = np.arange(9).reshape(1, 9, 1, 1)
+    r = np.arange(4).reshape(1, 1, 4, 1) + taps // 3 - 1 + od.data[:, 0::2]
+    q = np.arange(4).reshape(1, 1, 1, 4) + taps % 3 - 1 + od.data[:, 1::2]
+    nearest = min(np.abs(r - np.round(r)).min(), np.abs(q - np.round(q)).min())
+    assert probe.margins == {"bilinear_coord": nearest}
+    empty = [Tensor._wrap(np.zeros((0,) + a.shape[1:])) for a in (x, od, kd)]
+    with KinkProbe() as probe:
+        assert ops.ddc_forward(*empty, 3).shape == (0, 2, 4, 4)
+    assert probe.margins == {}
+
+
+@pytest.mark.usefixtures("path")
 def test_ddc_tape_bytes_bounded():
     # Bytes a taped call keeps alive beyond its output, as a multiple of the
-    # input's bytes. Per tap the tape holds the sparse sampling matrix (four
+    # input's bytes. The compiled path keeps only its three input fields,
+    # which the caller holds anyway (bounded at 1x in
+    # test_compiled_ddc_tape_holds_only_its_inputs). The sampling
+    # matrices' path keeps, per tap, the sparse sampling matrix (four
     # weights and four int64 column indices per position) and the two
     # fractional coordinates; per call it holds the kernel weights in
-    # tap-major layout and the matrices' shared row pointer. The backward
+    # tap-major layout and the matrices' shared row pointer. Its backward
     # pass rebuilds the input's gather layout from the input and reads no
     # samples, so neither is kept. That is about 5.8x at C=32 float32, and
     # 6.8x with the gather-layout copy kept. Keeping each tap's C samples per
@@ -816,6 +942,7 @@ def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     assert peak < bound * x_bytes, f"VJP peak is {peak / x_bytes:.2f}x the input bytes"
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     x = _t(rng, (1, 1, 5, 5))
@@ -835,6 +962,7 @@ def test_ddc_gradients_match_finite_differences():
     assert max_relative_error(kernels.grad, fd[2]) < 1e-4
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_gradients_batched_grouped_far_offsets():
     # Offsets up to 3 cells: some taps sample wholly outside the grid and
     # several taps land on one cell, across two batch items and two groups.
@@ -864,6 +992,103 @@ def test_ddc_gradients_batched_grouped_far_offsets():
     assert max_relative_error(x.grad, fd[0]) < 1e-4
     assert max_relative_error(offsets.grad, fd[1]) < 1e-4
     assert max_relative_error(kernels.grad, fd[2]) < 1e-4
+
+
+def _ddc_grads(fields, g, native=True, shards=None):
+    """The gradients of one taped ``ddc_forward`` of ``fields`` at ``g``,
+    through the compiled VJP (in ``shards`` forced shards) or, with
+    ``native`` false, the sampling matrices'."""
+    vjps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+        mp.setattr(ops, "_NATIVE", native)
+        if shards is not None:
+            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+            mp.setattr(ops, "_POOL_SIZE", shards)
+        ops.ddc_forward(*(Tensor._wrap(a) for a in fields), 3)
+        return vjps[0](g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_compiled_ddc_vjp_bits_match_for_any_shards_and_stay_near_the_numpy_vjp(n):
+    # The compiled VJP has one order, whatever the shard count or the output
+    # gradient's layout (transposed: read in place; strided plane: copied).
+    # It differs from the sampling matrices' VJP by rounding only. Four,
+    # three, one and eleven channels per group (padded to whole vectors in
+    # the kernel), offsets reaching 2 cells.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    rng = np.random.default_rng(54)
+    for dtype, c, groups, tol in [(np.float32, 4, 1, 1e-5), (np.float64, 6, 2, 1e-12),
+                                  (np.float32, 3, 3, 1e-5), (np.float64, 33, 3, 1e-12)]:
+        h, w = 4, 5
+        fields = (_signed_zeros(rng, (n, c, h, w), dtype),
+                  rng.uniform(-2, 2, (n, 18, h, w)).astype(dtype),
+                  _signed_zeros(rng, (n, groups, 9, h, w), dtype))
+        g = _signed_zeros(rng, (n, c, h, w), dtype)
+        serial = _ddc_grads(fields, g, shards=1)
+        transposed = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        strided = np.repeat(g, 2, axis=3)[..., ::2]
+        assert n < 2 or not transposed.flags.c_contiguous  # n = 1 is contiguous
+        assert n == 0 or not strided.flags.c_contiguous
+        for shards, g_run in [(2, g), (3, g), (1, transposed), (3, strided)]:
+            for got, want in zip(_ddc_grads(fields, g_run, shards=shards), serial, strict=True):
+                assert got.flags.c_contiguous
+                assert np.array_equal(_bits(got), _bits(want))
+        for got, want in zip(serial, _ddc_grads(fields, g, native=False), strict=True):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
+
+
+def test_compiled_ddc_tape_holds_only_its_inputs():
+    # test_ddc_tape_bytes_bounded's call: the compiled VJP reads nothing but
+    # the three input fields, so the tape holds under 1x the input beyond
+    # them and the output (the sampling matrices' path: about 5.8x).
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    rng = np.random.default_rng(30)
+    n, c, h, w = 2, 32, 8, 8
+    x = _t(rng, (n, c, h, w), dtype=np.float32)
+    offsets = _t(rng, (n, 18, h, w), dtype=np.float32)
+    kernels = _t(rng, (n, 1, 9, h, w), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = ops.ddc_forward(x, offsets, kernels, 3)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < x.data.nbytes, f"tape holds {held / x.data.nbytes:.2f}x the input bytes"
+
+
+def test_compiled_ddc_vjp_peak_is_its_gradients(monkeypatch):
+    # The calling thread allocates the three gradients and the shards write
+    # into them: serial or sharded, a VJP peaks at those plus small objects
+    # (the geometry, views, Futures). The kernel's channel-last rows are one
+    # batch element per shard, in C.
+    if ops._load_kernel() is None:
+        pytest.skip("no C compiler built the exact-order kernel")
+    vjps = []
+    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+    rng = np.random.default_rng(55)
+    args = [_t(rng, s, dtype=np.float32) for s in [(8, 64, 16, 16), (8, 18, 16, 16),
+                                                    (8, 1, 9, 16, 16)]]
+    ops.ddc_forward(*args, 3)
+    g = rng.uniform(-1, 1, args[0].shape).astype(np.float32)
+    grads = sum(a.data.nbytes for a in args)
+    for count in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+            mp.setattr(ops, "_POOL_SIZE", count)
+            vjps[0](g)  # start the pool's threads untraced
+            tracemalloc.start()
+            try:
+                vjps[0](g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert grads <= peak <= grads + grads // 64
 
 
 def test_ddc_misaligned_fields_rejected():
@@ -924,6 +1149,38 @@ def test_dynamic_layers_reject_a_count_below_1_at_construction(make, name, value
         make(value)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: ops.PointwiseConv(v, 4), "in_channels"),
+    (lambda v: ops.PointwiseConv(4, v), "out_channels"),
+    (lambda v: ops.StandardConv2d(v, 4), "in_channels"),
+    (lambda v: ops.StandardConv2d(4, v), "out_channels"),
+    (lambda v: ops.PatchEmbed(v, 2, 8), "in_channels"),
+    (lambda v: ops.PatchEmbed(2, v, 8), "patch_size"),
+    (lambda v: ops.PatchEmbed(2, 2, v), "embed_dim"),
+    (lambda v: ops.PatchBack(v, 8, 2, 2), "input_steps"),
+    (lambda v: ops.PatchBack(4, v, 2, 2), "embed_dim"),
+    (lambda v: ops.PatchBack(4, 8, v, 2), "patch_size"),
+    (lambda v: ops.PatchBack(4, 8, 2, v), "out_channels"),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_layers_reject_a_count_below_1_at_construction(make, name, value):
+    # 0 once raised ZeroDivisionError from the weight init's 1/sqrt(fan_in),
+    # a negative count numpy's "negative dimensions".
+    with pytest.raises(ShapeError, match=f"{name} must be >= 1, got {value}"):
+        make(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: ops.StandardConv2d(4, 4, k), lambda k: ops.SharedConv(k),
+    lambda k: ops.SharedConv(k, dims=3),
+], ids=["standard", "shared2d", "shared3d"])
+@pytest.mark.parametrize("k", [2, 0, -1])
+def test_conv_layers_reject_a_kernel_size_that_is_even_or_below_1_at_construction(make, k):
+    # An even size once constructed, and 0 raised ZeroDivisionError.
+    with pytest.raises(ShapeError, match="kernel sizes must be odd"):
+        make(k)
+
+
 # ---------------------------------------------------------------------------
 # DDC layer (both branches)
 # ---------------------------------------------------------------------------
@@ -970,6 +1227,7 @@ def test_ddc_layer_rejects_input_of_wrong_rank():
         ops.DDCLayer(4)(Tensor(np.zeros((1, 4, 4), dtype=np.float32)))
 
 
+@pytest.mark.usefixtures("path")
 def test_ddc_layer_gradcheck():
     rng = np.random.default_rng(20)
     layer = ops.DDCLayer(2, rng=rng, dtype=np.float64)
@@ -1042,16 +1300,8 @@ def test_involution_agg_matches_quintuple_loop_oracle(dtype):
     )
 
 
-# Each dtype with 1, 2 and 3 forced shards.
-INVOLUTION_SHARDS = [
-    pytest.param(dtype, count, id=f"{dtype.__name__}-shards{count}")
-    for count in (1, 2, 3)
-    for dtype in (np.float32, np.float64)
-]
-
-
 @pytest.mark.parametrize("groups", [1, 2])
-@pytest.mark.parametrize("dtype, shards", INVOLUTION_SHARDS, indirect=["shards"])
+@pytest.mark.parametrize("dtype, shards", FORCED_SHARDS, indirect=["shards"])
 @pytest.mark.usefixtures("path")
 def test_involution_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, groups):
     # Taps clipped on a size-2 axis (T) and a size-1 axis (H) of a strided
@@ -1096,14 +1346,6 @@ def _vjp_bits_match_numpy(vjp, g, monkeypatch):
     for got, want in zip(compiled, reference, strict=True):
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want))
-
-
-def _signed_zeros(rng, shape, dtype):
-    """Uniform values in (-1, 1), a third of them +0.0 or -0.0."""
-    a = rng.uniform(-1.0, 1.0, shape).astype(dtype)
-    a[rng.random(shape) < 0.15] = 0
-    a[rng.random(shape) < 0.15] = -0.0
-    return a
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
