@@ -7,33 +7,28 @@ Parameter and FLOP counts live in ``profile`` (``count_params``,
 ``cost_report``), not on the layers.
 
 Forward accumulation orders are fixed and documented per operation so that
-independent nested-loop oracles can reproduce outputs bit-for-bit. The
-pointwise convolution is the standard convolution's K=1 case, and the
+independent nested-loop oracles can reproduce outputs bit-for-bit. Every
+fixed-weight conv forward, and the involution's and the deformable
+convolution's forwards and VJPs, run on one compiled file (``exact_conv.c``,
+built with the system C compiler and cached per user by ``_load_kernel``).
+There is no numpy twin: where the file cannot be built, each of these ops
+raises ``KernelBuildError``. The kernels read strided batch and channel axes
+in place; an input whose planes (its last two axes) are not C-contiguous is
+copied once (``_c_planes``).
+
+The pointwise convolution is the standard convolution's K=1 case, and the
 shared-filter convolution its one-channel case on the input's (N*C, 1,
 *spatial) planes: all three run one forward (``_conv_forward``), which
 evaluates the contracted order, output element by output element, from +0
-over (input channel, tap) with the bias last. Above a work threshold the core
-splits the batch into shards, one per CPU up to 8, on one module-level thread
-pool. Each shard is one call of a compiled kernel (``exact_conv.c``, built
-with the system C compiler and cached per user by ``_load_kernel``), which
-packs each block of positions once and holds a tile of accumulators in
-registers across all terms, with one rounded multiply and one rounded add per
-term, so it has the bits of the scalar loop. Without a compiler, or for an
-input it does not take, the same order runs as a numpy loop: each input
-channel's tap window is copied into one contiguous row, and every output
-channel takes ``w * row`` through a reused product buffer, in output-channel
-blocks (and batch blocks where one channel is too long) sized so that a
-block's accumulator and product buffer stay in L2. Shards and blocks are
+over (input channel, tap) with the bias last. It holds a tile of
+accumulators in registers across all terms, with one rounded multiply and
+one rounded add per term, so it has the bits of the scalar loop. Above a
+work threshold every compiled call splits the batch into shards, one per CPU
+up to 8, on one module-level thread pool (``_compiled_shards``). Shards are
 partitions, not orders: each output element sums within its own batch
-element and output channel, so the bits depend on neither the path nor the
-shard or block count. The calling thread allocates every buffer and keeps
-all tape, FLOP and probe bookkeeping; pool threads run numpy or the kernel
-only. The 3D involution's and the deformable convolution's forwards and VJPs
-run on the same file's entry points in batch shards on the same pool
-(``_compiled_shards``), when their fields are float32 or float64 with
-C-contiguous (H, W) planes; otherwise the involution's numpy loops over the
-taps and the deformable convolution's sampling matrices run, with the same
-forward bits.
+element, so the bits do not depend on the shard count. The calling thread
+allocates every result and keeps all tape, FLOP and probe bookkeeping; pool
+threads run the kernels only.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
 (by ``_check_kernel_sizes``, which the layers' constructors call too)
 and owns their centred, row-major tap order: it gives each tap's displacement,
@@ -43,35 +38,30 @@ padding is the term ``w * (+0)``: for a finite weight an exact zero, which
 never changes a sum that starts at +0. The involution skips such a term, so
 a non-finite kernel value at a clipped tap reaches no output. Bilinear
 sampling sums each point's four corner terms from +0 in the contracted
-corner order, an off-grid corner's term being ``w * (+0)``. The compiled
-deformable convolution samples every tap of a position in one pass over the
-channels, and accumulates the taps left to right. Without it, each tap
-samples through a sparse (CSR) sampling matrix (``_sampling_matrix``), with
-its backward (``_sampling_grads``); ``bilinear_sample``, the
-gradient-checked scalar op, is a one-position view of that matrix.
+corner order, an off-grid corner's term being ``w * (+0)``. The deformable
+convolution samples every tap of a position in one pass over the channels,
+and accumulates the taps left to right; ``bilinear_sample``, the
+gradient-checked scalar op, is its K=1 case on one plane.
 
-A taped call keeps only what its backward pass reads. The compiled
-deformable convolution keeps nothing but its three input fields: its VJP
-recomputes each tap's corners and weights. Without the kernel it keeps each
-tap's sampling matrix, not its samples. On both paths its kernel and offset
-gradients come from four per-corner channel reductions of the input against
-the output gradient. The standard, shared and involution convolutions keep
-their input and the clipped tap slices. Their VJPs assign the centre tap's
-input gradient and add every other tap into its clipped region.
+A taped call keeps only what its backward pass reads. The deformable
+convolution keeps nothing but its three input fields: its VJP recomputes
+each tap's corners and weights, and takes the kernel and offset gradients
+from four per-corner channel reductions of the input against the output
+gradient. The standard, shared and involution convolutions keep their input
+and the clipped tap slices. Their VJPs assign the centre tap's input
+gradient and add every other tap into its clipped region.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
-Backward channel contractions run as BLAS ``matmul``. The compiled deformable
-convolution scatters its input gradient corner by corner in one fixed order
-for any shard count (``ddc_forward``); without the kernel it scatters through
-the transpose of each tap's sampling matrix. Each sums in the same order on
-every call for a fixed thread count, so training stays bit-reproducible per
-seed on each path. The involution VJP has one order on both of its paths:
-its input gradient takes the centre tap's ``g * k`` and adds every other
-tap's in ``_centre_first`` order; its kernel gradient sums ``g * x`` over
-each group's channels in ascending order from +0 (numpy's ``sum`` over a
-non-inner axis), +0 where the tap is clipped; its bias gradient is one
-whole-batch sum on the calling thread.
+The fixed-weight convs' backward channel contractions run as BLAS
+``matmul``. The deformable convolution scatters its input gradient corner by
+corner in one fixed order for any shard count (``ddc_forward``). The
+involution VJP's input gradient takes the centre tap's ``g * k`` and adds
+every other tap's in ``_centre_first`` order; its kernel gradient sums
+``g * x`` over each group's channels in ascending order from +0, +0 where
+the tap is clipped; its bias gradient is one whole-batch sum on the calling
+thread. Each sums in the same order on every call for a fixed thread count,
+so training stays bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -89,7 +79,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .numerics import (
     F32,
@@ -123,6 +112,7 @@ __all__ = [
     "Involution3D",
     "PatchEmbed",
     "PatchBack",
+    "KernelBuildError",
 ]
 
 
@@ -132,20 +122,16 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=F32) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-# The exact-order conv forward shards its batch over one pool, created once;
-# its threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds
-# run inline as one shard. Tests force sharding and output-channel blocks
-# (``_conv_forward``) by patching these constants.
+# Every compiled call shards its batch over one pool, created once; its
+# threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds run
+# inline as one shard. Tests force sharding by patching these constants.
 _SHARD_MIN_MACS = 1 << 22
-_BLOCK_BYTES = 1280 << 10
 _POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1, 8)
 _POOL = ThreadPoolExecutor(_POOL_SIZE, thread_name_prefix="ddcn-conv")
 
 # The compiled kernels (``exact_conv.c``), built by ``_load_kernel`` on first
-# use. Tests force the numpy loops by clearing _NATIVE, and a missing
-# compiler by patching _CC.
-_NATIVE = True
+# use. Tests force a missing compiler by patching _CC.
 _CC = "cc"
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
@@ -155,9 +141,15 @@ _KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
 _ENTRY_POINTS = {"contract": 5, "involution": 5, "involution_vjp": 6, "ddc": 5, "ddc_vjp": 8}
 
 
+class KernelBuildError(OSError):
+    """``exact_conv.c`` could not be built or loaded: no C compiler, a failed
+    build (the message carries the compiler's stderr), or a cache directory
+    that cannot be written. The CLI reports it as an I/O error (exit 2)."""
+
+
 @functools.cache
-def _load_kernel() -> dict | None:
-    """The compiled kernels, keyed by (entry point, dtype), or None.
+def _load_kernel() -> dict:
+    """The compiled kernels, keyed by (entry point, dtype).
 
     Builds ``exact_conv.c`` with the system C compiler into
     ``$XDG_CACHE_HOME/ddcn`` (else ``~/.cache/ddcn``, created mode 0700) and
@@ -167,8 +159,9 @@ def _load_kernel() -> dict | None:
     loads a ``-march=native`` build for another CPU. The result holds every
     entry point of _ENTRY_POINTS in float32 and float64. A build writes a
     temporary file and renames it into place, so processes building at once
-    leave one working file. Any failure (no compiler, a failed build, an
-    unwritable cache) returns None, silently: the numpy loops run instead.
+    leave one working file, and a failed build leaves none. Any failure
+    raises ``KernelBuildError``; failures are not cached, so the next call
+    tries again.
     """
     try:
         digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
@@ -196,8 +189,12 @@ def _load_kernel() -> dict | None:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         dll = ctypes.CDLL(str(lib))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        return None
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").strip()
+        raise KernelBuildError(f"cannot build {_KERNEL_SOURCE.name}: {exc.cmd[0]} exited "
+                               f"{exc.returncode}: {stderr}") from exc
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        raise KernelBuildError(f"cannot build {_KERNEL_SOURCE.name} with {_CC}: {exc}") from exc
     kernels = {}
     for name, args in _ENTRY_POINTS.items():
         for dtype, suffix in ((np.dtype(F32), "f32"), (np.dtype(F64), "f64")):
@@ -207,17 +204,14 @@ def _load_kernel() -> dict | None:
     return kernels
 
 
-def _runs_compiled(*arrays: np.ndarray) -> bool:
-    """Whether the compiled kernels take ``arrays``: one dtype they were
-    built for (native float32 or float64), and each array aligned with a
-    C-contiguous plane (its last two axes past the batch and channel axes;
-    size 1 where it has fewer)."""
-    for a in arrays:
-        (s1, s2), (t1, t2) = ((1,) + a.shape[2:])[-2:], ((0,) + a.strides[2:])[-2:]
-        if not (a.dtype == arrays[0].dtype and a.flags.aligned
-                and (s2 == 1 or t2 == a.itemsize) and (s1 == 1 or t1 == s2 * a.itemsize)):
-            return False
-    return _NATIVE and ("contract", arrays[0].dtype) in (_load_kernel() or {})
+def _c_planes(a: np.ndarray) -> np.ndarray:
+    """``a`` if the compiled kernels can read it in place: aligned, with
+    C-contiguous planes (its last two axes past the batch and channel axes;
+    size 1 where it has fewer). Else a C-contiguous copy."""
+    (s1, s2), (t1, t2) = ((1, 1) + a.shape[2:])[-2:], ((0, 0) + a.strides[2:])[-2:]
+    if a.flags.aligned and (s2 == 1 or t2 == a.itemsize) and (s1 == 1 or t1 == s2 * a.itemsize):
+        return a
+    return np.ascontiguousarray(a)
 
 
 def _shard_bounds(n: int, macs: int) -> list:
@@ -249,16 +243,17 @@ def _compiled_shards(name: str, macs: int, geom: list, *arrays):
     in batch shards (``_shard_bounds`` of ``macs``). ``geom`` is the
     kernel's int64 geometry, led by the batch size, which each shard gets as
     its own. Each shard gets its batch slice of every array but a 1-D one,
-    and the calling thread allocated every result, so shards write disjoint
-    slices."""
+    and a null pointer for None; the calling thread allocated every result,
+    so shards write disjoint slices. Looks the kernel up on the calling
+    thread, so a failed build raises there (``KernelBuildError``)."""
     fn = _load_kernel()[name, arrays[0].dtype]
     geom = np.array(geom, dtype=np.int64)
 
     def shard(lo, hi):
         shard_geom = geom.copy()
         shard_geom[0] = hi - lo
-        if fn(*(a[lo:hi].ctypes.data if a.ndim > 1 else a.ctypes.data for a in arrays),
-              shard_geom.ctypes.data):
+        if fn(*(None if a is None else (a[lo:hi] if a.ndim > 1 else a).ctypes.data
+                for a in arrays), shard_geom.ctypes.data):
             raise MemoryError(f"{name} kernel: buffer allocation failed")
 
     bounds = _shard_bounds(len(arrays[0]), macs)
@@ -274,60 +269,6 @@ def _check_weights(op: str, x, *weights):
 # ---------------------------------------------------------------------------
 # Clipped tap windows and the ordered channel contraction of one conv core
 # ---------------------------------------------------------------------------
-
-
-def _ordered_contract(w2, x, taps, bias, out, *buffers):
-    """out[n, co, pos] = sum_k w2[co, k] * row_k[n, pos] + bias[co], in ascending ``k``.
-
-    Row ``k`` is the k-th (channel, tap) window of (N, C, *spatial) ``x``,
-    zero where the tap leaves the input. The result goes into the
-    C-contiguous (N, C_out, *spatial) ``out``: later pairwise reductions
-    depend on memory layout, so it must not be a transposed view. Calls no
-    primitive and enters no scope, so it may run on a pool thread.
-
-    Without ``buffers``, the compiled kernel (``_load_kernel``) runs the
-    whole call, holding a tile of accumulators in registers across all
-    ``k``. With ``(acc, tmp, buf)``, numpy does: rows come from
-    ``_window_rows`` through row buffer ``buf``, blocks of ``len(buf)`` batch
-    elements and ``len(acc)`` output channels partition the result, like the
-    shards, and each block's sum starts from the zero-filled ``acc`` and adds
-    one outer product ``w2[block, k] * row_k`` at a time through the product
-    buffer ``tmp``, bias last. Both are the scalar oracle's order for every
-    output element, so their bits are equal.
-    """
-    if not buffers:
-        _compiled_contract(w2, x, taps, bias, out)
-        return
-    acc, tmp, buf = buffers
-    for n0 in range(0, len(x), len(buf)):
-        xb, bb = x[n0:n0 + len(buf)], buf[:len(x) - n0]  # the last block may be shorter
-        for lo in range(0, len(w2), len(acc)):
-            w_blk = w2[lo:lo + len(acc)]  # and so may the last channel block
-            blk, prod = acc[:len(w_blk), :bb.size], tmp[:len(w_blk), :bb.size]
-            blk.fill(0)
-            for w_k, row in zip(w_blk.T, _window_rows(xb, taps, bb)):
-                np.multiply.outer(w_k, row, out=prod)
-                blk += prod
-            if bias is not None:
-                blk += bias[lo:lo + len(acc)]
-            np.copyto(out[n0:n0 + len(xb), lo:lo + len(blk)],
-                      blk.reshape((len(blk),) + bb.shape).swapaxes(0, 1))
-
-
-def _compiled_contract(w2, x, taps, bias, out):
-    """``_ordered_contract`` as one call of the compiled kernel, which reads
-    the strided ``x`` and each tap's clipped window in place."""
-    pad = 5 - x.ndim  # the kernel takes three spatial axes, led by size-1 ones
-    strides = [s // x.itemsize for s in x.strides]
-    geom = np.array([len(x), x.shape[1], len(w2), len(taps), *(1,) * pad, *x.shape[2:],
-                     strides[0], strides[1], strides[2] if pad == 0 else 0,
-                     *_tap_geometry(taps, pad)], dtype=np.int64)
-    w2 = np.ascontiguousarray(w2)
-    bias = None if bias is None else np.ascontiguousarray(bias)  # alive through the call
-    contract = _load_kernel()["contract", x.dtype]
-    if contract(x.ctypes.data, w2.ctypes.data, None if bias is None else bias.ctypes.data,
-                out.ctypes.data, geom.ctypes.data):
-        raise MemoryError("exact-order conv kernel: buffer allocation failed")
 
 
 def _tap_geometry(taps: list, pad: int = 0) -> list:
@@ -407,66 +348,33 @@ def _add_tap(gx, part, in_sl):
     return gx
 
 
-def _window_rows(x, taps, buf):
-    """Each (channel, tap) of (N, C, *spatial) ``x`` in lexicographic order,
-    copied into the reused contiguous (N, *spatial) buffer ``buf`` and
-    yielded as its flat row.
-
-    ``taps`` come from ``_clipped_taps``. A clipped tap's row is zero where
-    its window leaves the input: the buffer is zero filled before the copy,
-    so the row holds the same bytes as the tap's window into a zero-padded
-    input. The buffer holds one row, so no input-sized channel-first copy is
-    ever live.
-    """
-    row = buf.reshape(-1)
-    windows = [(out_sl, x[in_sl]) for _, _, out_sl, in_sl in taps]
-    for ci in range(x.shape[1]):
-        for out_sl, window in windows:
-            if window.shape != x.shape:
-                buf.fill(0)
-            np.copyto(buf[out_sl], window[:, ci])
-            yield row
-
-
 def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     """The exact-order forward of every fixed-weight convolution: (N, C_in,
-    *spatial) ``xd`` cross-correlated with (C_out, C_in, *K) ``wk`` on clipped
-    taps, plus the optional (C_out,) bias ``b`` (``_ordered_contract``).
-    Checks the dtypes and the bias shape and counts the FLOPs. Returns the
-    C-contiguous (N, C_out, *spatial) result and the taps, for the VJP."""
+    *spatial) ``xd``, with one to three spatial axes and C-contiguous planes
+    (``_c_planes``), cross-correlated with (C_out, C_in, *K) ``wk`` on
+    clipped taps, plus the optional (C_out,) bias ``b``.
+
+    out[n, co, pos] = sum_k wk[co, k] * row_k[n, pos] + b[co], in ascending
+    ``k`` = (input channel, row-major tap), where row ``k`` is the tap's
+    window of the channel, +0 where the tap leaves the input. One compiled
+    call per shard (``ddcn_contract``) reads ``xd`` and each tap's clipped
+    window in place. Checks the dtypes and the bias shape and counts the
+    FLOPs. Returns the C-contiguous (N, C_out, *spatial) result and the taps,
+    for the VJP."""
     c_out, c_in = wk.shape[:2]
     _check_weights(op, xd, wk, b)
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"{op}: bias must be ({c_out},), got {b.shape}")
     n, spatial = xd.shape[0], xd.shape[2:]
     taps = _clipped_taps(op, spatial, wk.shape[2:])
-    positions = math.prod(spatial)
-    macs = n * c_out * c_in * positions * len(taps)
-    bounds = _shard_bounds(n, macs)
-    # This thread allocates the result first and then, for the numpy loop,
-    # every shard's buffers (the compiled kernel takes none), so the buffers
-    # sit above the result in the heap, where the allocator can hand them
-    # back on return. With the result allocated after them, peak RSS of a
-    # training step rose by ~2%; with buffers allocated by each worker and
-    # the shards concatenated, by ~9%. The result is cut into ``blocks`` of
-    # at most about _BLOCK_BYTES (at least one): by output channel, and by
-    # batch element too where a block would hold less than one channel (the
-    # shared conv's planes). Each shard's accumulator and product buffer hold
-    # ``rows`` channels of ``span`` elements, so on two cores they fit in L2.
+    macs = n * c_out * c_in * math.prod(spatial) * len(taps)
+    pad = 5 - xd.ndim  # the kernel takes three spatial axes, led by size-1 ones
     out = np.empty((n, c_out) + spatial, dtype=xd.dtype)
-    blocks = max(1, -(-out.nbytes // _BLOCK_BYTES))
-    rows = -(-c_out // blocks)
-    bias = None if b is None else b.data[:, None]
-    compiled = xd.ndim <= 5 and _runs_compiled(xd)  # up to three spatial axes
-    jobs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        jobs.append((xd[lo:hi], taps, bias, out[lo:hi]))
-        if not compiled:
-            span = max(1, -(-(hi - lo) // -(-blocks // c_out)))
-            acc = np.empty((rows, span * positions), dtype=xd.dtype)
-            jobs[-1] += (acc, np.empty_like(acc), np.empty((span,) + spatial, dtype=xd.dtype))
-    w2 = wk.reshape(c_out, -1)
-    _run_shards(functools.partial(_ordered_contract, w2), jobs)
+    _compiled_shards("contract", macs,
+                     [n, c_in, c_out, len(taps), *(1,) * pad, *spatial,
+                      *_element_strides(xd, 3), *_tap_geometry(taps, pad)],
+                     xd, np.ascontiguousarray(wk).reshape(-1),
+                     None if b is None else np.ascontiguousarray(b.data), out)
     add_flops(2 * macs)
     return out, taps
 
@@ -475,9 +383,10 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     """Shape-preserving cross-correlation with kernel ``wk``, ``w.data`` viewed
     as (C_out, C_in, *K); the forward is ``_conv_forward``. The VJP returns the
     weight gradient in ``w``'s own shape."""
-    xd = x.data
-    if xd.ndim < 3:
-        raise ShapeError(f"{op}: input must be (N, C, *spatial), got {xd.shape}")
+    if not 3 <= x.data.ndim <= 5:
+        raise ShapeError(f"{op}: input must be (N, C, *spatial) with 1 to 3 spatial axes, "
+                         f"got {x.data.shape}")
+    xd = _c_planes(x.data)
     c_out, c_in = wk.shape[:2]
     if xd.shape[1] != c_in:
         raise ShapeError(
@@ -511,7 +420,7 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
 def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """1x1 convolution: out[n, co, pos] = sum_ci w[co, ci] * x[n, ci, pos] + b[co].
 
-    ``x`` is (N, C_in, *spatial) with any spatial rank >= 1 and ``w`` is
+    ``x`` is (N, C_in, *spatial) with one to three spatial axes and ``w`` is
     (C_out, C_in). This is the standard convolution's K=1 case: ``w`` runs
     viewed as (C_out, C_in, 1, ...). Channel contributions accumulate in
     ascending ``ci`` order with the bias added last, the order the
@@ -552,7 +461,7 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (N*C, 1, *spatial) planes of ``x`` with ``w`` as a (1, 1, *K) kernel: taps
     sum row-major from +0, bias last; reads outside the input are absent.
     """
-    xd, wd = x.data, w.data
+    xd, wd = _c_planes(x.data), w.data
     if wd.ndim not in (2, 3):
         raise ShapeError(f"shared_conv: filter rank {wd.ndim} not supported")
     planes = xd.reshape((math.prod(xd.shape[:2]), 1) + xd.shape[2:])
@@ -594,92 +503,6 @@ def _probe_coords(r, q):
                                          float(np.abs(q - np.round(q)).min())))
 
 
-def _sampling_matrix(r, q, h: int, w: int, indptr):
-    """The bilinear sampling matrix S of fractional (row, col) points.
-
-    ``r`` and ``q`` hold one point per position, with a leading batch axis:
-    a point of batch ``i`` samples plane ``i`` of an (N, H, W) grid. S is a
-    CSR matrix of shape (positions, N*H*W + 1): one row per position, four
-    entries per row in corner order 00, 01, 10, 11, each holding its
-    bilinear weight and the flat (n, y, x) index of its corner. An
-    out-of-bounds corner points at the dummy last column, which the caller's
-    table fills with a zero row. ``indptr`` is ``arange(0, 4 * positions + 1,
-    4)``, shared by every matrix of a call. Returns S and the fractional
-    parts ``wr``, ``wq`` (shaped like ``r``), which the backward pass needs.
-
-    ``S @ table`` sums each row from zero in stored-entry order, without
-    fused multiply-adds, so a sample is exactly
-    ((v00*w00 + v01*w01) + v10*w10) + v11*w11.
-
-    Reports the points to a ``KinkProbe`` (``_probe_coords``).
-    """
-    _probe_coords(r, q)
-    dtype = r.dtype
-    one = dtype.type(1)
-    npos = r.size
-    dummy = r.shape[0] * h * w
-    row_base = (np.arange(r.shape[0]) * h).reshape((-1,) + (1,) * (r.ndim - 1))
-    r0 = np.floor(r)
-    q0 = np.floor(q)
-    wr = r - r0
-    wq = q - q0
-    r0i = r0.astype(np.int64)
-    q0i = q0.astype(np.int64)
-    base = (row_base + r0i) * w + q0i
-    row_ok = ((r0i >= 0) & (r0i < h), (r0i >= -1) & (r0i < h - 1))
-    col_ok = ((q0i >= 0) & (q0i < w), (q0i >= -1) & (q0i < w - 1))
-    corner_cols = np.empty((npos, 4), dtype=np.int64)
-    corner_wts = np.empty((npos, 4), dtype=dtype)
-    weights = ((one - wr) * (one - wq), (one - wr) * wq, wr * (one - wq), wr * wq)
-    for k, wt in enumerate(weights):
-        di, dj = divmod(k, 2)
-        inside = row_ok[di] & col_ok[dj]
-        corner_cols[:, k] = np.where(inside, base + (di * w + dj), dummy).reshape(-1)
-        corner_wts[:, k] = wt.reshape(-1)
-    sampling = sparse.csr_array(
-        (corner_wts.reshape(-1), corner_cols.reshape(-1), indptr), shape=(npos, dummy + 1)
-    )
-    return sampling, wr, wq
-
-
-def _sampling_grads(sampling, table, g, kern, wr, wq):
-    """Backward of ``out = kern * (sampling @ table)`` for output gradient ``g``.
-
-    ``g`` is (positions, groups, rep): the table's channels split into
-    ``groups`` of ``rep``, each group scaled by its per-position weight in
-    ``kern`` (positions, groups). Returns ``(g_table, g_kern, g_r, g_q)``:
-    the table gradient ``sampling.T @ (g * kern)`` (its last, dummy row is
-    the caller's to drop), the gradient of ``kern``, and the gradients of the
-    sampling coordinates, shaped like ``wr``.
-
-    The samples themselves are not needed. Each corner's values are read
-    back from ``table`` through S's column indices, by their position in the
-    row, and reduced against ``g`` over each group's channels once, giving
-    q_k (positions, groups) for corners k = 00, 01, 10, 11. Then
-    g_kern = sum_k w_k q_k, with the bilinear weights w_k read from S's
-    stored entries, and, since d(sample)/dr = (v10 - v00)(1 - wq)
-    + (v11 - v01) wq (and likewise for q), the coordinate gradients combine
-    p_k = sum_g kern[g] q_k[g] with the fractional parts. S is never
-    canonicalized (sorted or with its duplicate dummy entries summed).
-    """
-    one = wr.dtype.type(1)
-    npos, groups, rep = g.shape
-    gs = (g * kern[..., None]).reshape(npos, groups * rep)
-    corners = sampling.indices.reshape(npos, 4)
-    weights = sampling.data.reshape(npos, 4)
-    q = [
-        np.einsum("igr,igr->ig", g, np.take(table, corners[:, k], axis=0).reshape(g.shape))
-        for k in range(4)
-    ]
-    g_kern = np.zeros((npos, groups), dtype=g.dtype)
-    for k in range(4):
-        g_kern += weights[:, k, None] * q[k]
-    p00, p01, p10, p11 = (np.einsum("ig,ig->i", kern, q_k).reshape(wr.shape) for q_k in q)
-    g_r = (p10 - p00) * (one - wq) + (p11 - p01) * wq
-    g_q = (p01 - p00) * (one - wr) + (p11 - p10) * wr
-    return sampling.T @ gs, g_kern, g_r, g_q
-
-
 def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     """Sample channel (n, c) of a (N, C, H, W) tensor at fractional (row, col).
 
@@ -687,12 +510,14 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     [0, H) x [0, W) contribute zero. ``r`` and ``q`` may be floats or
     single-element Tensors; gradient flows to the four cells and, for Tensor
     coordinates, to (r, q). Exact on lattice points, linear along each axis
-    in between.
+    in between. A NaN or infinite coordinate gives NaN.
 
-    This is a one-position view of the sampling primitive ``ddc_forward``
-    runs: one sampling matrix row (``_sampling_matrix``) over a one-channel
-    table holding the (n, c) plane plus a zero row, and its backward through
-    ``_sampling_grads``.
+    This is the deformable convolution at K=1 (``_ddc_compiled``) on the
+    (n, c) plane: the offset at position (0, 0) is (r, q) and its kernel
+    weight 1, every other offset and weight 0. The sample, the plane's
+    gradient and the coordinate gradients are read at (0, 0). Only (r, q)
+    goes to a ``KinkProbe``: the plane's other positions sit on lattice
+    points.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -700,38 +525,33 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     if not (0 <= n < xd.shape[0] and 0 <= c < xd.shape[1]):
         raise ShapeError(f"bilinear_sample: channel ({n}, {c}) out of range for {xd.shape}")
     h, w = xd.shape[2:]
+    if h == 0 or w == 0:
+        raise ShapeError(f"bilinear_sample: empty plane in {xd.shape}")
     dtype = xd.dtype
 
-    r_t = r if isinstance(r, Tensor) else None
-    q_t = q if isinstance(q, Tensor) else None
-    rv = dtype.type(r.item() if r_t is not None else r)
-    qv = dtype.type(q.item() if q_t is not None else q)
-
-    table = np.zeros((h * w + 1, 1), dtype=dtype)
-    table[: h * w, 0] = xd[n, c].reshape(-1)
-    sampling, wr, wq = _sampling_matrix(
-        np.full((1, 1), rv), np.full((1, 1), qv), h, w, np.arange(0, 5, 4)
-    )
+    coords = [i for i, v in enumerate((r, q)) if isinstance(v, Tensor)]  # (r, q) taking a gradient
+    rq = np.array([v.item() if isinstance(v, Tensor) else v for v in (r, q)], dtype=dtype)
+    _probe_coords(rq[:1], rq[1:])
+    offsets = np.zeros((1, 2, h, w), dtype=dtype)
+    offsets[0, :, 0, 0] = rq
+    weights = np.zeros((1, 1, 1, h, w), dtype=dtype)
+    weights[0, 0, 0, 0, 0] = 1
+    plane = _c_planes(xd[n:n + 1, c:c + 1])
+    taps = _clipped_taps("bilinear_sample", (h, w), (1, 1))
+    out, ddc_vjp = _ddc_compiled(plane, offsets, weights, taps, 10 * h * w)
     add_flops(8)
-
-    result = Tensor._wrap((sampling @ table).reshape(1))
-    inputs = [t for t in (x, r_t, q_t) if t is not None]
-    want_r, want_q = r_t is not None, q_t is not None
+    result = Tensor._wrap(out[0, 0, 0, :1].copy())
 
     def vjp(g):
-        g_table, _, g_r, g_q = _sampling_grads(
-            sampling, table, g.reshape(1, 1, 1), np.ones((1, 1), dtype=dtype), wr, wq
-        )
+        g_plane = np.zeros(plane.shape, dtype=dtype)
+        g_plane[0, 0, 0, :1] = g
+        g_cells, g_off, _ = ddc_vjp(g_plane)
         gx = np.zeros_like(xd)
-        gx[n, c] = g_table[: h * w].reshape(h, w)
-        grads = [gx]
-        if want_r:
-            grads.append(g_r.reshape(1))
-        if want_q:
-            grads.append(g_q.reshape(1))
-        return tuple(grads)
+        gx[n, c] = g_cells[0, 0]
+        return (gx, *g_off[0, coords, 0, :1])
 
-    record(tuple(inputs), result, vjp)
+    inputs = (x, *((r, q)[i] for i in coords))
+    record(inputs, result, vjp)
     return result
 
 
@@ -756,22 +576,19 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
     + v11*w11, an out-of-bounds corner's term being ``w * (+0)``; then the
     kernel-weighted taps accumulate left to right from +0.
 
-    For float32 and float64 fields with C-contiguous (H, W) planes, the
-    compiled kernels (``exact_conv.c``) run the forward and the VJP in batch
-    shards on the conv pool, sampling each tap in one pass over the
-    channels; a taped call keeps only its three inputs. A NaN or infinite
-    offset gives NaN at its position and reads no cell. Otherwise each tap
-    samples through its bilinear sampling matrix S (``_sampling_matrix``,
-    which ``bilinear_sample`` also runs), with the same forward bits
-    (``_ddc_sparse``).
+    The compiled kernels (``exact_conv.c``) run the forward and the VJP in
+    batch shards on the conv pool, sampling each tap in one pass over the
+    channels (``_ddc_compiled``); a taped call keeps only its three inputs.
+    A NaN or infinite offset gives NaN at its position and reads no cell.
+    Under a ``KinkProbe``, every tap's sampling point is reported.
 
-    The VJP has one order per path, fixed for any shard count (gradients
-    have no order contract; both are checked against finite differences).
-    The compiled one walks each batch element's positions row-major and its
-    taps in order: it scatters ``w_k * g * k`` into the four corners,
-    reduces each corner's values against ``g`` over a group's channels
-    (q_k), and forms the kernel gradient sum_k w_k q_k and the offset
-    gradients from p_k = sum_g k q_k and the fractional coordinates.
+    The VJP has one order, fixed for any shard count (gradients have no
+    order contract; they are checked against finite differences). It walks
+    each batch element's positions row-major and its taps in order: it
+    scatters ``w_k * g * k`` into the four corners, reduces each corner's
+    values against ``g`` over a group's channels (q_k), and forms the kernel
+    gradient sum_k w_k q_k and the offset gradients from p_k = sum_g k q_k
+    and the fractional coordinates.
     """
     xd, od, kd = x.data, offsets.data, kernels.data
     if xd.ndim != 4:
@@ -791,11 +608,13 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         raise ShapeError(f"ddc_forward: groups {groups} must divide channels {c}")
     _check_weights("ddc_forward", x, offsets, kernels)
     taps = _clipped_taps("ddc_forward", (h, w), (kernel_size,) * 2)
+    if probing_active():
+        dy, dx = (np.array([ds[i] for _, ds, _, _ in taps], dtype=xd.dtype).reshape(1, -1, 1, 1)
+                  for i in (0, 1))
+        _probe_coords((np.arange(h, dtype=xd.dtype).reshape(1, 1, h, 1) + dy) + od[:, 0::2],
+                      (np.arange(w, dtype=xd.dtype).reshape(1, 1, 1, w) + dx) + od[:, 1::2])
     flops = 10 * n * c * h * w * kk
-    if _runs_compiled(xd, od, kd):
-        out, vjp = _ddc_compiled(xd, od, kd, taps, flops)
-    else:
-        out, vjp = _ddc_sparse(xd, od, kd, taps)
+    out, vjp = _ddc_compiled(_c_planes(xd), _c_planes(od), _c_planes(kd), taps, flops)
     add_flops(flops)
     result = Tensor._wrap(out)
     record((x, offsets, kernels), result, vjp)
@@ -803,14 +622,11 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
 
 
 def _ddc_compiled(xd, od, kd, taps, flops):
-    """``ddc_forward`` on the compiled kernels, in batch shards: its result,
-    and its VJP, which keeps nothing but the three input fields."""
+    """The deformable convolution of fields with C-contiguous planes
+    (``_c_planes``) on the compiled kernels, in batch shards sized by
+    ``flops``: its result, and its VJP, which keeps nothing but the three
+    input fields. ``ddc_forward`` and ``bilinear_sample`` run it."""
     n, c, h, w = xd.shape
-    if probing_active():
-        dy, dx = (np.array([ds[i] for _, ds, _, _ in taps], dtype=xd.dtype).reshape(1, -1, 1, 1)
-                  for i in (0, 1))
-        _probe_coords((np.arange(h, dtype=xd.dtype).reshape(1, 1, h, 1) + dy) + od[:, 0::2],
-                      (np.arange(w, dtype=xd.dtype).reshape(1, 1, 1, w) + dx) + od[:, 1::2])
 
     def geometry(g=None):  # the DDC entry points' ``gd``
         return [n, c, kd.shape[1], len(taps), h, w, *_element_strides(xd, 2),
@@ -821,78 +637,9 @@ def _ddc_compiled(xd, od, kd, taps, flops):
     _compiled_shards("ddc", flops // 2, geometry(), xd, od, kd, out)
 
     def vjp(g):
-        if not _runs_compiled(xd, g):
-            g = np.ascontiguousarray(g, dtype=xd.dtype)
+        g = _c_planes(g.astype(xd.dtype, copy=False))
         gx, g_off, g_kern = (np.empty(a.shape, dtype=xd.dtype) for a in (xd, od, kd))
         _compiled_shards("ddc_vjp", flops, geometry(g), xd, od, kd, g, gx, g_off, g_kern)
-        return (gx, g_off, g_kern)
-
-    return out, vjp
-
-
-def _ddc_sparse(xd, od, kd, taps):
-    """``ddc_forward`` through one CSR sampling matrix S per tap
-    (``_sampling_matrix``): its result, and its VJP.
-
-    A tap's samples are ``S @ table``, where ``table`` holds the input in
-    (N*H*W, C) layout plus one zero row for S's dummy out-of-bounds column.
-    The sparse product sums each row from zero in stored-entry order, which
-    is the contracted corner order. Under a tape, each tap keeps S and the
-    fractional parts of its coordinates, not its samples; the call keeps the
-    kernels in tap-major layout, and the taps share S's ``indptr``. The
-    backward pass rebuilds ``table`` from the input and reuses S for the
-    input, kernel and offset gradients (``_sampling_grads``): ``S.T`` times
-    the kernel-weighted output gradient, and the table's corner values
-    reduced against it.
-    """
-    n, c, h, w = xd.shape
-    groups, kk = kd.shape[1:3]
-    dtype = xd.dtype
-    rep = c // groups
-    npos = n * h * w
-    rows = np.arange(h, dtype=dtype).reshape(1, h, 1)
-    cols = np.arange(w, dtype=dtype).reshape(1, 1, w)
-
-    def gather_table():
-        table = np.empty((npos + 1, c), dtype=dtype)
-        table[:npos].reshape(n, h, w, c)[...] = xd.transpose(0, 2, 3, 1)
-        table[npos] = 0
-        return table
-
-    table = gather_table()
-    kd_t = np.ascontiguousarray(kd.transpose(0, 2, 3, 4, 1))  # (n, kk, h, w, groups)
-    indptr = np.arange(0, 4 * npos + 1, 4)
-
-    out_t = np.zeros((n, h, w, groups, rep), dtype=dtype)
-    saved = []
-    for tap, (dy, dx), _, _ in taps:
-        r = (rows + dtype.type(dy)) + od[:, 2 * tap]
-        q = (cols + dtype.type(dx)) + od[:, 2 * tap + 1]
-        sampling, wr, wq = _sampling_matrix(r, q, h, w, indptr)
-        out_t += kd_t[:, tap, ..., None] * (sampling @ table).reshape(n, h, w, groups, rep)
-        saved.append((sampling, wr, wq))
-
-    out = np.ascontiguousarray(out_t.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-
-    def vjp(g):
-        # Gradients are formed in the (N*H*W, C) table layout; the dummy
-        # column's row of the input gradient is dropped at the end.
-        g_t = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(npos, groups, rep)
-        gx_flat = np.zeros((npos + 1, c), dtype=dtype)
-        g_off = np.empty((n, 2 * kk, h, w), dtype=dtype)
-        g_kern = np.empty((n, groups, kk, h, w), dtype=dtype)
-        table = gather_table()
-        for tap, (sampling, wr, wq) in enumerate(saved):
-            g_table, g_k, g_off[:, 2 * tap], g_off[:, 2 * tap + 1] = _sampling_grads(
-                sampling, table, g_t, kd_t[:, tap].reshape(npos, groups), wr, wq
-            )
-            g_kern[:, :, tap] = g_k.reshape(n, h, w, groups).transpose(0, 3, 1, 2)
-            gx_flat += g_table
-            # Freed here, not when the next tap rebinds it: alive through the
-            # next tap's corner reductions, it raised the backward peak by
-            # one input-sized array.
-            del g_table
-        gx = np.ascontiguousarray(gx_flat[:npos].reshape(n, h, w, c).transpose(0, 3, 1, 2))
         return (gx, g_off, g_kern)
 
     return out, vjp
@@ -915,17 +662,17 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     Exact order (matched by the quintuple-loop oracle): each output element
     sums from +0 over the taps in row-major order, then adds the bias. A tap
     whose read leaves the volume is skipped, not multiplied by a zero, so a
-    non-finite kernel value there reaches no output. For float32 and float64
-    inputs and kernels with C-contiguous (H, W) planes, a compiled kernel
-    (``exact_conv.c``) runs the forward and the VJP in batch shards on the
-    conv pool; otherwise a numpy loop over the taps does, with the same bits.
+    non-finite kernel value there reaches no output. The compiled kernels
+    (``exact_conv.c``) run the forward and the VJP in batch shards on the
+    conv pool.
 
-    The VJP reproduces the numpy loop's order on both paths: the input
-    gradient takes the centre tap's ``g * k`` and adds every other tap's in
-    ``_centre_first`` order into its clipped region; the kernel gradient of
-    tap i sums ``g * x`` over the group's channels in ascending order from
-    +0, and is +0 where the tap is clipped. The bias gradient is one
-    whole-batch sum on the calling thread, which a batch split would change.
+    The VJP's input gradient takes the centre tap's ``g * k`` and adds every
+    other tap's in ``_centre_first`` order into its clipped region; the
+    kernel gradient of tap i sums ``g * x`` over the group's channels in
+    ascending order from +0, and is +0 where the tap is clipped. The bias
+    gradient is one whole-batch numpy sum on the calling thread, which a
+    batch split would change; ``g`` is made C-contiguous first, so that sum
+    has one order for any layout of ``g``.
     """
     xd, kd = x.data, kernels.data
     if xd.ndim != 5:
@@ -942,8 +689,7 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     if bias.data.shape != (c,):
         raise ShapeError(f"involution3d: bias must be ({c},), got {bias.data.shape}")
     _check_weights("involution3d", x, kernels, bias)
-
-    grouped = (n, groups, c // groups, t, h, w)
+    xd, kd = _c_planes(xd), _c_planes(kd)
     taps = _clipped_taps("involution3d", (t, h, w), (kernel_size,) * 3)
     macs = xd.size * k3
 
@@ -952,45 +698,16 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
                 *_element_strides(kd, 4), *((0, 0, 0) if g is None else _element_strides(g, 3)),
                 *_tap_geometry(taps)]
 
-    if _runs_compiled(xd, kd):
-        out = np.empty(xd.shape, dtype=xd.dtype)
-        _compiled_shards("involution", macs, geometry(), xd, kd,
-                         np.ascontiguousarray(bias.data), out)
-    else:
-        x_g = xd.reshape(grouped)
-        out = np.zeros(xd.shape, dtype=xd.dtype)
-        out_g = out.reshape(grouped)
-        for i, _, out_sl, in_sl in taps:
-            out_g[out_sl] += kd[:, :, i, None][out_sl] * x_g[in_sl]
-        out += bias.data.reshape(1, c, 1, 1, 1)
+    out = np.empty(xd.shape, dtype=xd.dtype)
+    _compiled_shards("involution", macs, geometry(), xd, kd, np.ascontiguousarray(bias.data), out)
     add_flops(2 * macs)
-
     result = Tensor._wrap(out)
 
     def vjp(g):
-        # numpy's ``sum(axis=2)`` below adds a group's channels one at a time
-        # from +0, the compiled order, except over a tap region of one
-        # position: there the channel axis is its innermost loop, which sums
-        # 8 or more terms pairwise. Such calls keep the numpy VJP.
-        pairwise = c // groups >= 8 and any(
-            math.prod(sl.stop - sl.start for sl in out_sl[1:]) == 1 for _, _, out_sl, _ in taps
-        )
-        if not pairwise and _runs_compiled(xd, kd, g):
-            gx = np.empty(xd.shape, dtype=g.dtype)
-            g_kern = np.empty(kd.shape, dtype=g.dtype)
-            _compiled_shards("involution_vjp", 2 * macs, geometry(g), xd, kd, g, gx, g_kern)
-        else:
-            x_g = xd.reshape(grouped)
-            g_g = g.reshape(grouped)
-            g_kern = np.zeros_like(kd)
-            gx = None
-            for i, _, out_sl, in_sl in _centre_first(taps):
-                g_out = g_g[out_sl]
-                g_kern[:, :, i][out_sl] = (g_out * x_g[in_sl]).sum(axis=2)
-                gx = _add_tap(gx, g_out * kd[:, :, i, None][out_sl], in_sl)
-            gx = gx.reshape(xd.shape)
-        gb = g.sum(axis=(0, 2, 3, 4))
-        return (gx, g_kern, gb)
+        g = np.ascontiguousarray(g, dtype=xd.dtype)
+        gx, g_kern = np.empty(xd.shape, dtype=xd.dtype), np.empty(kd.shape, dtype=xd.dtype)
+        _compiled_shards("involution_vjp", 2 * macs, geometry(g), xd, kd, g, gx, g_kern)
+        return (gx, g_kern, g.sum(axis=(0, 2, 3, 4)))
 
     record((x, kernels, bias), result, vjp)
     return result
@@ -1031,7 +748,7 @@ def pixel_shuffle(x: Tensor, p: int) -> Tensor:
 
 
 class PointwiseConv(Module):
-    """Learnable 1x1 convolution over the channel axis, any spatial rank."""
+    """Learnable 1x1 convolution over the channel axis, one to three spatial axes."""
 
     def __init__(self, in_channels, out_channels, rng=None, dtype=F32):
         _check_counts(in_channels=in_channels, out_channels=out_channels)

@@ -166,6 +166,42 @@ def involution3d_oracle(x, kernels, bias, k):
     return out
 
 
+def involution3d_vjp_oracle(x, kernels, g, k):
+    """The involution's gradients at output gradient ``g``, in float64: the
+    input gradient, the kernel gradient and the bias gradient (``g`` summed
+    over all but the channel axis). A quintuple loop over outputs, each
+    spreading its gradient over the row-major K^3 taps whose read stays in
+    the volume."""
+    x, kernels, g = (np.asarray(a, dtype=np.float64) for a in (x, kernels, g))
+    n, c, t, h, w = x.shape
+    rep = c // kernels.shape[1]
+    half = (k - 1) // 2
+    gx = np.zeros_like(x)
+    g_kern = np.zeros_like(kernels)
+    gb = np.zeros(c)
+    for ni in range(n):
+        for ci in range(c):
+            gi = ci // rep
+            for ti in range(t):
+                for y in range(h):
+                    for xx in range(w):
+                        go = g[ni, ci, ti, y, xx]
+                        gb[ci] += go
+                        tap = 0
+                        for dt_ in range(k):
+                            for dy in range(k):
+                                for dx in range(k):
+                                    st = ti + dt_ - half
+                                    sy = y + dy - half
+                                    sx = xx + dx - half
+                                    if 0 <= st < t and 0 <= sy < h and 0 <= sx < w:
+                                        kv = kernels[ni, gi, tap, ti, y, xx]
+                                        gx[ni, ci, st, sy, sx] += go * kv
+                                        g_kern[ni, gi, tap, ti, y, xx] += go * x[ni, ci, st, sy, sx]
+                                    tap += 1
+    return gx, g_kern, gb
+
+
 def patch_embed_oracle(x, w, b, p):
     """Per-patch matrix multiply; patch vector order is (c, py, px) row-major."""
     bsz, t, c, h, w_dim = x.shape

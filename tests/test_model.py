@@ -262,7 +262,7 @@ def test_capture_sees_every_module_once_and_leaves_are_cost_rows(flags):
                          ids=["full", "ablation"])
 def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_call(flags,
                                                                                   monkeypatch):
-    # Pool threads run numpy only, so every tape entry, FLOP and capture of a
+    # Pool threads run the compiled kernels only, so every tape entry, FLOP and capture of a
     # sharded forward lands in the calling thread's scopes. The ablation
     # model's shared convs shard too.
     cfg = small_config(depth=2, **flags)
@@ -285,16 +285,19 @@ def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_cal
     assert sharded[2] == cost_report(cfg, shape).total_flops
 
     ran_on = set()
-    contract = ops._ordered_contract
+    run_shards = ops._run_shards
 
-    def spy(*args):
-        ran_on.add(threading.current_thread())
-        contract(*args)
+    def spy(fn, jobs):
+        def shard(*job):
+            ran_on.add(threading.current_thread())
+            fn(*job)
+
+        run_shards(shard, jobs)
 
     def pool_threads():
         return {t for t in threading.enumerate() if t.name.startswith("ddcn-conv")}
 
-    monkeypatch.setattr(ops, "_ordered_contract", spy)
+    monkeypatch.setattr(ops, "_run_shards", spy)
     others = threading.active_count() - len(pool_threads())
     for _ in range(50):
         model(x)

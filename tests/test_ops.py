@@ -3,7 +3,6 @@
 import functools
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddcn import ops
+from ddcn import cli, ops
 from ddcn.numerics import KinkProbe, Param, ShapeError, Tape, Tensor, backward, mul, reduce_sum
 from ddcn.train import finite_difference, max_relative_error
 from oracles import (
     bilinear_oracle,
     ddc_oracle,
     involution3d_oracle,
+    involution3d_vjp_oracle,
     patch_embed_oracle,
     pixel_shuffle_index_oracle,
     pointwise_conv_oracle,
@@ -43,35 +43,37 @@ def shards(request, monkeypatch):
     return count
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def path(request, monkeypatch):
-    """Run the compiled kernels (the exact-order conv forward, the involution
-    and DDC forwards and VJPs) or, with _NATIVE cleared, the numpy loops and
-    the DDC's sampling matrices. Skips the compiled path where no C compiler
-    built the kernels."""
-    if request.param == "numpy":
-        monkeypatch.setattr(ops, "_NATIVE", False)
-    elif ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
+def _strided(a):
+    """``a``'s values, bit for bit, in a view with a strided last axis: every
+    other element of an array twice as wide whose other axes keep ``a``'s
+    memory order (a transposed ``a`` stays transposed)."""
+    view = np.empty_like(a, shape=a.shape[:-1] + (2 * a.shape[-1],))[..., ::2]
+    view[...] = a
+    return view
+
+
+@pytest.fixture(params=["contiguous", "strided"])
+def layout(request, monkeypatch):
+    """Give the ops their inputs as made or, "strided", with each input
+    Tensor's data swapped once for ``_strided`` data on the way in. The
+    kernels cannot read a strided plane in place, so every conv, involution,
+    DDC and bilinear sample then takes its one copy path. The Tensors stay
+    the same objects, so gradients still land on them, and a swapped array
+    stays theirs, so a finite difference taken on it still reaches the op."""
+    if request.param == "strided":
+        def strided_inputs(op):
+            def run(*args, **kwargs):
+                for a in args:
+                    if (isinstance(a, Tensor) and a.data.ndim
+                            and a.data.strides[-1] == a.data.itemsize):
+                        a.data = _strided(a.data)
+                return op(*args, **kwargs)
+            return run
+
+        for name in ("pointwise_conv", "standard_conv", "shared_conv", "bilinear_sample",
+                     "ddc_forward", "involution3d_forward"):
+            monkeypatch.setattr(ops, name, strided_inputs(getattr(ops, name)))
     return request.param
-
-
-@pytest.fixture
-def blocks(request, monkeypatch):
-    """Cap the exact-order conv forward's accumulators at ``request.param``
-    bytes, so even tiny shapes split their output channels into blocks.
-    Returns the (C_out, rows per block) pair of every contraction run.
-    Blocks and their buffers belong to the numpy loop, so this pins it."""
-    monkeypatch.setattr(ops, "_NATIVE", False)
-    monkeypatch.setattr(ops, "_BLOCK_BYTES", request.param)
-    runs, contract = [], ops._ordered_contract
-
-    def spy(w2, x, taps, bias, out, acc, *rest):
-        runs.append((len(w2), len(acc)))
-        contract(w2, x, taps, bias, out, acc, *rest)
-
-    monkeypatch.setattr(ops, "_ordered_contract", spy)
-    return runs
 
 
 # Each dtype unforced, under its usual id, then with 2 and 3 forced shards.
@@ -101,7 +103,7 @@ def test_pointwise_scalar_affine():
     assert out.data.reshape(-1)[0] == 7.0
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_pointwise_identity():
     rng = np.random.default_rng(0)
     x = _t(rng, (2, 4, 3, 3), dtype=np.float32)
@@ -112,7 +114,7 @@ def test_pointwise_identity():
 
 
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_pointwise_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(1)
     x = _t(rng, (1, 3, 4, 4), dtype=dtype)
@@ -122,7 +124,7 @@ def test_pointwise_matches_loop_oracle_exactly(dtype, shards):
     assert np.array_equal(out.data, pointwise_conv_oracle(x.data, w.data, b.data))
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_pointwise_3d_spatial_rank():
     rng = np.random.default_rng(2)
     x = _t(rng, (2, 3, 2, 3, 3))
@@ -138,12 +140,18 @@ def test_pointwise_channel_mismatch_rejected():
         ops.pointwise_conv(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((4, 5))))
 
 
+def test_pointwise_rejects_more_than_three_spatial_axes():
+    # The compiled core takes one to three spatial axes.
+    with pytest.raises(ShapeError, match="1 to 3 spatial axes"):
+        ops.pointwise_conv(Tensor(np.zeros((1, 2, 2, 2, 2, 2))), Tensor(np.zeros((3, 2))))
+
+
 # ---------------------------------------------------------------------------
 # Standard convolution
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_standard_conv_k1_equals_pointwise_exactly():
     rng = np.random.default_rng(3)
     x = _t(rng, (2, 3, 4, 4), dtype=np.float32)
@@ -155,7 +163,7 @@ def test_standard_conv_k1_equals_pointwise_exactly():
     )
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_standard_conv_delta_kernel_identity():
     rng = np.random.default_rng(4)
     x = _t(rng, (2, 3, 5, 5), dtype=np.float32)
@@ -167,7 +175,7 @@ def test_standard_conv_delta_kernel_identity():
 
 
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_standard_conv_matches_loop_oracle_exactly(dtype, shards):
     rng = np.random.default_rng(5)
     x = _t(rng, (2, 3, 5, 4), dtype=dtype)
@@ -177,7 +185,7 @@ def test_standard_conv_matches_loop_oracle_exactly(dtype, shards):
     assert np.array_equal(out.data, standard_conv_oracle(x.data, w.data, b.data))
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_standard_conv3d_matches_loop_oracle_exactly():
     rng = np.random.default_rng(6)
     x = _t(rng, (1, 2, 3, 4, 4))
@@ -192,7 +200,7 @@ def test_standard_conv3d_matches_loop_oracle_exactly():
     (ops.shared_conv, [(2, 2, 2, 3, 4), (5, 3, 1), (1,)]),
     (lambda x, k, b: ops.involution3d_forward(x, k, b, 3), [(1, 2, 1, 2, 3), (1, 1, 27, 1, 2, 3), (2,)]),
 ], ids=["standard_conv", "shared_conv", "involution3d"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_clipped_tap_gradients_match_finite_differences(op, shapes):
     # Kernels wider than the input: the outer taps of the size-2 (size-1)
     # axis miss the input entirely, and every other tap is clipped.
@@ -267,7 +275,7 @@ def _weight(rng, shape, dtype, subnormal, negative_first=True):
 # subnormals are exact, so flushing either to zero changes bits.
 @pytest.mark.parametrize("with_bias", [False, True])
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(40)
     for subnormal in (False, True):
@@ -283,7 +291,7 @@ def test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype
 
 @pytest.mark.parametrize("with_bias", [False, True])
 @pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias):
     rng = np.random.default_rng(41)
     for subnormal in (False, True):
@@ -313,7 +321,7 @@ def test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(d
 
 @pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
     # Batches smaller than, equal to and not divisible by the shard count,
     # and an empty one: the partition never changes a bit.
@@ -338,85 +346,28 @@ def test_sharded_conv_bits_match_oracle_for_any_batch(n, shards):
         assert np.array_equal(_bits(out), _bits(ref))
 
 
-@pytest.mark.parametrize("blocks", [1, 1500], indirect=True, ids=lambda c: f"cap{c}")
-@pytest.mark.parametrize("with_bias", [False, True])
-@pytest.mark.parametrize("dtype, shards", SHARDED_DTYPES, indirect=["shards"])
-def test_conv_bits_match_oracle_in_output_channel_blocks(dtype, shards, with_bias, blocks):
-    # The signed-zero oracle cases above (2D and 3D, K=1 and 3), with the
-    # output channels split into blocks: a partition, like the shards.
-    test_pointwise_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, with_bias)
-    test_standard_conv_bits_match_oracle_on_transposed_input_with_signed_zeros(
-        dtype, shards, with_bias
-    )
-    if ops._BLOCK_BYTES == 1:
-        assert all(rows == 1 for _, rows in blocks)
-    else:  # blocks of 2 or 3 of C_out = 7 or 5 channels, the last one shorter
-        assert any(1 < rows < c_out and c_out % rows for c_out, rows in blocks)
-
-
-@pytest.mark.parametrize("blocks", [1, 200], indirect=True, ids=lambda c: f"cap{c}")
-@pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_blocked_conv_bits_match_oracle_for_any_batch(n, shards, blocks):
-    test_sharded_conv_bits_match_oracle_for_any_batch(n, shards)
-    assert n == 0 or any(rows < c_out for c_out, rows in blocks)
-
-
-def test_sharded_forward_peak_bytes_match_serial(monkeypatch):
-    # The calling thread allocates the result and every shard's buffers,
-    # which together are as large as the serial ones. The buffers are the
-    # numpy loop's, so this pins it.
-    monkeypatch.setattr(ops, "_NATIVE", False)
-    rng = np.random.default_rng(43)
-    x = _t(rng, (8, 64, 32, 32), dtype=np.float32)
-    w = _t(rng, (32, 64), dtype=np.float32)
-    b = _t(rng, (32,), dtype=np.float32)
-
-    def peak(count, op=ops.pointwise_conv, args=(x, w, b)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
-            mp.setattr(ops, "_POOL_SIZE", count)
-            op(*args)  # start the pool's threads untraced
-            tracemalloc.start()
-            try:
-                op(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-    # Results allocated per shard, or a concatenated copy, would add at
-    # least a whole result. The slack covers the row buffer (32 KiB), the
-    # extra shard's Future, views and frames (3-5 KiB) and the transient
-    # iterator buffer numpy's broadcasting ops may take per concurrent shard
-    # (32-64 KiB on short rows).
-    result_bytes = 8 * 32 * 32 * 32 * 4
-    slack = result_bytes // 8
-    # Accumulators capped at half the result: two blocks of 16 channels in
-    # one shard, one block of 16 channels for half the batch in each of two.
-    monkeypatch.setattr(ops, "_BLOCK_BYTES", result_bytes // 2)
-    serial = peak(1)
-    # The result plus one accumulator block and one product block per
-    # shard, and little else.
-    assert 2 * result_bytes < serial <= 2 * result_bytes + slack
-    assert peak(2) <= serial + slack
-    # The shared conv's one output channel, its result as large as x, is
-    # blocked by batch element: four blocks, so the result plus a quarter of
-    # x each for the accumulator, the product and the row buffer.
-    shared = (ops.shared_conv,
-              (x, _t(rng, (3, 3), dtype=np.float32), _t(rng, (1,), dtype=np.float32)))
-    serial = peak(1, *shared)
-    assert x.data.nbytes < serial <= 1.75 * x.data.nbytes + slack
-    assert peak(2, *shared) <= serial + slack
+# In-plane positions: under one tile, one float64 tile, a float32 tile and
+# one, whole float32 tiles, and whole tiles and five.
+@pytest.mark.parametrize("plane", [(1, 1), (4, 8), (5, 13), (8, 16), (7, 19)],
+                         ids=lambda p: f"plane{p[0] * p[1]}")
+@pytest.mark.parametrize("c_out", [1, 3, 4, 5, 8, 11])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bits_match_oracle_across_channel_blocks_and_position_tiles(dtype, c_out, plane):
+    # The compiled contraction runs output channels four at a time, then the
+    # rest one by one, over tiles of 64 float32 or 32 float64 in-plane
+    # positions, the last one partial: no split changes a bit.
+    rng = np.random.default_rng(59)
+    x = Tensor._wrap(_signed_zeros(rng, (1, 2, *plane), dtype))
+    w = Tensor._wrap(_signed_zeros(rng, (c_out, 2, 3, 3), dtype))
+    b = Tensor._wrap(_signed_zeros(rng, (c_out,), dtype))
+    out = ops.standard_conv(x, w, b).data
+    assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, b.data)))
 
 
 def test_compiled_forward_peak_is_its_result(monkeypatch):
     # The compiled kernel allocates no accumulator, product or row buffer in
     # Python: serial or sharded, a forward peaks at its result plus small
     # objects (the kernel's int64 geometry, views, the extra shard's Future).
-    # The numpy loop's buffers take the pointwise conv to 2x its result and
-    # the shared conv to 1.75x.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
     rng = np.random.default_rng(44)
     x = _t(rng, (8, 64, 32, 32), dtype=np.float32)
     pointwise = (ops.pointwise_conv, (x, _t(rng, (32, 64), dtype=np.float32),
@@ -442,6 +393,34 @@ def test_compiled_forward_peak_is_its_result(monkeypatch):
         assert peaks[1] <= result_bytes + slack
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, oracle, shapes", [
+    (ops.standard_conv, standard_conv_oracle, [(2, 3, 4, 5), (4, 3, 3, 3), (4,)]),
+    (ops.standard_conv, standard_conv_oracle, [(2, 2, 3, 4, 5), (3, 2, 3, 3, 3), (3,)]),
+    (ops.shared_conv, shared_conv_oracle, [(2, 3, 4, 5), (3, 3), (1,)]),
+    (ops.shared_conv, shared_conv_oracle, [(2, 2, 3, 4, 5), (3, 3, 3), (1,)]),
+    (lambda x, k, b: ops.involution3d_forward(x, k, b, 3),
+     lambda x, k, b: involution3d_oracle(x, k, b, 3), [(2, 4, 2, 3, 5), (2, 2, 27, 2, 3, 5), (4,)]),
+    (lambda x, o, k: ops.ddc_forward(x, o, k, 3),
+     lambda x, o, k: ddc_oracle(x, o, k, 3), [(2, 4, 4, 5), (2, 18, 4, 5), (2, 2, 9, 4, 5)]),
+], ids=["standard_conv2d", "standard_conv3d", "shared_conv2d", "shared_conv3d", "involution3d",
+        "ddc"])
+def test_strided_inputs_give_the_oracle_bits_and_the_contiguous_gradients(op, oracle, shapes,
+                                                                          dtype):
+    # The kernels read C-contiguous planes, so every op copies an input with
+    # a strided last axis once: its forward keeps the oracle's bits, and its
+    # gradients are bit for bit those of the same call on contiguous copies.
+    rng = np.random.default_rng(58)
+    args = [rng.uniform(-2, 2, s).astype(dtype) for s in shapes]
+    strided = [_strided(a) for a in args]
+    assert not strided[0].flags.c_contiguous
+    out = op(*(Tensor._wrap(a) for a in strided)).data
+    assert np.array_equal(_bits(out), _bits(oracle(*strided)))
+    g = rng.uniform(-1, 1, out.shape).astype(dtype)
+    for got, want in zip(_grads(op, strided, g), _grads(op, args, g), strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # ---------------------------------------------------------------------------
 # Building and loading the compiled kernel
 # ---------------------------------------------------------------------------
@@ -465,8 +444,6 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypat
 
     monkeypatch.setattr(subprocess, "run", spy)
     kernels = ops._load_kernel()
-    if kernels is None:
-        pytest.skip("no C compiler built the exact-order kernel")
     assert set(kernels) == {(name, np.dtype(dtype))
                             for name in ("contract", "involution", "involution_vjp", "ddc",
                                          "ddc_vjp")
@@ -478,54 +455,39 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypat
     # key, and nothing is built.
     calls.clear()
     ops._load_kernel.cache_clear()
-    assert ops._load_kernel() is not None
+    assert set(ops._load_kernel()) == set(kernels)
     assert calls == [[ops._CC, "--version"]]
     assert sorted(fresh_loader.iterdir()) == built
 
 
 @pytest.mark.parametrize("fault", ["missing-compiler", "failing-compiler", "unwritable-cache"])
-def test_kernel_fault_runs_the_numpy_loop_with_equal_bits_and_no_output(fault, fresh_loader,
-                                                                        tmp_path, monkeypatch,
-                                                                        capfd):
+def test_kernel_fault_raises_kernel_build_error_and_the_cli_exits_2(fault, fresh_loader, tmp_path,
+                                                                    monkeypatch, capsys):
+    # No numpy twin runs: every conv raises, naming the cause (the
+    # compiler's stderr for a failed build), leaves no temporary file, and
+    # the CLI reports an I/O error without a traceback.
     if fault == "missing-compiler":
-        monkeypatch.setattr(ops, "_CC", str(tmp_path / "no-such-cc"))
+        cause = str(tmp_path / "no-such-cc")
+        monkeypatch.setattr(ops, "_CC", cause)
     elif fault == "failing-compiler":
         cc = tmp_path / "failing-cc"
         cc.write_text('#!/bin/sh\nif [ "$1" = --version ]; then echo failing-cc 1.0; exit 0; fi\n'
                       'echo "failing-cc: error" >&2\nexit 1\n')
         cc.chmod(0o755)
         monkeypatch.setattr(ops, "_CC", str(cc))
+        cause = "failing-cc: error"
     else:
         fresh_loader.write_text("")  # a file where the cache directory goes
-    contract, runs = ops._ordered_contract, []
-
-    def spy(*args):
-        runs.append(len(args))
-        contract(*args)
-
-    monkeypatch.setattr(ops, "_ordered_contract", spy)
+        cause = str(fresh_loader)
     rng = np.random.default_rng(45)
-    x = _signed_zero_case(rng, (2, 3, 4, 4, 5), np.float32)
-    w = _weight(rng, (5, 3, 3, 3, 3), np.float32, subnormal=False)
-    b = _t(rng, (5,), dtype=np.float32)
-    out = ops.standard_conv(x, w, b).data
-    # The involution, forward and backward, runs its numpy loops.
-    xi = _signed_zero_case(rng, (2, 4, 3, 4, 5), np.float32)
-    ki = _weight(rng, (2, 2, 27, 3, 4, 5), np.float32, subnormal=False)
-    bi = _t(rng, (4,), dtype=np.float32)
-    with Tape() as tape:
-        out_i = ops.involution3d_forward(xi, ki, bi, 3)
-        loss = reduce_sum(out_i)
-    backward(loss, tape)
-    assert ops._load_kernel() is None
-    assert runs == [8]  # w2, x, taps, bias, out and the numpy loop's three buffers
-    assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, b.data)))
-    assert np.array_equal(_bits(out_i.data),
-                          _bits(involution3d_oracle(xi.data, ki.data, bi.data, 3)))
-    assert all(t.grad.shape == t.data.shape for t in (xi, ki, bi))
-    assert capfd.readouterr().err == ""
-    if fault == "failing-compiler":
-        assert list(fresh_loader.iterdir()) == []  # the temporary file is gone
+    x = _t(rng, (2, 3, 4, 5), dtype=np.float32)
+    with pytest.raises(ops.KernelBuildError, match=re.escape(cause)):
+        ops.standard_conv(x, _t(rng, (4, 3, 3, 3), dtype=np.float32))
+    assert cli.main(["profile", "--time", "--shape", "1,4,2,8,8"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and cause in err
+    assert [p.name for p in tmp_path.rglob("*") if p.suffix == ".so"] == []
 
 
 def test_two_processes_building_into_one_empty_cache_both_load_the_kernel(tmp_path):
@@ -534,23 +496,21 @@ def test_two_processes_building_into_one_empty_cache_both_load_the_kernel(tmp_pa
         "import numpy as np\n"
         "from ddcn import ops\n"
         "from ddcn.numerics import Tensor\n"
-        "if ops._load_kernel() is None: sys.exit('no kernel')\n"
+        "from oracles import standard_conv_oracle\n"
         "rng = np.random.default_rng(46)\n"
         "x, w = (Tensor(rng.uniform(-2, 2, s).astype(np.float32)) for s in [(2, 3, 4, 5), (4, 3, 3, 3)])\n"
         "out = ops.standard_conv(x, w).data\n"
-        "ops._NATIVE = False\n"
-        "sys.exit(0 if np.array_equal(out.view(np.uint32), ops.standard_conv(x, w).data.view(np.uint32)) else 'bits')\n"
+        "ref = standard_conv_oracle(x.data, w.data)\n"
+        "sys.exit(0 if np.array_equal(out.view(np.uint32), ref.view(np.uint32)) else 'bits')\n"
     )
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
-    src = str(Path(ops.__file__).parents[1])
-    procs = [subprocess.Popen([sys.executable, "-c", script, src], env=env, text=True,
+    paths = [str(Path(ops.__file__).parents[1]), str(Path(__file__).parent)]
+    procs = [subprocess.Popen([sys.executable, "-c", script, *paths], env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
     results = [(p.wait(timeout=300), p.stderr.read()) for p in procs]
     for p in procs:
         p.stdout.close()
         p.stderr.close()
-    if any(err.strip() == "no kernel" for _, err in results):
-        pytest.skip("no C compiler built the exact-order kernel")
     assert results == [(0, ""), (0, "")]
     assert len(list((tmp_path / "ddcn").iterdir())) == 1
 
@@ -558,8 +518,6 @@ def test_two_processes_building_into_one_empty_cache_both_load_the_kernel(tmp_pa
 def test_kernel_source_builds_warning_free_without_fused_multiply_adds(tmp_path):
     # The forward bits rest on one rounded multiply and one rounded add per
     # term: a fused multiply-add rounds once and changes them.
-    if shutil.which(ops._CC) is None:
-        pytest.skip("no C compiler to build the exact-order kernel")
     asm = tmp_path / "exact_conv.s"
     proc = subprocess.run([ops._CC, *ops._CFLAGS, "-Wall", "-Wextra", "-Werror", "-S",
                            "-o", str(asm), str(ops._KERNEL_SOURCE)],
@@ -575,7 +533,7 @@ def test_kernel_source_builds_warning_free_without_fused_multiply_adds(tmp_path)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_shared_conv_matches_oracle_2d_and_3d():
     rng = np.random.default_rng(8)
     x2 = _t(rng, (2, 3, 4, 4))
@@ -611,6 +569,7 @@ def test_kernel_of_wrong_rank_or_even_size_rejected(op, x_shape, w_shape):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("layout")
 def test_bilinear_lattice_points_exact():
     rng = np.random.default_rng(9)
     x = _t(rng, (2, 3, 4, 5), dtype=np.float32)
@@ -619,6 +578,7 @@ def test_bilinear_lattice_points_exact():
         assert out.data[0] == x.data[n, c, r, q]
 
 
+@pytest.mark.usefixtures("layout")
 def test_bilinear_midpoint_of_corners():
     x = np.zeros((1, 1, 2, 2), dtype=np.float32)
     x[0, 0] = [[0.0, 1.0], [2.0, 3.0]]
@@ -634,6 +594,7 @@ def test_bilinear_rejects_channel_out_of_range(n, c):
         ops.bilinear_sample(x, n, c, 1.0, 1.0)
 
 
+@pytest.mark.usefixtures("layout")
 def test_bilinear_out_of_bounds_zero():
     rng = np.random.default_rng(10)
     x = _t(rng, (1, 1, 3, 3))
@@ -641,6 +602,28 @@ def test_bilinear_out_of_bounds_zero():
     assert ops.bilinear_sample(x, 0, 0, 10.0, 1.0).data[0] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("layout")
+def test_bilinear_at_a_non_finite_or_huge_coordinate_is_nan_or_plus_zero_without_a_warning(dtype):
+    # Corners are tested on the floats, never cast to an integer first: a
+    # NaN or infinite coordinate reads no cell and gives NaN, and one far
+    # off the grid reads +0 cells. Tier-1 turns a numpy warning into an error.
+    rng = np.random.default_rng(57)
+    x = _t(rng, (2, 3, 4, 5), dtype=dtype)
+    for value, want in [(np.nan, np.nan), (np.inf, np.nan), (-np.inf, np.nan),
+                        (1e30, 0.0), (-1e30, 0.0)]:
+        for r, q in [(value, 1.5), (2.0, value), (value, value)]:
+            rt, qt = (Tensor._wrap(np.array([v], dtype=dtype)) for v in (r, q))
+            with Tape() as tape:
+                out = ops.bilinear_sample(x, 1, 2, rt, qt)
+            backward(out, tape)
+            if np.isnan(want):
+                assert np.isnan(out.data).all()
+            else:
+                assert _bits(out.data).tolist() == [0]
+
+
+@pytest.mark.usefixtures("layout")
 def test_bilinear_linear_along_each_axis():
     rng = np.random.default_rng(11)
     x = _t(rng, (1, 1, 5, 5))
@@ -657,6 +640,7 @@ def test_bilinear_linear_along_each_axis():
         assert abs(v - ((1 - frac) * v0 + frac * v1)) < 1e-12
 
 
+@pytest.mark.usefixtures("layout")
 def test_bilinear_matches_oracle_random():
     rng = np.random.default_rng(12)
     x = _t(rng, (1, 2, 5, 5))
@@ -667,6 +651,7 @@ def test_bilinear_matches_oracle_random():
         assert got == bilinear_oracle(x.data[0, 1], r, q)
 
 
+@pytest.mark.usefixtures("layout")
 def test_bilinear_gradient_to_cells_and_coords():
     rng = np.random.default_rng(13)
     x = _t(rng, (1, 1, 4, 4))
@@ -696,7 +681,7 @@ def _one_hot_center_kernels(n, g, k, h, w, dtype=np.float64):
     return kern
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_zero_offsets_one_hot_center_is_identity():
     rng = np.random.default_rng(14)
     x = _t(rng, (2, 4, 5, 5))
@@ -706,7 +691,7 @@ def test_ddc_zero_offsets_one_hot_center_is_identity():
     assert np.array_equal(out.data, x.data)
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_uniform_kernels_average_with_zero_padding():
     x = Tensor(np.ones((1, 1, 3, 3)))
     offsets = Tensor(np.zeros((1, 18, 3, 3)))
@@ -717,7 +702,7 @@ def test_ddc_uniform_kernels_average_with_zero_padding():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_matches_loop_oracle_exactly(dtype):
     rng = np.random.default_rng(15)
     x = _t(rng, (1, 1, 5, 5), dtype=dtype)
@@ -727,7 +712,7 @@ def test_ddc_matches_loop_oracle_exactly(dtype):
     assert np.array_equal(out.data, ddc_oracle(x.data, offsets.data, kernels.data, 3))
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_grouped_matches_oracle():
     rng = np.random.default_rng(16)
     x = _t(rng, (2, 4, 4, 4))
@@ -738,12 +723,12 @@ def test_ddc_grouped_matches_oracle():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_matches_loop_oracle_bitwise(dtype):
     # Compared as raw bits, so a zero of the wrong sign counts as a mismatch.
     # Offsets reach 4 cells: some taps have all four corners off the grid and
-    # some rows of the sampling matrix send two or three corners to its
-    # dummy column. Integer offsets put some samples exactly on lattice points.
+    # some two or three. Integer offsets put some samples exactly on lattice
+    # points.
     rng = np.random.default_rng(29)
     n, c, h, w = 2, 4, 5, 5
     xd = rng.uniform(-2, 2, (n, c, h, w))
@@ -784,7 +769,7 @@ def _ddc_case(rng, n, c, h, w, groups, dtype, subnormal=False):
 
 @pytest.mark.parametrize("groups", [1, 2])
 @pytest.mark.parametrize("dtype, shards", FORCED_SHARDS, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, groups):
     # Batches smaller than, equal to and not divisible by the shard count,
     # and an empty one; taps with all four corners off the grid and on
@@ -805,12 +790,11 @@ def test_ddc_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shar
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.usefixtures("layout")
 def test_compiled_ddc_gives_nan_exactly_where_an_offset_is_not_finite(dtype):
     # Corners are tested on the floats: a NaN or infinite coordinate reads
     # no cell and makes NaN at its position, in every channel; a finite one
     # far off the grid reads +0 cells. Every other bit is the oracle's.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
     rng = np.random.default_rng(53)
     n, c, h, w = 2, 4, 4, 5
     x = _signed_zeros(rng, (n, c, h, w), dtype)
@@ -823,7 +807,6 @@ def test_compiled_ddc_gives_nan_exactly_where_an_offset_is_not_finite(dtype):
                                  ((1, 0, 3, 3), -np.inf), ((0, 17, 0, 4), np.nan)]:
         od[b, i, y, xx] = value
         bad[b, 0, y, xx] = True
-    assert ops._runs_compiled(x, od, kd)
     out = ops.ddc_forward(Tensor._wrap(x), Tensor._wrap(od), Tensor._wrap(kd), 3).data
     bad = np.broadcast_to(bad, out.shape)
     assert np.array_equal(np.isnan(out), bad)
@@ -831,11 +814,11 @@ def test_compiled_ddc_gives_nan_exactly_where_an_offset_is_not_finite(dtype):
     assert np.array_equal(_bits(out)[~bad], _bits(ref)[~bad])
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_under_a_kink_probe_reports_its_nearest_lattice_distance():
-    # The smallest distance of any tap's (row, col) to a lattice line, on
-    # both paths; an empty batch reports nothing (it once raised ValueError
-    # from a reduction over no points).
+    # The smallest distance of any tap's (row, col) to a lattice line; an
+    # empty batch reports nothing (it once raised ValueError from a
+    # reduction over no points).
     rng = np.random.default_rng(56)
     x, od, kd = (Tensor._wrap(rng.uniform(-1, 1, s)) for s in [(2, 2, 4, 4), (2, 18, 4, 4),
                                                                 (2, 1, 9, 4, 4)])
@@ -850,37 +833,11 @@ def test_ddc_under_a_kink_probe_reports_its_nearest_lattice_distance():
     with KinkProbe() as probe:
         assert ops.ddc_forward(*empty, 3).shape == (0, 2, 4, 4)
     assert probe.margins == {}
-
-
-@pytest.mark.usefixtures("path")
-def test_ddc_tape_bytes_bounded():
-    # Bytes a taped call keeps alive beyond its output, as a multiple of the
-    # input's bytes. The compiled path keeps only its three input fields,
-    # which the caller holds anyway (bounded at 1x in
-    # test_compiled_ddc_tape_holds_only_its_inputs). The sampling
-    # matrices' path keeps, per tap, the sparse sampling matrix (four
-    # weights and four int64 column indices per position) and the two
-    # fractional coordinates; per call it holds the kernel weights in
-    # tap-major layout and the matrices' shared row pointer. Its backward
-    # pass rebuilds the input's gather layout from the input and reads no
-    # samples, so neither is kept. That is about 5.8x at C=32 float32, and
-    # 6.8x with the gather-layout copy kept. Keeping each tap's C samples per
-    # position as well reads about 16x, and keeping the four gathered
-    # corners of every tap instead of the matrix about 48x.
-    rng = np.random.default_rng(30)
-    n, c, h, w = 2, 32, 8, 8
-    x = _t(rng, (n, c, h, w), dtype=np.float32)
-    offsets = _t(rng, (n, 18, h, w), dtype=np.float32)
-    kernels = _t(rng, (n, 1, 9, h, w), dtype=np.float32)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape():
-            out = ops.ddc_forward(x, offsets, kernels, 3)
-            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-    finally:
-        tracemalloc.stop()
-    assert held < 10 * x.data.nbytes, f"tape holds {held / x.data.nbytes:.1f}x the input bytes"
+    # bilinear_sample, the DDC at K=1 on one plane, reports its own point
+    # only: every other position of its plane sits on a lattice point.
+    with KinkProbe() as probe:
+        ops.bilinear_sample(x, 1, 0, 1.3, 2.45)
+    assert probe.margins == {"bilinear_coord": min(1.3 - 1.0, 2.45 - 2.0)}
 
 
 @pytest.mark.parametrize("op, shapes", [
@@ -889,7 +846,6 @@ def test_ddc_tape_bytes_bounded():
     (lambda x, k, b: ops.involution3d_forward(x, k, b, 3),
      [(2, 8, 4, 8, 8), (2, 1, 27, 4, 8, 8), (8,)]),
 ], ids=["standard_conv", "shared_conv3d", "involution3d"])
-@pytest.mark.usefixtures("path")
 def test_conv_tape_holds_no_padded_copy(op, shapes):
     # Each VJP reads the input it already holds through clipped tap slices,
     # so a taped call keeps only small index objects beyond its output
@@ -917,7 +873,7 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
      [(2, 16, 4, 16, 16), (2, 1, 27, 4, 16, 16), (16,)], 5.0),
     (lambda x, w: ops.pointwise_conv(x, w), [(8, 64, 8, 8), (32, 64)], 1.25),
 ], ids=["standard_conv", "shared_conv2d", "shared_conv3d", "involution3d", "pointwise_conv"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     # Peak bytes a VJP allocates, as a multiple of its input's bytes. Taps
     # are clipped to the input, so no zero-padded input or gradient exists:
@@ -942,7 +898,7 @@ def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     assert peak < bound * x_bytes, f"VJP peak is {peak / x_bytes:.2f}x the input bytes"
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     x = _t(rng, (1, 1, 5, 5))
@@ -962,7 +918,7 @@ def test_ddc_gradients_match_finite_differences():
     assert max_relative_error(kernels.grad, fd[2]) < 1e-4
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_gradients_batched_grouped_far_offsets():
     # Offsets up to 3 cells: some taps sample wholly outside the grid and
     # several taps land on one cell, across two batch items and two groups.
@@ -994,58 +950,58 @@ def test_ddc_gradients_batched_grouped_far_offsets():
     assert max_relative_error(kernels.grad, fd[2]) < 1e-4
 
 
-def _ddc_grads(fields, g, native=True, shards=None):
-    """The gradients of one taped ``ddc_forward`` of ``fields`` at ``g``,
-    through the compiled VJP (in ``shards`` forced shards) or, with
-    ``native`` false, the sampling matrices'."""
+def _grads(op, args, g, shards=None):
+    """The gradients of one taped ``op`` of the arrays ``args`` at output
+    gradient ``g``, run in ``shards`` forced shards."""
     vjps = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
-        mp.setattr(ops, "_NATIVE", native)
         if shards is not None:
             mp.setattr(ops, "_SHARD_MIN_MACS", 0)
             mp.setattr(ops, "_POOL_SIZE", shards)
-        ops.ddc_forward(*(Tensor._wrap(a) for a in fields), 3)
+        op(*(Tensor._wrap(a) for a in args))
         return vjps[0](g)
 
 
+def _ddc(x, offsets, kernels):
+    return ops.ddc_forward(x, offsets, kernels, 3)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
-def test_compiled_ddc_vjp_bits_match_for_any_shards_and_stay_near_the_numpy_vjp(n):
-    # The compiled VJP has one order, whatever the shard count or the output
+def test_ddc_vjp_bits_match_for_any_shards_and_float32_stays_near_float64(n):
+    # The VJP has one order, whatever the shard count or the output
     # gradient's layout (transposed: read in place; strided plane: copied).
-    # It differs from the sampling matrices' VJP by rounding only. Four,
-    # three, one and eleven channels per group (padded to whole vectors in
-    # the kernel), offsets reaching 2 cells.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
+    # In float32 it differs from the float64 VJP of the same fields by
+    # rounding only. Four, three, one and eleven channels per group (padded
+    # to whole vectors in the kernel), offsets reaching 2 cells.
     rng = np.random.default_rng(54)
-    for dtype, c, groups, tol in [(np.float32, 4, 1, 1e-5), (np.float64, 6, 2, 1e-12),
-                                  (np.float32, 3, 3, 1e-5), (np.float64, 33, 3, 1e-12)]:
+    for dtype, c, groups in [(np.float32, 4, 1), (np.float64, 6, 2), (np.float32, 3, 3),
+                             (np.float64, 33, 3)]:
         h, w = 4, 5
         fields = (_signed_zeros(rng, (n, c, h, w), dtype),
                   rng.uniform(-2, 2, (n, 18, h, w)).astype(dtype),
                   _signed_zeros(rng, (n, groups, 9, h, w), dtype))
         g = _signed_zeros(rng, (n, c, h, w), dtype)
-        serial = _ddc_grads(fields, g, shards=1)
+        serial = _grads(_ddc, fields, g, shards=1)
         transposed = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         strided = np.repeat(g, 2, axis=3)[..., ::2]
         assert n < 2 or not transposed.flags.c_contiguous  # n = 1 is contiguous
         assert n == 0 or not strided.flags.c_contiguous
         for shards, g_run in [(2, g), (3, g), (1, transposed), (3, strided)]:
-            for got, want in zip(_ddc_grads(fields, g_run, shards=shards), serial, strict=True):
+            for got, want in zip(_grads(_ddc, fields, g_run, shards=shards), serial, strict=True):
                 assert got.flags.c_contiguous
                 assert np.array_equal(_bits(got), _bits(want))
-        for got, want in zip(serial, _ddc_grads(fields, g, native=False), strict=True):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
+        if dtype == np.float32:
+            wide = _grads(_ddc, [a.astype(np.float64) for a in fields], g.astype(np.float64))
+            for got, want in zip(serial, wide, strict=True):
+                assert got.shape == want.shape and got.dtype == dtype
+                assert np.abs(got - want).max(initial=0) <= 1e-5 * np.abs(want).max(initial=0)
 
 
 def test_compiled_ddc_tape_holds_only_its_inputs():
-    # test_ddc_tape_bytes_bounded's call: the compiled VJP reads nothing but
-    # the three input fields, so the tape holds under 1x the input beyond
-    # them and the output (the sampling matrices' path: about 5.8x).
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
+    # Bytes a taped call keeps alive beyond its output. The VJP reads
+    # nothing but the three input fields, which the caller holds anyway, so
+    # the tape holds under 1x the input.
     rng = np.random.default_rng(30)
     n, c, h, w = 2, 32, 8, 8
     x = _t(rng, (n, c, h, w), dtype=np.float32)
@@ -1067,8 +1023,6 @@ def test_compiled_ddc_vjp_peak_is_its_gradients(monkeypatch):
     # into them: serial or sharded, a VJP peaks at those plus small objects
     # (the geometry, views, Futures). The kernel's channel-last rows are one
     # batch element per shard, in C.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
     vjps = []
     monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
     rng = np.random.default_rng(55)
@@ -1202,6 +1156,7 @@ def test_ddc_layer_offsets_start_at_exact_zero():
     assert np.array_equal(layer.forward(x).data, direct.data)
 
 
+@pytest.mark.usefixtures("layout")
 def test_ddc_layer_constant_kernels_equal_standard_conv():
     # Kernel branch forced constant across positions (weights zero, bias set)
     # and offsets zero: the layer must act as a standard convolution whose
@@ -1227,7 +1182,7 @@ def test_ddc_layer_rejects_input_of_wrong_rank():
         ops.DDCLayer(4)(Tensor(np.zeros((1, 4, 4), dtype=np.float32)))
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_ddc_layer_gradcheck():
     rng = np.random.default_rng(20)
     layer = ops.DDCLayer(2, rng=rng, dtype=np.float64)
@@ -1267,6 +1222,7 @@ def _inv_force_kernels(layer, tap_value_fn):
             layer.span.bias.data[g * k3 + tap] = tap_value_fn(tap)
 
 
+@pytest.mark.usefixtures("layout")
 def test_involution_one_hot_center_identity():
     rng = np.random.default_rng(21)
     layer = ops.Involution3D(4, kernel_size=3, groups=2, reduction=2, rng=rng, dtype=np.float64)
@@ -1277,6 +1233,7 @@ def test_involution_one_hot_center_identity():
     assert np.array_equal(layer.forward(x).data, x.data)
 
 
+@pytest.mark.usefixtures("layout")
 def test_involution_zero_kernels_bias_half():
     rng = np.random.default_rng(22)
     layer = ops.Involution3D(2, kernel_size=3, groups=1, reduction=2, rng=rng, dtype=np.float64)
@@ -1288,7 +1245,7 @@ def test_involution_zero_kernels_bias_half():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_involution_agg_matches_quintuple_loop_oracle(dtype):
     rng = np.random.default_rng(23)
     x = _t(rng, (1, 2, 3, 4, 4), dtype=dtype)
@@ -1302,7 +1259,7 @@ def test_involution_agg_matches_quintuple_loop_oracle(dtype):
 
 @pytest.mark.parametrize("groups", [1, 2])
 @pytest.mark.parametrize("dtype, shards", FORCED_SHARDS, indirect=["shards"])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_involution_bits_match_oracle_on_transposed_input_with_signed_zeros(dtype, shards, groups):
     # Taps clipped on a size-2 axis (T) and a size-1 axis (H) of a strided
     # input with all-zero regions, met by batch 0's non-positive kernels, so
@@ -1320,10 +1277,10 @@ def test_involution_bits_match_oracle_on_transposed_input_with_signed_zeros(dtyp
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_involution_skips_a_non_finite_kernel_at_a_clipped_tap(value):
     # A tap whose read leaves the volume is an absent term, not k * (+0):
-    # on both paths the result is the oracle's with those kernel values 0.
+    # the result is the oracle's with those kernel values 0.
     rng = np.random.default_rng(48)
     x = _t(rng, (2, 4, 2, 3, 4), dtype=np.float32)
     kernels = _t(rng, (2, 2, 27, 2, 3, 4), lo=-1.0, hi=1.0, dtype=np.float32)
@@ -1336,71 +1293,46 @@ def test_involution_skips_a_non_finite_kernel_at_a_clipped_tap(value):
     assert np.array_equal(_bits(out), _bits(involution3d_oracle(x.data, finite, bias.data, 3)))
 
 
-def _vjp_bits_match_numpy(vjp, g, monkeypatch):
-    """Runs ``vjp`` on the compiled path and, with _NATIVE cleared, on the
-    numpy path, and asserts equal bits for every gradient."""
-    compiled = vjp(g)
-    with monkeypatch.context() as mp:
-        mp.setattr(ops, "_NATIVE", False)
-        reference = vjp(g)
-    for got, want in zip(compiled, reference, strict=True):
-        assert got.shape == want.shape
-        assert np.array_equal(_bits(got), _bits(want))
+def _involution(x, kernels, bias):
+    return ops.involution3d_forward(x, kernels, bias, 3)
 
 
-@pytest.mark.parametrize("shards", [1, 2, 3], indirect=True, ids=lambda c: f"shards{c}")
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
-def test_involution_vjp_bits_match_numpy_for_any_batch(n, shards, monkeypatch):
-    # Batches smaller than, equal to and not divisible by the shard count,
-    # and an empty one; one and several groups; taps clipped on size-1 and
-    # size-2 axes; and a group of 8 channels over one-position tap regions,
-    # where numpy's channel sum turns pairwise and the numpy VJP runs.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
-    vjps = []
-    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+def test_involution_vjp_bits_match_for_any_shards_and_layout_and_stay_near_the_loop_oracle(n):
+    # One order whatever the shard count or the output gradient's layout:
+    # a transposed gradient or one with a strided plane is copied to C order
+    # first, so even the bias gradient's numpy sum keeps its bits. Batches
+    # smaller than, equal to and not divisible by the shard count, and an
+    # empty one; one and several groups; taps clipped on size-1 and size-2
+    # axes; and a group of 8 channels over one-position tap regions. Within
+    # rounding of the float64 loop oracle.
     rng = np.random.default_rng(49)
-    for dtype, (c, t, h, w), groups in [
-        (np.float32, (4, 3, 4, 5), 1), (np.float64, (6, 1, 2, 5), 2),
-        (np.float32, (9, 2, 3, 4), 3), (np.float64, (8, 2, 2, 2), 1),
+    for dtype, (c, t, h, w), groups, tol in [
+        (np.float32, (4, 3, 4, 5), 1, 1e-5), (np.float64, (6, 1, 2, 5), 2, 1e-12),
+        (np.float32, (9, 2, 3, 4), 3, 1e-5), (np.float64, (8, 2, 2, 2), 1, 1e-12),
     ]:
-        x = Tensor._wrap(_signed_zeros(rng, (n, c, t, h, w), dtype))
-        kernels = Tensor._wrap(_signed_zeros(rng, (n, groups, 27, t, h, w), dtype))
-        bias = Tensor._wrap(_signed_zeros(rng, (c,), dtype))
-        ops.involution3d_forward(x, kernels, bias, 3)
-        _vjp_bits_match_numpy(vjps[-1], _signed_zeros(rng, (n, c, t, h, w), dtype), monkeypatch)
-
-
-@pytest.mark.parametrize("layout", ["transposed", "strided-plane"])
-def test_involution_vjp_bits_match_numpy_for_a_non_contiguous_output_gradient(layout,
-                                                                                monkeypatch):
-    # A transposed gradient keeps C-contiguous planes and runs compiled; one
-    # with a strided plane runs the numpy VJP.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
-    vjps = []
-    monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
-    rng = np.random.default_rng(50)
-    n, c, t, h, w = 3, 4, 3, 4, 5
-    x = Tensor._wrap(_signed_zeros(rng, (n, c, t, h, w), np.float32))
-    kernels = Tensor._wrap(_signed_zeros(rng, (n, 2, 27, t, h, w), np.float32))
-    ops.involution3d_forward(x, kernels, Tensor._wrap(_signed_zeros(rng, (c,), np.float32)), 3)
-    if layout == "transposed":
-        g = _signed_zeros(rng, (n, t, c, h, w), np.float32).transpose(0, 2, 1, 3, 4)
-    else:
-        g = _signed_zeros(rng, (n, c, t, h, 2 * w), np.float32)[..., ::2]
-    assert not g.flags.c_contiguous
-    assert ops._runs_compiled(x.data, kernels.data, g) == (layout == "transposed")
-    _vjp_bits_match_numpy(vjps[0], g, monkeypatch)
+        args = (_signed_zeros(rng, (n, c, t, h, w), dtype),
+                _signed_zeros(rng, (n, groups, 27, t, h, w), dtype),
+                _signed_zeros(rng, (c,), dtype))
+        g = _signed_zeros(rng, (n, c, t, h, w), dtype)
+        serial = _grads(_involution, args, g, shards=1)
+        transposed = np.ascontiguousarray(g.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
+        strided = np.repeat(g, 2, axis=4)[..., ::2]
+        assert n == 0 or not strided.flags.c_contiguous
+        for shards, g_run in [(2, g), (3, g), (1, transposed), (3, strided)]:
+            for got, want in zip(_grads(_involution, args, g_run, shards=shards), serial,
+                                 strict=True):
+                assert np.array_equal(_bits(got), _bits(want))
+        for got, want in zip(serial, involution3d_vjp_oracle(args[0], args[1], g, 3),
+                             strict=True):
+            assert got.shape == want.shape and got.dtype == dtype
+            assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
 
 
 def test_compiled_involution_vjp_peak_is_its_gradients(monkeypatch):
     # The calling thread allocates the input and kernel gradients, and the
     # shards write into them: serial or sharded, a VJP peaks at those two
     # plus small objects (the bias gradient, the geometry, views, Futures).
-    # The numpy VJP's per-tap temporaries add at least a third of the input.
-    if ops._load_kernel() is None:
-        pytest.skip("no C compiler built the exact-order kernel")
     vjps = []
     monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
     rng = np.random.default_rng(51)
@@ -1423,6 +1355,7 @@ def test_compiled_involution_vjp_peak_is_its_gradients(monkeypatch):
         assert grads <= peak <= grads + grads // 64
 
 
+@pytest.mark.usefixtures("layout")
 def test_involution_layer_gradcheck():
     rng = np.random.default_rng(24)
     layer = ops.Involution3D(4, kernel_size=3, groups=2, reduction=2, rng=rng, dtype=np.float64)
@@ -1443,6 +1376,7 @@ def test_involution_layer_gradcheck():
         assert max_relative_error(p.grad, g) < 1e-4, name
 
 
+@pytest.mark.usefixtures("layout")
 def test_involution_batch_permutation_equivariance():
     rng = np.random.default_rng(25)
     layer = ops.Involution3D(2, kernel_size=3, groups=1, reduction=2, rng=rng, dtype=np.float64)
@@ -1470,7 +1404,7 @@ def test_involution_invalid_construction_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_patch_embed_identity_when_p1_and_identity_projection():
     rng = np.random.default_rng(26)
     layer = ops.PatchEmbed(3, 1, 3, rng=rng, dtype=np.float64)
@@ -1487,7 +1421,7 @@ def test_patch_embed_shape_contract():
     assert layer.forward(x).shape == (2, 4, 64, 8, 4)
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_patch_embed_matches_per_patch_matmul_oracle():
     rng = np.random.default_rng(28)
     layer = ops.PatchEmbed(2, 2, 5, rng=rng, dtype=np.float64)
@@ -1510,7 +1444,7 @@ def test_patch_back_shape_contract():
     assert layer.forward(x).shape == (2, 2, 16, 8)
 
 
-@pytest.mark.usefixtures("path")
+@pytest.mark.usefixtures("layout")
 def test_patch_back_identity_when_p1_t1():
     rng = np.random.default_rng(30)
     layer = ops.PatchBack(1, 3, 1, 3, rng=rng, dtype=np.float64)
