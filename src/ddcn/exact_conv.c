@@ -2,6 +2,15 @@
    convolutions, then the forwards and VJPs of the 3D involution and of the
    deformable dynamic convolution (further below).
 
+   Every entry point takes aligned, C-contiguous arrays (the caller copies
+   any other) and one int64 geometry ``geo``: N, C, C_out (the contraction)
+   or G (the involution and the DDC), taps, the three spatial sizes S0, S1,
+   S2, then per tap and axis (displacement d, first output, end output):
+   outputs [first, end) read input o + d. Spatial ranks below three lead with
+   axes of size 1; the DDC's plane is (1, H, W). Every offset into an array
+   follows from these sizes. One call runs one shard of the batch, and
+   returns 0, or -1 if a buffer cannot be allocated.
+
    The contraction:
 
    out[n, co, pos] = (...((+0 + w[co, 0] * v_0) + w[co, 1] * v_1) ...) + bias[co]
@@ -13,20 +22,13 @@
    so each output element has the bits of the scalar loop, whatever the
    vector width.
 
-   One call runs one shard. Positions are walked in blocks of TILE within
-   one plane (the last two spatial axes). Each block's input is packed for
-   every k into ``panel``, then the output channels are swept four at a
-   time, with a 4 x TILE accumulator tile held in registers across all k
-   (Goto and van de Geijn, "Anatomy of High-Performance Matrix
-   Multiplication", ACM TOMS 34(3), 2008).
-
-   ``w`` is C-contiguous (C_out, C_in * taps), ``out`` C-contiguous (N,
-   C_out, positions) and ``bias`` (C_out,) or NULL. ``g`` is int64: N, C_in,
-   C_out, taps, the three spatial sizes, the element strides of x's batch,
-   channel and first spatial axis, then per tap and axis (displacement d,
-   first output, end output): outputs [first, end) read input o + d. Spatial
-   ranks below three lead with axes of size 1; each plane of x is
-   C-contiguous. Returns 0, or -1 if a buffer cannot be allocated. */
+   Positions are walked in blocks of TILE within one plane (the last two
+   spatial axes). Each block's input is packed for every k into ``panel``,
+   then the output channels are swept four at a time, with a 4 x TILE
+   accumulator tile held in registers across all k (Goto and van de Geijn,
+   "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3),
+   2008). ``x`` is (N, C, S0, S1, S2), ``w`` (C_out, C * taps), ``out`` (N,
+   C_out, S0, S1, S2) and ``bias`` (C_out,) or NULL. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -35,20 +37,20 @@
 #define VBYTES 64
 #define LANES 4 /* vectors per tile row: 64 float32 or 32 float64 positions */
 
-enum { G_N, G_CIN, G_COUT, G_TAPS, G_SIZE, G_STRIDE_N = 7, G_STRIDE_C, G_STRIDE_0, G_TAP };
+enum { G_N, G_C, G_COUT, G_GROUPS = G_COUT, G_TAPS, G_SIZE, G_TAP = G_SIZE + 3 };
 
 static int64_t clamp(int64_t v, int64_t lo, int64_t hi) { return v < lo ? lo : v > hi ? hi : v; }
 
 /* mask[t * plane + q]: whether tap t reads inside the input along the plane's two
    axes at in-plane position q. */
-static unsigned char *plane_masks(const int64_t *g)
+static unsigned char *plane_masks(const int64_t *geo)
 {
-    const int64_t s1 = g[G_SIZE + 1], s2 = g[G_SIZE + 2], plane = s1 * s2;
-    unsigned char *mask = malloc(g[G_TAPS] * plane + 1);
+    const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], plane = s1 * s2;
+    unsigned char *mask = malloc(geo[G_TAPS] * plane + 1);
     if (!mask)
         return 0;
-    for (int64_t t = 0; t < g[G_TAPS]; t++) {
-        const int64_t *tap = g + G_TAP + t * 9;
+    for (int64_t t = 0; t < geo[G_TAPS]; t++) {
+        const int64_t *tap = geo + G_TAP + t * 9;
         for (int64_t i1 = 0; i1 < s1; i1++)
             for (int64_t i2 = 0; i2 < s2; i2++)
                 mask[t * plane + i1 * s2 + i2] = i1 >= tap[4] && i1 < tap[5]
@@ -84,26 +86,25 @@ tile_##SUFFIX(int rows, const T *w, int64_t kk, const vec_##SUFFIX *panel, const
 /* Panel row ci * taps + t: channel ci of batch element xn through tap t at in-plane   \
    positions [q0, q0 + np) of plane i0; +0 where the tap leaves the input and past     \
    np. Within a plane a tap reads one flat span, shifted by d1 * s2 + d2. */           \
-static void pack_##SUFFIX(const int64_t *g, const unsigned char *mask, const T *xn,         \
+static void pack_##SUFFIX(const int64_t *geo, const unsigned char *mask, const T *xn,       \
                           int64_t i0, int64_t q0, int64_t np, T *panel)                     \
 {                                                                                           \
-    const int64_t plane = g[G_SIZE + 1] * g[G_SIZE + 2], taps = g[G_TAPS];                  \
+    const int64_t plane = geo[G_SIZE + 1] * geo[G_SIZE + 2], taps = geo[G_TAPS];            \
     for (int64_t t = 0; t < taps; t++) {                                                    \
-        const int64_t *tap = g + G_TAP + t * 9;                                             \
-        const int64_t shift = q0 + tap[3] * g[G_SIZE + 2] + tap[6];                         \
+        const int64_t *tap = geo + G_TAP + t * 9;                                           \
+        const int64_t shift = q0 + tap[3] * geo[G_SIZE + 2] + tap[6];                       \
         const unsigned char *ok = mask + t * plane + q0;                                    \
         int64_t lo = 0, hi = 0; /* the part of the block whose read stays in the plane */  \
         if (i0 >= tap[1] && i0 < tap[2]) {                                                  \
             lo = clamp(-shift, 0, np);                                                      \
             hi = clamp(plane - shift, lo, np);                                              \
         }                                                                                   \
-        for (int64_t ci = 0; ci < g[G_CIN]; ci++) {                                         \
+        for (int64_t ci = 0; ci < geo[G_C]; ci++) {                                         \
             T *row = panel + (ci * taps + t) * TILE_##SUFFIX;                               \
             for (int64_t j = 0; j < lo; j++)                                                \
                 row[j] = 0;                                                                 \
             if (lo < hi) {                                                                  \
-                const T *src = xn + ci * g[G_STRIDE_C] + (i0 + tap[0]) * g[G_STRIDE_0]      \
-                               + shift + lo;                                                \
+                const T *src = xn + (ci * geo[G_SIZE] + i0 + tap[0]) * plane + shift + lo;  \
                 for (int64_t j = lo; j < hi; j++)                                           \
                     row[j] = ok[j] ? src[j - lo] : 0;                                       \
             }                                                                               \
@@ -113,26 +114,28 @@ static void pack_##SUFFIX(const int64_t *g, const unsigned char *mask, const T *
     }                                                                                       \
 }                                                                                           \
                                                                                             \
-int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out, const int64_t *g) \
+int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,                   \
+                          const int64_t *geo)                                               \
 {                                                                                           \
-    const int64_t c_out = g[G_COUT], kk = g[G_CIN] * g[G_TAPS];                             \
-    const int64_t plane = g[G_SIZE + 1] * g[G_SIZE + 2], positions = g[G_SIZE] * plane;     \
-    if (g[G_N] == 0 || positions == 0)                                                      \
+    const int64_t c_out = geo[G_COUT], kk = geo[G_C] * geo[G_TAPS];                         \
+    const int64_t plane = geo[G_SIZE + 1] * geo[G_SIZE + 2];                                \
+    const int64_t positions = geo[G_SIZE] * plane;                                          \
+    if (geo[G_N] == 0 || positions == 0)                                                    \
         return 0;                                                                           \
     T *panel = aligned_alloc(VBYTES, (kk + 1) * TILE_##SUFFIX * sizeof(T));                 \
-    unsigned char *mask = plane_masks(g);                                                   \
+    unsigned char *mask = plane_masks(geo);                                                 \
     if (!panel || !mask) {                                                                  \
         free(panel);                                                                        \
         free(mask);                                                                         \
         return -1;                                                                          \
     }                                                                                       \
     const vec_##SUFFIX *pv = (const vec_##SUFFIX *)panel;                                   \
-    for (int64_t n = 0; n < g[G_N]; n++)                                                    \
-        for (int64_t i0 = 0; i0 < g[G_SIZE]; i0++)                                          \
+    for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
+        for (int64_t i0 = 0; i0 < geo[G_SIZE]; i0++)                                        \
             for (int64_t q0 = 0; q0 < plane; q0 += TILE_##SUFFIX) {                         \
                 int64_t np = plane - q0 < TILE_##SUFFIX ? plane - q0 : TILE_##SUFFIX;       \
                 T *o = out + n * c_out * positions + i0 * plane + q0;                       \
-                pack_##SUFFIX(g, mask, x + n * g[G_STRIDE_N], i0, q0, np, panel);           \
+                pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, i0, q0, np, panel);  \
                 int64_t co = 0;                                                             \
                 for (; co + 4 <= c_out; co += 4)                                            \
                     tile_##SUFFIX(4, w + co * kk, kk, pv, bias ? bias + co : 0,             \
@@ -155,8 +158,8 @@ DEFINE_CONTRACT(double, f64)
 
    over the row-major taps whose read p + d_i stays in the (T, H, W) volume;
    the other taps are skipped, not multiplied by zero, so a non-finite kernel
-   value at a clipped tap reaches no output. The VJP has the numpy VJP's
-   order for every element:
+   value at a clipped tap reaches no output. The VJP sums every element in
+   one fixed order, which no shard count changes:
 
    gx[n, c, p]        = g[n, c, p] * k[n, g, centre, p], then + g[n, c, p - d_i]
                         * k[n, g, i, p - d_i] for the other taps in ascending i
@@ -165,19 +168,12 @@ DEFINE_CONTRACT(double, f64)
                         group's channels c in ascending order if the read is in
                         the volume, else +0.
 
-   One call runs one shard. Per (batch element, group), the kernels and the
-   group's channels of x (and g) are copied into zero-bordered rows, so every
-   tap reads whole vectors of a row, shifted by its x displacement, without
-   leaving the buffer; a lane whose tap is clipped along x keeps its sum
-   (``blend``). ``gi`` is int64: N, C, G, taps, T, H, W, then the element
-   strides of x (batch, channel, T), k (batch, group, tap, T) and g (batch,
-   channel, T), then per tap and axis (displacement d, first output, end
-   output) as for the contraction. Each (H, W) plane of x, k and g is
-   C-contiguous; out, gx and g_kern are C-contiguous. Returns 0, or -1 if a
-   buffer cannot be allocated. */
-
-enum { I_N, I_C, I_G, I_TAPS, I_T, I_H, I_W, I_SX, I_SK = I_SX + 3, I_SG = I_SK + 4,
-       I_TAP = I_SG + 3 };
+   Per (batch element, group), the kernels and the group's channels of x (and
+   g) are copied into zero-bordered rows, so every tap reads whole vectors of
+   a row, shifted by its x displacement, without leaving the buffer; a lane
+   whose tap is clipped along x keeps its sum (``blend``). ``x``, ``g``,
+   ``out`` and ``gx`` are (N, C, T, H, W), ``k`` and ``g_kern`` (N, G, taps,
+   T, H, W) and ``bias`` (C,). */
 
 /* Whether tap ``tap`` feeds output row (t, y). */
 static int feeds(const int64_t *tap, int64_t t, int64_t y)
@@ -186,11 +182,11 @@ static int feeds(const int64_t *tap, int64_t t, int64_t y)
 }
 
 /* The largest x displacement of any tap: the zero border of a copied row. */
-static int64_t reach(const int64_t *gi)
+static int64_t reach(const int64_t *geo)
 {
     int64_t r = 0;
-    for (int64_t i = 0; i < gi[I_TAPS]; i++) {
-        const int64_t dx = gi[I_TAP + i * 9 + 6];
+    for (int64_t i = 0; i < geo[G_TAPS]; i++) {
+        const int64_t dx = geo[G_TAP + i * 9 + 6];
         r = dx > r ? dx : -dx > r ? -dx : r;
     }
     return r;
@@ -238,28 +234,25 @@ static inline vec_##SUFFIX add_in_##SUFFIX(int64_t j0, int64_t w, int64_t lo, in
     return blend_##SUFFIX(j0, lo, hi, acc + prod, acc);                                     \
 }                                                                                           \
                                                                                             \
-/* Volumes [0, planes) of ``src`` (volume p at src + p * sp, its T slices of (H, W)       \
-   sp_t apart) into the zero-bordered rows of ``dst``: row (p, t, y) at ((p * T + t) * H    \
-   + y) * wp, the values at offset rx. */                                                   \
-static void pad_##SUFFIX(const T *src, int64_t sp, int64_t sp_t, int64_t planes,           \
-                         const int64_t *gi, int64_t rx, int64_t wp, T *dst)                 \
+/* The ``volumes`` consecutive (T, H, W) volumes at ``src`` into the zero-bordered rows     \
+   of ``dst``: row r, the W values at src + r * W, at dst + r * wp + rx. */                 \
+static void pad_##SUFFIX(const T *src, int64_t volumes, const int64_t *geo, int64_t rx,     \
+                         int64_t wp, T *dst)                                                \
 {                                                                                           \
-    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W];                                   \
-    for (int64_t p = 0; p < planes; p++)                                                    \
-        for (int64_t t = 0; t < tt; t++)                                                    \
-            for (int64_t y = 0; y < h; y++)                                                 \
-                memcpy(dst + ((p * tt + t) * h + y) * wp + rx, src + p * sp + t * sp_t      \
-                       + y * w, w * sizeof(T));                                             \
+    const int64_t rows = volumes * geo[G_SIZE] * geo[G_SIZE + 1], w = geo[G_SIZE + 2];      \
+    for (int64_t r = 0; r < rows; r++)                                                      \
+        memcpy(dst + r * wp + rx, src + r * w, w * sizeof(T));                              \
 }                                                                                           \
                                                                                             \
 int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,                \
-                             const int64_t *gi)                                             \
+                             const int64_t *geo)                                            \
 {                                                                                           \
-    const int64_t c_all = gi[I_C], rep = c_all / gi[I_G], taps = gi[I_TAPS];               \
-    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W], *sx = gi + I_SX, *sk = gi + I_SK; \
-    const int64_t rx = reach(gi), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                 \
+    const int64_t c_all = geo[G_C], groups = geo[G_GROUPS], rep = c_all / groups;           \
+    const int64_t taps = geo[G_TAPS], tt = geo[G_SIZE], h = geo[G_SIZE + 1];                \
+    const int64_t w = geo[G_SIZE + 2], volume = tt * h * w;                                 \
+    const int64_t rx = reach(geo), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                \
     const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
-    if (gi[I_N] == 0 || plane == 0 || nv == 0)                                              \
+    if (geo[G_N] == 0 || plane == 0 || nv == 0)                                             \
         return 0;                                                                           \
     T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
     if (!kp || !xp) {                                                                       \
@@ -267,11 +260,10 @@ int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,     
         free(xp);                                                                           \
         return -1;                                                                          \
     }                                                                                       \
-    for (int64_t n = 0; n < gi[I_N]; n++)                                                   \
-        for (int64_t grp = 0; grp < gi[I_G]; grp++) {                                       \
-            pad_##SUFFIX(k + n * sk[0] + grp * sk[1], sk[2], sk[3], taps, gi, rx, wp, kp);  \
-            pad_##SUFFIX(x + n * sx[0] + grp * rep * sx[1], sx[1], sx[2], rep, gi, rx, wp, \
-                         xp);                                                               \
+    for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
+        for (int64_t grp = 0; grp < groups; grp++) {                                        \
+            pad_##SUFFIX(k + (n * groups + grp) * taps * volume, taps, geo, rx, wp, kp);    \
+            pad_##SUFFIX(x + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, xp);       \
             for (int64_t t = 0; t < tt; t++)                                                \
                 for (int64_t y = 0; y < h; y++)                                             \
                     for (int64_t r = 0; r < rep; r++) {                                     \
@@ -280,7 +272,7 @@ int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,     
                         for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
                             vec_##SUFFIX acc = {0};                                         \
                             for (int64_t i = 0; i < taps; i++) {                            \
-                                const int64_t *tap = gi + I_TAP + i * 9;                    \
+                                const int64_t *tap = geo + G_TAP + i * 9;                   \
                                 if (!feeds(tap, t, y) || tap[8] <= j0                       \
                                     || tap[7] >= j0 + VL_##SUFFIX)                          \
                                     continue;                                               \
@@ -302,14 +294,14 @@ int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,     
 }                                                                                           \
                                                                                             \
 int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g_kern,     \
-                                 const int64_t *gi)                                         \
+                                 const int64_t *geo)                                        \
 {                                                                                           \
-    const int64_t c_all = gi[I_C], rep = c_all / gi[I_G], taps = gi[I_TAPS];               \
-    const int64_t tt = gi[I_T], h = gi[I_H], w = gi[I_W], centre = taps / 2;               \
-    const int64_t *sx = gi + I_SX, *sk = gi + I_SK, *sg = gi + I_SG;                        \
-    const int64_t rx = reach(gi), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                 \
+    const int64_t c_all = geo[G_C], groups = geo[G_GROUPS], rep = c_all / groups;           \
+    const int64_t taps = geo[G_TAPS], centre = taps / 2, tt = geo[G_SIZE];                  \
+    const int64_t h = geo[G_SIZE + 1], w = geo[G_SIZE + 2], volume = tt * h * w;            \
+    const int64_t rx = reach(geo), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                \
     const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
-    if (gi[I_N] == 0 || plane == 0 || nv == 0)                                              \
+    if (geo[G_N] == 0 || plane == 0 || nv == 0)                                             \
         return 0;                                                                           \
     T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
     T *gp = calloc(rep * plane, sizeof(T));                                                 \
@@ -320,13 +312,11 @@ int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g
         return -1;                                                                          \
     }                                                                                       \
     const vec_##SUFFIX zero = {0};                                                          \
-    for (int64_t n = 0; n < gi[I_N]; n++)                                                   \
-        for (int64_t grp = 0; grp < gi[I_G]; grp++) {                                       \
-            pad_##SUFFIX(k + n * sk[0] + grp * sk[1], sk[2], sk[3], taps, gi, rx, wp, kp);  \
-            pad_##SUFFIX(x + n * sx[0] + grp * rep * sx[1], sx[1], sx[2], rep, gi, rx, wp, \
-                         xp);                                                               \
-            pad_##SUFFIX(g + n * sg[0] + grp * rep * sg[1], sg[1], sg[2], rep, gi, rx, wp, \
-                         gp);                                                               \
+    for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
+        for (int64_t grp = 0; grp < groups; grp++) {                                        \
+            pad_##SUFFIX(k + (n * groups + grp) * taps * volume, taps, geo, rx, wp, kp);    \
+            pad_##SUFFIX(x + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, xp);       \
+            pad_##SUFFIX(g + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, gp);       \
             for (int64_t t = 0; t < tt; t++)                                                \
                 for (int64_t y = 0; y < h; y++) {                                           \
                     const int64_t row = (t * h + y) * wp + rx;                              \
@@ -338,7 +328,7 @@ int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g
                                                * load_##SUFFIX(kp + centre * plane + row    \
                                                                + j0);                       \
                             for (int64_t i = 0; i < taps; i++) {                            \
-                                const int64_t *tap = gi + I_TAP + i * 9;                    \
+                                const int64_t *tap = geo + G_TAP + i * 9;                   \
                                 const int64_t ot = t - tap[0], oy = y - tap[3];             \
                                 const int64_t lo = tap[7] + tap[6], hi = tap[8] + tap[6];   \
                                 if (i == centre || !feeds(tap, ot, oy) || hi <= j0          \
@@ -353,8 +343,8 @@ int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g
                         }                                                                   \
                     }                                                                       \
                     for (int64_t i = 0; i < taps; i++) {                                    \
-                        const int64_t *tap = gi + I_TAP + i * 9;                            \
-                        T *o = g_kern + (((n * gi[I_G] + grp) * taps + i) * tt + t) * h * w \
+                        const int64_t *tap = geo + G_TAP + i * 9;                           \
+                        T *o = g_kern + (((n * groups + grp) * taps + i) * tt + t) * h * w  \
                                + y * w;                                                     \
                         if (!feeds(tap, t, y)) {                                            \
                             memset(o, 0, w * sizeof(T));                                    \
@@ -408,37 +398,30 @@ DEFINE_INVOLUTION(double, int64_t, f64)
    g_r = (p10 - p00)(1 - wq) + (p11 - p01) wq and g_q = (p01 - p00)(1 - wr) +
    (p11 - p10) wr.
 
-   One call runs one shard. Per batch element, x (and g) are copied into
-   channel-last rows of ``cs`` elements, each group's channels padded with
-   zeros to whole vectors, plus one zero row that off-grid corners read (and
-   whose gradient is dropped). ``gd`` is int64: N, C, G, taps, H, W, the
-   element strides of x (batch, channel), off (batch, channel), k (batch,
-   group, tap) and g (batch, channel), then per tap and axis (displacement d,
-   first output, end output) as for the contraction. Each (H, W) plane of x,
-   off, k and g is C-contiguous; out, gx, g_off and g_kern are C-contiguous.
-   Returns 0, or -1 if a buffer cannot be allocated. */
-
-enum { D_N, D_C, D_G, D_TAPS, D_H, D_W, D_SX, D_SO = D_SX + 2, D_SK = D_SO + 2,
-       D_SG = D_SK + 3, D_TAP = D_SG + 2 };
+   Per batch element, x (and g) are copied into channel-last rows of ``cs``
+   elements, each group's channels padded with zeros to whole vectors, plus
+   one zero row that off-grid corners read (and whose gradient is dropped).
+   ``x``, ``g``, ``out`` and ``gx`` are (N, C, H, W), ``off`` and ``g_off``
+   (N, 2 taps, H, W), ``k`` and ``g_kern`` (N, G, taps, H, W). */
 
 #define DEFINE_DDC(T, FLOOR, SUFFIX)                                                        \
 /* The width of a channel-last row: each group's channels padded with zeros to ``repp``,  \
    a whole number of vectors. */                                                            \
-static int64_t row_width_##SUFFIX(const int64_t *gd, int64_t *repp)                         \
+static int64_t row_width_##SUFFIX(const int64_t *geo, int64_t *repp)                        \
 {                                                                                           \
-    const int64_t rep = gd[D_C] / gd[D_G];                                                  \
+    const int64_t rep = geo[G_C] / geo[G_GROUPS];                                           \
     *repp = (rep + VL_##SUFFIX - 1) / VL_##SUFFIX * VL_##SUFFIX;                            \
-    return gd[D_G] * *repp;                                                                 \
+    return geo[G_GROUPS] * *repp;                                                           \
 }                                                                                           \
                                                                                             \
-/* The C channels of one batch element (channel ci at planes + ci * sc) into the            \
-   channel-last rows: channel ci of position p at rows + p * cs + col(ci). */               \
-static void to_rows_##SUFFIX(const T *planes, int64_t sc, const int64_t *gd, int64_t repp,  \
-                             T *rows)                                                       \
+/* The C planes of one batch element into the channel-last rows: channel ci of position     \
+   p at rows + p * cs + col(ci). */                                                         \
+static void to_rows_##SUFFIX(const T *planes, const int64_t *geo, int64_t repp, T *rows)    \
 {                                                                                           \
-    const int64_t rep = gd[D_C] / gd[D_G], hw = gd[D_H] * gd[D_W], cs = gd[D_G] * repp;     \
-    for (int64_t ci = 0; ci < gd[D_C]; ci++) {                                              \
-        const T *plane = planes + ci * sc;                                                  \
+    const int64_t rep = geo[G_C] / geo[G_GROUPS], cs = geo[G_GROUPS] * repp;                \
+    const int64_t hw = geo[G_SIZE + 1] * geo[G_SIZE + 2];                                   \
+    for (int64_t ci = 0; ci < geo[G_C]; ci++) {                                             \
+        const T *plane = planes + ci * hw;                                                  \
         T *col = rows + ci / rep * repp + ci % rep;                                         \
         for (int64_t p = 0; p < hw; p++)                                                    \
             col[p * cs] = plane[p];                                                         \
@@ -446,10 +429,11 @@ static void to_rows_##SUFFIX(const T *planes, int64_t sc, const int64_t *gd, int
 }                                                                                           \
                                                                                             \
 /* The inverse of to_rows into the C-contiguous planes of one batch element. */             \
-static void from_rows_##SUFFIX(const T *rows, const int64_t *gd, int64_t repp, T *planes)   \
+static void from_rows_##SUFFIX(const T *rows, const int64_t *geo, int64_t repp, T *planes)  \
 {                                                                                           \
-    const int64_t rep = gd[D_C] / gd[D_G], hw = gd[D_H] * gd[D_W], cs = gd[D_G] * repp;     \
-    for (int64_t ci = 0; ci < gd[D_C]; ci++) {                                              \
+    const int64_t rep = geo[G_C] / geo[G_GROUPS], cs = geo[G_GROUPS] * repp;                \
+    const int64_t hw = geo[G_SIZE + 1] * geo[G_SIZE + 2];                                   \
+    for (int64_t ci = 0; ci < geo[G_C]; ci++) {                                             \
         const T *col = rows + ci / rep * repp + ci % rep;                                   \
         T *plane = planes + ci * hw;                                                        \
         for (int64_t p = 0; p < hw; p++)                                                    \
@@ -459,10 +443,10 @@ static void from_rows_##SUFFIX(const T *rows, const int64_t *gd, int64_t repp, T
                                                                                             \
 /* The bilinear weights w00, w01, w10, w11 of (r, q), its fractional parts, and the rows    \
    of its four corners (row hw, the zero row, where a corner is off the grid). */           \
-static inline void bilinear_##SUFFIX(T r, T q, const int64_t *gd, T *wt, T *frac,           \
+static inline void bilinear_##SUFFIX(T r, T q, const int64_t *geo, T *wt, T *frac,          \
                                      int64_t *cell)                                         \
 {                                                                                           \
-    const int64_t h = gd[D_H], w = gd[D_W];                                                 \
+    const int64_t h = geo[G_SIZE + 1], w = geo[G_SIZE + 2];                                 \
     const T one = 1, r0 = FLOOR(r), q0 = FLOOR(q), wr = r - r0, wq = q - q0;                \
     wt[0] = (one - wr) * (one - wq);                                                        \
     wt[1] = (one - wr) * wq;                                                                \
@@ -479,22 +463,22 @@ static inline void bilinear_##SUFFIX(T r, T q, const int64_t *gd, T *wt, T *frac
 }                                                                                           \
                                                                                             \
 /* Tap t's sampling point at position (y, x) of batch element n. */                         \
-static inline void point_##SUFFIX(const T *off, const int64_t *gd, int64_t n, int64_t t,    \
+static inline void point_##SUFFIX(const T *off, const int64_t *geo, int64_t n, int64_t t,   \
                                   int64_t y, int64_t x, T *wt, T *frac, int64_t *cell)      \
 {                                                                                           \
-    const int64_t *tap = gd + D_TAP + t * 6, *so = gd + D_SO, p = y * gd[D_W] + x;          \
-    const T *o = off + n * so[0] + 2 * t * so[1] + p;                                       \
-    bilinear_##SUFFIX((T)(y + tap[0]) + o[0], (T)(x + tap[3]) + o[so[1]], gd, wt, frac,     \
+    const int64_t *tap = geo + G_TAP + t * 9, hw = geo[G_SIZE + 1] * geo[G_SIZE + 2];       \
+    const T *o = off + (n * 2 * geo[G_TAPS] + 2 * t) * hw + y * geo[G_SIZE + 2] + x;        \
+    bilinear_##SUFFIX((T)(y + tap[3]) + o[0], (T)(x + tap[6]) + o[hw], geo, wt, frac,       \
                       cell);                                                                \
 }                                                                                           \
                                                                                             \
-int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_t *gd)      \
+int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_t *geo)     \
 {                                                                                           \
-    const int64_t c = gd[D_C], taps = gd[D_TAPS], w = gd[D_W], hw = gd[D_H] * w;            \
-    const int64_t *sk = gd + D_SK;                                                          \
+    const int64_t c = geo[G_C], groups = geo[G_GROUPS], taps = geo[G_TAPS];                 \
+    const int64_t w = geo[G_SIZE + 2], hw = geo[G_SIZE + 1] * w;                            \
     int64_t repp;                                                                           \
-    const int64_t cs = row_width_##SUFFIX(gd, &repp);                                       \
-    if (gd[D_N] == 0 || hw == 0 || c == 0)                                                  \
+    const int64_t cs = row_width_##SUFFIX(geo, &repp);                                      \
+    if (geo[G_N] == 0 || hw == 0 || c == 0)                                                 \
         return 0;                                                                           \
     T *xt = calloc((hw + 1) * cs, sizeof(T)), *ot = malloc(hw * cs * sizeof(T));            \
     T *wts = malloc(taps * 4 * sizeof(T));                                                  \
@@ -506,15 +490,15 @@ int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_
         free(cells);                                                                        \
         return -1;                                                                          \
     }                                                                                       \
-    for (int64_t n = 0; n < gd[D_N]; n++) {                                                 \
-        to_rows_##SUFFIX(x + n * gd[D_SX], gd[D_SX + 1], gd, repp, xt);                     \
+    for (int64_t n = 0; n < geo[G_N]; n++) {                                                \
+        to_rows_##SUFFIX(x + n * c * hw, geo, repp, xt);                                    \
         for (int64_t p = 0; p < hw; p++) {                                                  \
             T frac[2];                                                                      \
             for (int64_t t = 0; t < taps; t++)                                              \
-                point_##SUFFIX(off, gd, n, t, p / w, p % w, wts + 4 * t, frac,              \
+                point_##SUFFIX(off, geo, n, t, p / w, p % w, wts + 4 * t, frac,             \
                                cells + 4 * t);                                              \
-            for (int64_t grp = 0; grp < gd[D_G]; grp++) {                                   \
-                const T *kp = k + n * sk[0] + grp * sk[1] + p;                              \
+            for (int64_t grp = 0; grp < groups; grp++) {                                    \
+                const T *kp = k + (n * groups + grp) * taps * hw + p;                       \
                 for (int64_t j = grp * repp; j < (grp + 1) * repp; j += VL_##SUFFIX) {      \
                     vec_##SUFFIX acc = {0};                                                 \
                     for (int64_t t = 0; t < taps; t++) {                                    \
@@ -526,13 +510,13 @@ int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_
                         s = s + wt[1] * load_##SUFFIX(xt + cell[1] * cs + j);               \
                         s = s + wt[2] * load_##SUFFIX(xt + cell[2] * cs + j);               \
                         s = s + wt[3] * load_##SUFFIX(xt + cell[3] * cs + j);               \
-                        acc = acc + kp[t * sk[2]] * s;                                      \
+                        acc = acc + kp[t * hw] * s;                                         \
                     }                                                                       \
                     memcpy(ot + p * cs + j, &acc, sizeof acc);                              \
                 }                                                                           \
             }                                                                               \
         }                                                                                   \
-        from_rows_##SUFFIX(ot, gd, repp, out + n * c * hw);                                 \
+        from_rows_##SUFFIX(ot, geo, repp, out + n * c * hw);                                \
     }                                                                                       \
     free(xt);                                                                               \
     free(ot);                                                                               \
@@ -542,13 +526,13 @@ int ddcn_ddc_##SUFFIX(const T *x, const T *off, const T *k, T *out, const int64_
 }                                                                                           \
                                                                                             \
 int ddcn_ddc_vjp_##SUFFIX(const T *x, const T *off, const T *k, const T *g, T *gx,          \
-                          T *g_off, T *g_kern, const int64_t *gd)                           \
+                          T *g_off, T *g_kern, const int64_t *geo)                          \
 {                                                                                           \
-    const int64_t c = gd[D_C], groups = gd[D_G], taps = gd[D_TAPS], w = gd[D_W];            \
-    const int64_t hw = gd[D_H] * w, *sk = gd + D_SK;                                        \
+    const int64_t c = geo[G_C], groups = geo[G_GROUPS], taps = geo[G_TAPS];                 \
+    const int64_t w = geo[G_SIZE + 2], hw = geo[G_SIZE + 1] * w;                            \
     int64_t repp;                                                                           \
-    const int64_t cs = row_width_##SUFFIX(gd, &repp);                                       \
-    if (gd[D_N] == 0 || hw == 0 || c == 0)                                                  \
+    const int64_t cs = row_width_##SUFFIX(geo, &repp);                                      \
+    if (geo[G_N] == 0 || hw == 0 || c == 0)                                                 \
         return 0;                                                                           \
     T *xt = calloc((hw + 1) * cs, sizeof(T)), *gt = calloc(hw * cs, sizeof(T));             \
     T *gxt = malloc((hw + 1) * cs * sizeof(T));                                             \
@@ -558,17 +542,17 @@ int ddcn_ddc_vjp_##SUFFIX(const T *x, const T *off, const T *k, const T *g, T *g
         free(gxt);                                                                          \
         return -1;                                                                          \
     }                                                                                       \
-    for (int64_t n = 0; n < gd[D_N]; n++) {                                                 \
-        to_rows_##SUFFIX(x + n * gd[D_SX], gd[D_SX + 1], gd, repp, xt);                     \
-        to_rows_##SUFFIX(g + n * gd[D_SG], gd[D_SG + 1], gd, repp, gt);                     \
+    for (int64_t n = 0; n < geo[G_N]; n++) {                                                \
+        to_rows_##SUFFIX(x + n * c * hw, geo, repp, xt);                                    \
+        to_rows_##SUFFIX(g + n * c * hw, geo, repp, gt);                                    \
         memset(gxt, 0, (hw + 1) * cs * sizeof(T));                                          \
         for (int64_t p = 0; p < hw; p++)                                                    \
             for (int64_t t = 0; t < taps; t++) {                                            \
                 T wt[4], frac[2], pk[4] = {0, 0, 0, 0};                                     \
                 int64_t cell[4];                                                            \
-                point_##SUFFIX(off, gd, n, t, p / w, p % w, wt, frac, cell);                \
+                point_##SUFFIX(off, geo, n, t, p / w, p % w, wt, frac, cell);               \
                 for (int64_t grp = 0; grp < groups; grp++) {                                \
-                    const T kv = k[n * sk[0] + grp * sk[1] + t * sk[2] + p];                \
+                    const T kv = k[((n * groups + grp) * taps + t) * hw + p];               \
                     vec_##SUFFIX qv[4] = {{0}};                                             \
                     for (int64_t j = grp * repp; j < (grp + 1) * repp; j += VL_##SUFFIX) {  \
                         const vec_##SUFFIX gv = load_##SUFFIX(gt + p * cs + j);             \
@@ -595,7 +579,7 @@ int ddcn_ddc_vjp_##SUFFIX(const T *x, const T *off, const T *k, const T *g, T *g
                 go[0] = (pk[2] - pk[0]) * (one - wq) + (pk[3] - pk[1]) * wq;                \
                 go[hw] = (pk[1] - pk[0]) * (one - wr) + (pk[3] - pk[2]) * wr;               \
             }                                                                               \
-        from_rows_##SUFFIX(gxt, gd, repp, gx + n * c * hw);                                 \
+        from_rows_##SUFFIX(gxt, geo, repp, gx + n * c * hw);                                \
     }                                                                                       \
     free(xt);                                                                               \
     free(gt);                                                                               \

@@ -12,9 +12,9 @@ fixed-weight conv forward, and the involution's and the deformable
 convolution's forwards and VJPs, run on one compiled file (``exact_conv.c``,
 built with the system C compiler and cached per user by ``_load_kernel``).
 There is no numpy twin: where the file cannot be built, each of these ops
-raises ``KernelBuildError``. The kernels read strided batch and channel axes
-in place; an input whose planes (its last two axes) are not C-contiguous is
-copied once (``_c_planes``).
+raises ``KernelBuildError``. The kernels take aligned, C-contiguous arrays
+and one geometry layout (``_geometry``); an input that is not aligned and
+C-contiguous is copied once (``_c_array``).
 
 The pointwise convolution is the standard convolution's K=1 case, and the
 shared-filter convolution its one-channel case on the input's (N*C, 1,
@@ -170,8 +170,9 @@ def _load_kernel() -> dict:
                                      timeout=60).stdout)
         digest.update(platform.machine().encode())
         try:
-            with open("/proc/cpuinfo", "rb") as f:
-                digest.update(next((line for line in f if line.startswith(b"flags")), b""))
+            with open("/proc/cpuinfo", "rb") as f:  # x86 lists "flags", aarch64 "Features"
+                digest.update(next((line for line in f
+                                    if line.startswith((b"flags", b"Features"))), b""))
         except OSError:
             pass
         root = os.environ.get("XDG_CACHE_HOME", "")
@@ -204,14 +205,11 @@ def _load_kernel() -> dict:
     return kernels
 
 
-def _c_planes(a: np.ndarray) -> np.ndarray:
-    """``a`` if the compiled kernels can read it in place: aligned, with
-    C-contiguous planes (its last two axes past the batch and channel axes;
-    size 1 where it has fewer). Else a C-contiguous copy."""
-    (s1, s2), (t1, t2) = ((1, 1) + a.shape[2:])[-2:], ((0, 0) + a.strides[2:])[-2:]
-    if a.flags.aligned and (s2 == 1 or t2 == a.itemsize) and (s1 == 1 or t1 == s2 * a.itemsize):
-        return a
-    return np.ascontiguousarray(a)
+def _c_array(a: np.ndarray, dtype=None) -> np.ndarray:
+    """``a`` as the compiled kernels read it: aligned, C-contiguous and, if
+    given, in ``dtype``. ``a`` itself where it is already, else one copy, so
+    the kernels never read memory that ``a`` does not own."""
+    return np.require(a, dtype, "CA")
 
 
 def _shard_bounds(n: int, macs: int) -> list:
@@ -233,19 +231,16 @@ def _run_shards(fn, jobs: list):
             f.result()
 
 
-def _element_strides(a: np.ndarray, axes: int) -> list:
-    """The element strides of the first ``axes`` axes of ``a``."""
-    return [s // a.itemsize for s in a.strides[:axes]]
-
-
 def _compiled_shards(name: str, macs: int, geom: list, *arrays):
     """Runs entry point ``name`` of ``exact_conv.c`` on ``(*arrays, geom)``
-    in batch shards (``_shard_bounds`` of ``macs``). ``geom`` is the
-    kernel's int64 geometry, led by the batch size, which each shard gets as
-    its own. Each shard gets its batch slice of every array but a 1-D one,
-    and a null pointer for None; the calling thread allocated every result,
-    so shards write disjoint slices. Looks the kernel up on the calling
-    thread, so a failed build raises there (``KernelBuildError``)."""
+    in batch shards (``_shard_bounds`` of ``macs``). Every array is aligned
+    and C-contiguous (``_c_array``), so the kernel finds each element from
+    the sizes in ``geom`` (``_geometry``), whose batch size each shard
+    replaces with its own. Each shard gets its batch slice of every array
+    but a 1-D one, and a null pointer for None; the calling thread allocated
+    every result, so shards write disjoint slices. Looks the kernel up on
+    the calling thread, so a failed build raises there
+    (``KernelBuildError``)."""
     fn = _load_kernel()[name, arrays[0].dtype]
     geom = np.array(geom, dtype=np.int64)
 
@@ -271,11 +266,16 @@ def _check_weights(op: str, x, *weights):
 # ---------------------------------------------------------------------------
 
 
-def _tap_geometry(taps: list, pad: int = 0) -> list:
-    """The compiled kernels' view of ``taps``: per tap and spatial axis, led
-    by ``pad`` axes of size 1, its displacement and the first and end output
-    it feeds."""
-    geom = []
+def _geometry(x: np.ndarray, m: int, taps: list) -> list:
+    """The int64 geometry that every entry point of ``exact_conv.c`` takes
+    for the (N, C, *spatial) input ``x``: N, C, ``m`` (the contraction's
+    output channels, the involution's and the DDC's groups), the tap count
+    and three spatial sizes, led by axes of size 1 where ``x`` has fewer;
+    then per tap and axis, so led too, its displacement and the first and
+    end output it feeds."""
+    n, c, *spatial = x.shape
+    pad = 3 - len(spatial)
+    geom = [n, c, m, len(taps), *(1,) * pad, *spatial]
     for _, ds, out_sl, _ in taps:
         geom += (0, 0, 1) * pad
         for d, sl in zip(ds, out_sl[1:]):
@@ -350,17 +350,17 @@ def _add_tap(gx, part, in_sl):
 
 def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     """The exact-order forward of every fixed-weight convolution: (N, C_in,
-    *spatial) ``xd``, with one to three spatial axes and C-contiguous planes
-    (``_c_planes``), cross-correlated with (C_out, C_in, *K) ``wk`` on
-    clipped taps, plus the optional (C_out,) bias ``b``.
+    *spatial) ``xd``, with one to three spatial axes, aligned and
+    C-contiguous (``_c_array``), cross-correlated with (C_out, C_in, *K)
+    ``wk`` on clipped taps, plus the optional (C_out,) bias ``b``.
 
     out[n, co, pos] = sum_k wk[co, k] * row_k[n, pos] + b[co], in ascending
     ``k`` = (input channel, row-major tap), where row ``k`` is the tap's
     window of the channel, +0 where the tap leaves the input. One compiled
     call per shard (``ddcn_contract``) reads ``xd`` and each tap's clipped
-    window in place. Checks the dtypes and the bias shape and counts the
-    FLOPs. Returns the C-contiguous (N, C_out, *spatial) result and the taps,
-    for the VJP."""
+    window in place, and the weights and bias through ``_c_array``. Checks
+    the dtypes and the bias shape and counts the FLOPs. Returns the
+    C-contiguous (N, C_out, *spatial) result and the taps, for the VJP."""
     c_out, c_in = wk.shape[:2]
     _check_weights(op, xd, wk, b)
     if b is not None and b.shape != (c_out,):
@@ -368,13 +368,9 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     n, spatial = xd.shape[0], xd.shape[2:]
     taps = _clipped_taps(op, spatial, wk.shape[2:])
     macs = n * c_out * c_in * math.prod(spatial) * len(taps)
-    pad = 5 - xd.ndim  # the kernel takes three spatial axes, led by size-1 ones
     out = np.empty((n, c_out) + spatial, dtype=xd.dtype)
-    _compiled_shards("contract", macs,
-                     [n, c_in, c_out, len(taps), *(1,) * pad, *spatial,
-                      *_element_strides(xd, 3), *_tap_geometry(taps, pad)],
-                     xd, np.ascontiguousarray(wk).reshape(-1),
-                     None if b is None else np.ascontiguousarray(b.data), out)
+    _compiled_shards("contract", macs, _geometry(xd, c_out, taps), xd,
+                     _c_array(wk).reshape(-1), None if b is None else _c_array(b.data), out)
     add_flops(2 * macs)
     return out, taps
 
@@ -386,7 +382,7 @@ def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Te
     if not 3 <= x.data.ndim <= 5:
         raise ShapeError(f"{op}: input must be (N, C, *spatial) with 1 to 3 spatial axes, "
                          f"got {x.data.shape}")
-    xd = _c_planes(x.data)
+    xd = _c_array(x.data)
     c_out, c_in = wk.shape[:2]
     if xd.shape[1] != c_in:
         raise ShapeError(
@@ -461,7 +457,7 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (N*C, 1, *spatial) planes of ``x`` with ``w`` as a (1, 1, *K) kernel: taps
     sum row-major from +0, bias last; reads outside the input are absent.
     """
-    xd, wd = _c_planes(x.data), w.data
+    xd, wd = _c_array(x.data), w.data
     if wd.ndim not in (2, 3):
         raise ShapeError(f"shared_conv: filter rank {wd.ndim} not supported")
     planes = xd.reshape((math.prod(xd.shape[:2]), 1) + xd.shape[2:])
@@ -536,7 +532,7 @@ def bilinear_sample(x: Tensor, n: int, c: int, r, q) -> Tensor:
     offsets[0, :, 0, 0] = rq
     weights = np.zeros((1, 1, 1, h, w), dtype=dtype)
     weights[0, 0, 0, 0, 0] = 1
-    plane = _c_planes(xd[n:n + 1, c:c + 1])
+    plane = _c_array(xd[n:n + 1, c:c + 1])
     taps = _clipped_taps("bilinear_sample", (h, w), (1, 1))
     out, ddc_vjp = _ddc_compiled(plane, offsets, weights, taps, 10 * h * w)
     add_flops(8)
@@ -614,7 +610,7 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
         _probe_coords((np.arange(h, dtype=xd.dtype).reshape(1, 1, h, 1) + dy) + od[:, 0::2],
                       (np.arange(w, dtype=xd.dtype).reshape(1, 1, 1, w) + dx) + od[:, 1::2])
     flops = 10 * n * c * h * w * kk
-    out, vjp = _ddc_compiled(_c_planes(xd), _c_planes(od), _c_planes(kd), taps, flops)
+    out, vjp = _ddc_compiled(_c_array(xd), _c_array(od), _c_array(kd), taps, flops)
     add_flops(flops)
     result = Tensor._wrap(out)
     record((x, offsets, kernels), result, vjp)
@@ -622,24 +618,18 @@ def ddc_forward(x: Tensor, offsets: Tensor, kernels: Tensor, kernel_size: int) -
 
 
 def _ddc_compiled(xd, od, kd, taps, flops):
-    """The deformable convolution of fields with C-contiguous planes
-    (``_c_planes``) on the compiled kernels, in batch shards sized by
+    """The deformable convolution of aligned, C-contiguous fields
+    (``_c_array``) on the compiled kernels, in batch shards sized by
     ``flops``: its result, and its VJP, which keeps nothing but the three
     input fields. ``ddc_forward`` and ``bilinear_sample`` run it."""
-    n, c, h, w = xd.shape
-
-    def geometry(g=None):  # the DDC entry points' ``gd``
-        return [n, c, kd.shape[1], len(taps), h, w, *_element_strides(xd, 2),
-                *_element_strides(od, 2), *_element_strides(kd, 3),
-                *((0, 0) if g is None else _element_strides(g, 2)), *_tap_geometry(taps)]
-
+    geom = _geometry(xd, kd.shape[1], taps)
     out = np.empty(xd.shape, dtype=xd.dtype)
-    _compiled_shards("ddc", flops // 2, geometry(), xd, od, kd, out)
+    _compiled_shards("ddc", flops // 2, geom, xd, od, kd, out)
 
     def vjp(g):
-        g = _c_planes(g.astype(xd.dtype, copy=False))
+        g = _c_array(g, xd.dtype)
         gx, g_off, g_kern = (np.empty(a.shape, dtype=xd.dtype) for a in (xd, od, kd))
-        _compiled_shards("ddc_vjp", flops, geometry(g), xd, od, kd, g, gx, g_off, g_kern)
+        _compiled_shards("ddc_vjp", flops, geom, xd, od, kd, g, gx, g_off, g_kern)
         return (gx, g_off, g_kern)
 
     return out, vjp
@@ -689,24 +679,19 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     if bias.data.shape != (c,):
         raise ShapeError(f"involution3d: bias must be ({c},), got {bias.data.shape}")
     _check_weights("involution3d", x, kernels, bias)
-    xd, kd = _c_planes(xd), _c_planes(kd)
+    xd, kd = _c_array(xd), _c_array(kd)
     taps = _clipped_taps("involution3d", (t, h, w), (kernel_size,) * 3)
     macs = xd.size * k3
-
-    def geometry(g=None):  # the involution entry points' ``gi``
-        return [n, c, groups, len(taps), t, h, w, *_element_strides(xd, 3),
-                *_element_strides(kd, 4), *((0, 0, 0) if g is None else _element_strides(g, 3)),
-                *_tap_geometry(taps)]
-
+    geom = _geometry(xd, groups, taps)
     out = np.empty(xd.shape, dtype=xd.dtype)
-    _compiled_shards("involution", macs, geometry(), xd, kd, np.ascontiguousarray(bias.data), out)
+    _compiled_shards("involution", macs, geom, xd, kd, _c_array(bias.data), out)
     add_flops(2 * macs)
     result = Tensor._wrap(out)
 
     def vjp(g):
-        g = np.ascontiguousarray(g, dtype=xd.dtype)
+        g = _c_array(g, xd.dtype)
         gx, g_kern = np.empty(xd.shape, dtype=xd.dtype), np.empty(kd.shape, dtype=xd.dtype)
-        _compiled_shards("involution_vjp", 2 * macs, geometry(g), xd, kd, g, gx, g_kern)
+        _compiled_shards("involution_vjp", 2 * macs, geom, xd, kd, g, gx, g_kern)
         return (gx, g_kern, g.sum(axis=(0, 2, 3, 4)))
 
     record((x, kernels, bias), result, vjp)

@@ -309,6 +309,42 @@ def test_sharded_forward_keeps_scopes_in_the_caller_and_starts_no_thread_per_cal
     assert threading.active_count() - len(pool_threads()) == others
 
 
+@pytest.mark.parametrize("flags", [{}, dict(use_ddc=False, use_involution3d=False)],
+                         ids=["full", "ablation"])
+def test_model_hands_the_kernels_contiguous_arrays_and_copies_none(flags, monkeypatch):
+    # The compiled kernels read aligned, C-contiguous arrays and copy any
+    # other (ops._c_array). Every array a taped forward, its backward and a
+    # predict hand them already is one, so no layer pays a copy per call.
+    copies, fed = [], []
+    c_array, compiled_shards = ops._c_array, ops._compiled_shards
+
+    def c_array_spy(a, dtype=None):
+        out = c_array(a, dtype)
+        if out is not a:
+            copies.append(a.shape)
+        return out
+
+    def compiled_shards_spy(name, macs, geom, *arrays):
+        fed.extend((name, a.flags.c_contiguous and a.flags.aligned)
+                   for a in arrays if a is not None)
+        compiled_shards(name, macs, geom, *arrays)
+
+    monkeypatch.setattr(ops, "_c_array", c_array_spy)
+    monkeypatch.setattr(ops, "_compiled_shards", compiled_shards_spy)
+    model = DDCN(small_config(depth=2, **flags), (8, 8), seed=7)
+    rng = RNG(14)
+    x = rng.uniform(0, 1, (2, 4, 2, 8, 8)).astype(np.float32)
+    y = Tensor(rng.uniform(0, 1, (2, 2, 8, 8)).astype(np.float32))
+    with Tape() as tape:
+        loss = l1_loss(model(Tensor(x)), y)
+    backward(loss, tape)
+    model.predict(x)
+    assert copies == []
+    assert fed and all(ok for _, ok in fed)
+    dynamic = {"ddc", "ddc_vjp", "involution", "involution_vjp"}
+    assert {name for name, _ in fed} == {"contract"} | (set() if flags else dynamic)
+
+
 def test_construction_deterministic_per_seed():
     a = DDCN(small_config(), (8, 8), seed=9)
     b = DDCN(small_config(), (8, 8), seed=9)

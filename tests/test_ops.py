@@ -1,6 +1,8 @@
 """Operator correctness: identities, degeneracies, exact oracle equivalence."""
 
 import functools
+import io
+import itertools
 import os
 import re
 import subprocess
@@ -241,12 +243,13 @@ def _signed_zeros(rng, shape, dtype):
 def _signed_zero_case(rng, shape, dtype, subnormal=False):
     """A non-contiguous (N, C, T, H, W) input with an all-zero corner.
 
-    The data is laid out (N, T, C, H, W) and viewed transposed (the axis
-    swap ``STAttBlock`` makes, left as a strided view). About a third of the values are zero and a
-    3x3x3 corner is zero in every channel, so zero inputs meet negative
-    weights and some outputs sum only -0.0 products. With ``subnormal``,
-    about half the values are scaled toward the subnormal range
-    (``_subnormal``).
+    The data is laid out (N, T, C, H, W) and viewed transposed, so the op
+    copies it to C order before a kernel reads it (the model's
+    ``transpose`` is materialized, so it never passes such a view). About a
+    third of the values are zero and a 3x3x3 corner is zero in every
+    channel, so zero inputs meet negative weights and some outputs sum only
+    -0.0 products. With ``subnormal``, about half the values are scaled
+    toward the subnormal range (``_subnormal``).
     """
     n, c, t, h, w = shape
     base = rng.uniform(-2.0, 2.0, (n, t, c, h, w)).astype(dtype)
@@ -407,9 +410,10 @@ def test_compiled_forward_peak_is_its_result(monkeypatch):
         "ddc"])
 def test_strided_inputs_give_the_oracle_bits_and_the_contiguous_gradients(op, oracle, shapes,
                                                                           dtype):
-    # The kernels read C-contiguous planes, so every op copies an input with
-    # a strided last axis once: its forward keeps the oracle's bits, and its
-    # gradients are bit for bit those of the same call on contiguous copies.
+    # The kernels read aligned, C-contiguous arrays, so every op copies an
+    # input with a strided last axis once: its forward keeps the oracle's
+    # bits, and its gradients are bit for bit those of the same call on
+    # contiguous copies.
     rng = np.random.default_rng(58)
     args = [rng.uniform(-2, 2, s).astype(dtype) for s in shapes]
     strided = [_strided(a) for a in args]
@@ -526,6 +530,93 @@ def test_kernel_source_builds_warning_free_without_fused_multiply_adds(tmp_path)
     # x86 vfmadd/vfmsub/vfnmadd/vfnmsub, aarch64 fmadd/fmsub/fnmadd/fnmsub/fmla/fmls
     fused = re.findall(r"^\s*(v?fn?m(?:add|sub)\w*|fml[as]\b)", asm.read_text(), re.M)
     assert fused == []
+
+
+def test_kernel_cache_key_holds_the_cpu_features_of_an_arm_host(fresh_loader, monkeypatch):
+    # /proc/cpuinfo names the CPU's features "flags" on x86 and "Features"
+    # on aarch64: two ARM hosts that differ there must not share a
+    # -march=native build.
+    real_open = open
+
+    def cpuinfo(features):
+        def fake_open(path, *args, **kwargs):
+            if path == "/proc/cpuinfo":
+                return io.BytesIO(b"processor\t: 0\nBogoMIPS\t: 50.00\nFeatures\t: "
+                                  + features + b"\nCPU implementer\t: 0x41\n")
+            return real_open(path, *args, **kwargs)
+        return fake_open
+
+    for features in (b"fp asimd evtstrm aes", b"fp asimd evtstrm aes sve"):
+        monkeypatch.setattr(ops, "open", cpuinfo(features), raising=False)
+        ops._load_kernel.cache_clear()
+        ops._load_kernel()
+    assert len(list(fresh_loader.glob("*.so"))) == 2
+
+
+def _every_entry_point(rng) -> int:
+    """Runs every entry point of ``exact_conv.c`` in float32 and float64,
+    in 1 and 2 forced shards, for batches of 0, 1 and 3, on planes of 1x1,
+    2x3 and 5x13 with K=3 and K=5 taps (clipped on the small planes), each
+    op's first input as made and transposed (copied before a kernel reads
+    it). The involution's and the DDC's VJPs run too; the fixed-weight
+    convs' VJPs are numpy. Returns the number of op calls."""
+    calls, vjps = 0, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+        mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+        for dtype, shards, n, (h, w), k in itertools.product(
+                (np.float32, np.float64), (1, 2), (0, 1, 3), ((1, 1), (2, 3), (5, 13)), (3, 5)):
+            mp.setattr(ops, "_POOL_SIZE", shards)
+            cases = [  # (op, input shapes, whether its VJP is compiled)
+                (ops.pointwise_conv, [(n, 3, w), (4, 3), (4,)], False),
+                (ops.standard_conv, [(n, 3, h, w), (5, 3, k, k), (5,)], False),
+                (ops.standard_conv, [(n, 2, 2, h, w), (3, 2, k, k, k), (3,)], False),
+                (ops.shared_conv, [(n, 3, h, w), (k, k), (1,)], False),
+                (lambda x, kern, b: ops.involution3d_forward(x, kern, b, k),
+                 [(n, 4, 2, h, w), (n, 2, k ** 3, 2, h, w), (4,)], True),
+                (lambda x, off, kern: ops.ddc_forward(x, off, kern, k),
+                 [(n, 4, h, w), (n, 2 * k * k, h, w), (n, 2, k * k, h, w)], True),
+            ]
+            if n:
+                cases.append((lambda x: ops.bilinear_sample(x, n - 1, 3, h - 0.5, -0.25),
+                              [(n, 4, h, w)], True))
+            for (op, shapes, compiled_vjp), transposed in itertools.product(cases, (False, True)):
+                args = [rng.uniform(-2, 2, s).astype(dtype) for s in shapes]
+                if transposed:
+                    args[0] = np.ascontiguousarray(args[0].swapaxes(0, 1)).swapaxes(0, 1)
+                out = op(*(Tensor._wrap(a) for a in args)).data
+                vjp = vjps.pop()
+                if compiled_vjp:
+                    vjp(rng.uniform(-1, 1, out.shape).astype(dtype))
+                calls += 1
+    return calls
+
+
+def test_every_entry_point_runs_clean_under_address_and_undefined_behavior_sanitizers(tmp_path):
+    # Built with ASan and UBSan, a kernel that reads or writes outside the
+    # arrays it is given, or does anything undefined, aborts the run.
+    runtime = subprocess.run([ops._CC, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, timeout=60).stdout.strip()
+    if not (os.path.isabs(runtime) and os.path.isfile(runtime)):
+        pytest.skip(f"{ops._CC} has no AddressSanitizer runtime")
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import numpy as np\n"
+        "from ddcn import ops\n"
+        "ops._CFLAGS += ('-fsanitize=address,undefined', '-fno-sanitize-recover=all',\n"
+        "                '-fno-omit-frame-pointer')\n"
+        "import test_ops\n"
+        "print(test_ops._every_entry_point(np.random.default_rng(60)))\n"
+    )
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), LD_PRELOAD=runtime,
+               ASAN_OPTIONS="detect_leaks=0")
+    paths = [str(Path(ops.__file__).parents[1]), str(Path(__file__).parent)]
+    proc = subprocess.run([sys.executable, "-c", script, *paths], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    # 72 settings of 6 ops, two layouts each, plus bilinear_sample where n > 0
+    assert int(proc.stdout) == 72 * 6 * 2 + 48 * 2
+    assert len(list((tmp_path / "ddcn").glob("*.so"))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +1061,7 @@ def _ddc(x, offsets, kernels):
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_ddc_vjp_bits_match_for_any_shards_and_float32_stays_near_float64(n):
     # The VJP has one order, whatever the shard count or the output
-    # gradient's layout (transposed: read in place; strided plane: copied).
+    # gradient's layout (transposed or with a strided plane: copied first).
     # In float32 it differs from the float64 VJP of the same fields by
     # rounding only. Four, three, one and eleven channels per group (padded
     # to whole vectors in the kernel), offsets reaching 2 cells.
