@@ -8,27 +8,27 @@ Parameter and FLOP counts live in ``profile`` (``count_params``,
 
 Forward accumulation orders are fixed and documented per operation so that
 independent nested-loop oracles can reproduce outputs bit-for-bit. Every
-fixed-weight conv forward, and the involution's and the deformable
-convolution's forwards and VJPs, run on one compiled file (``exact_conv.c``,
-built with the system C compiler and cached per user by ``_load_kernel``).
-There is no numpy twin: where the file cannot be built, each of these ops
-raises ``KernelBuildError``. The kernels take aligned, C-contiguous arrays
-and one geometry layout (``_geometry``); an input that is not aligned and
-C-contiguous is copied once (``_c_array``).
+fixed-weight conv's forward and input gradient, and the involution's and
+the deformable convolution's forwards and VJPs, run on one compiled file
+(``exact_conv.c``, built with the system C compiler and cached per user by
+``_load_kernel``). There is no numpy twin: where the file cannot be built,
+each of these ops raises ``KernelBuildError``. The kernels take aligned,
+C-contiguous arrays and one geometry layout (``_geometry``); an input that
+is not aligned and C-contiguous is copied once (``_c_array``).
 
 The pointwise convolution is the standard convolution's K=1 case, and the
 shared-filter convolution its one-channel case on the input's (N*C, 1,
-*spatial) planes: all three run one forward (``_conv_forward``), which
-evaluates the contracted order, output element by output element, from +0
-over (input channel, tap) with the bias last. It holds a tile of
-accumulators in registers across all terms, with one rounded multiply and
-one rounded add per term, so it has the bits of the scalar loop. Above a
-work threshold every compiled call splits the batch into shards, one per CPU
-up to 8, on one module-level thread pool (``_compiled_shards``). Shards are
-partitions, not orders: each output element sums within its own batch
-element, so the bits do not depend on the shard count. The calling thread
-allocates every result and keeps all tape, FLOP and probe bookkeeping; pool
-threads run the kernels only.
+*spatial) planes: all three run one ``_conv``, forward and VJP. The forward
+(``_conv_forward``) evaluates the contracted order, output element by
+output element, from +0 over (input channel, tap) with the bias last. It
+holds a tile of accumulators in registers across all terms, with one
+rounded multiply and one rounded add per term, so it has the bits of the
+scalar loop. Above a work threshold every compiled call splits the batch
+into shards, one per CPU up to 8, on one module-level thread pool
+(``_compiled_shards``). Shards are partitions, not orders: each output
+element sums within its own batch element, so the bits do not depend on the
+shard count. The calling thread allocates every result and keeps all tape,
+FLOP and probe bookkeeping; pool threads run the kernels only.
 One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
 (by ``_check_kernel_sizes``, which the layers' constructors call too)
 and owns their centred, row-major tap order: it gives each tap's displacement,
@@ -48,16 +48,19 @@ convolution keeps nothing but its three input fields: its VJP recomputes
 each tap's corners and weights, and takes the kernel and offset gradients
 from four per-corner channel reductions of the input against the output
 gradient. The standard, shared and involution convolutions keep their input
-and the clipped tap slices. Their VJPs assign the centre tap's input
-gradient and add every other tap into its clipped region.
+and the clipped tap slices, never their output.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
-The fixed-weight convs' backward channel contractions run as BLAS
-``matmul``. The deformable convolution scatters its input gradient corner by
-corner in one fixed order for any shard count (``ddc_forward``). The
-involution VJP's input gradient takes the centre tap's ``g * k`` and adds
-every other tap's in ``_centre_first`` order; its kernel gradient sums
+A fixed-weight conv's weight gradient is one BLAS ``matmul`` per tap. Its
+input gradient is the same convolution of the output gradient with the
+kernel spatially flipped and its channels swapped (Dumoulin and Visin, "A
+guide to convolution arithmetic for deep learning", arXiv:1603.07285), so it
+runs on ``_conv_forward``; at one tap it is one BLAS ``matmul``. A backward
+pass counts no FLOPs. The deformable convolution scatters its input gradient
+corner by corner in one fixed order for any shard count (``ddc_forward``).
+The involution VJP's input gradient takes the centre tap's ``g * k`` and
+adds every other tap's in row-major order; its kernel gradient sums
 ``g * x`` over each group's channels in ascending order from +0, +0 where
 the tap is clipped; its bias gradient is one whole-batch sum on the calling
 thread. Each sums in the same order on every call for a fixed thread count,
@@ -331,23 +334,6 @@ def _check_counts(**counts):
             raise ShapeError(f"{name} must be >= 1, got {value}")
 
 
-def _centre_first(taps: list) -> list:
-    """``taps`` with the centre tap, never clipped, moved to the front."""
-    c = len(taps) // 2
-    return [taps[c]] + taps[:c] + taps[c + 1:]
-
-
-def _add_tap(gx, part, in_sl):
-    """A VJP's input gradient after one more tap (taps in ``_centre_first``
-    order): the centre tap's ``part`` becomes ``gx``, every other tap's is
-    added into its clipped region. Passed as an argument, ``part`` is freed
-    before the next tap's temporaries are allocated."""
-    if gx is None:
-        return part
-    gx[in_sl] += part
-    return gx
-
-
 def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     """The exact-order forward of every fixed-weight convolution: (N, C_in,
     *spatial) ``xd``, with one to three spatial axes, aligned and
@@ -359,8 +345,9 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     window of the channel, +0 where the tap leaves the input. One compiled
     call per shard (``ddcn_contract``) reads ``xd`` and each tap's clipped
     window in place, and the weights and bias through ``_c_array``. Checks
-    the dtypes and the bias shape and counts the FLOPs. Returns the
-    C-contiguous (N, C_out, *spatial) result and the taps, for the VJP."""
+    the dtypes and the bias shape; counts no FLOPs, so the VJP's call counts
+    none either. Returns the C-contiguous (N, C_out, *spatial) result and
+    the taps."""
     c_out, c_in = wk.shape[:2]
     _check_weights(op, xd, wk, b)
     if b is not None and b.shape != (c_out,):
@@ -371,42 +358,54 @@ def _conv_forward(op: str, xd: np.ndarray, wk: np.ndarray, b: Tensor | None):
     out = np.empty((n, c_out) + spatial, dtype=xd.dtype)
     _compiled_shards("contract", macs, _geometry(xd, c_out, taps), xd,
                      _c_array(wk).reshape(-1), None if b is None else _c_array(b.data), out)
-    add_flops(2 * macs)
     return out, taps
 
 
-def _conv(op: str, x: Tensor, w: Tensor, wk: np.ndarray, b: Tensor | None) -> Tensor:
-    """Shape-preserving cross-correlation with kernel ``wk``, ``w.data`` viewed
-    as (C_out, C_in, *K); the forward is ``_conv_forward``. The VJP returns the
-    weight gradient in ``w``'s own shape."""
+def _conv(op: str, x: Tensor, xd: np.ndarray, w: Tensor, wk: np.ndarray,
+          b: Tensor | None) -> Tensor:
+    """Shape-preserving cross-correlation of ``xd``, an aligned, C-contiguous
+    view of ``x.data``, with ``wk``, a (C_out, C_in, *K) view of ``w.data``;
+    the forward is ``_conv_forward``. The shared conv's ``xd`` is x's (N*C,
+    1, *spatial) planes, and its result takes x's shape.
+
+    The VJP returns gradients in ``x``'s and ``w``'s own shapes. It forms the
+    weight gradient first, one batched ``matmul`` per tap over its clipped
+    windows. The input gradient is the same convolution of ``g`` with the
+    kernel spatially flipped and its channels swapped: ``_conv_forward``,
+    or at one tap ``wk.T @ g`` on BLAS. The VJP keeps ``xd``, ``wk`` and
+    shapes, never the output."""
     if not 3 <= x.data.ndim <= 5:
         raise ShapeError(f"{op}: input must be (N, C, *spatial) with 1 to 3 spatial axes, "
                          f"got {x.data.shape}")
-    xd = _c_array(x.data)
     c_out, c_in = wk.shape[:2]
     if xd.shape[1] != c_in:
         raise ShapeError(
             f"{op}: channel mismatch: input has {xd.shape[1]} channels, weight expects {c_in}"
         )
     out, taps = _conv_forward(op, xd, wk, b)
-    n = xd.shape[0]
-    w3 = wk.reshape(c_out, c_in, len(taps))
-    result = Tensor._wrap(out)
+    add_flops(2 * out.size * c_in * len(taps))
+    x_shape, w_shape, has_bias = x.data.shape, w.data.shape, b is not None
+    n, spatial, out_shape = xd.shape[0], xd.shape[2:], out.shape
+    result = Tensor._wrap(out if xd.shape == x_shape else out.reshape(x_shape))
 
     def vjp(g):
-        gw = np.empty_like(w3)
-        gx = None
-        for i, _, out_sl, in_sl in _centre_first(taps):
-            g_tap = g[out_sl].reshape(n, c_out, -1)
+        g = _c_array(g.reshape(out_shape), xd.dtype)
+        gw = np.empty((c_out, c_in, len(taps)), dtype=xd.dtype)
+        for i, _, out_sl, in_sl in taps:
             window = xd[in_sl]
+            rows = math.prod(window.shape[2:])
             gw[:, :, i] = np.matmul(
-                g_tap, window.reshape(n, c_in, -1).transpose(0, 2, 1)
+                g[out_sl].reshape(n, c_out, rows), window.reshape(n, c_in, rows).transpose(0, 2, 1)
             ).sum(axis=0)
-            gx = _add_tap(gx, np.matmul(w3[:, :, i].T, g_tap).reshape(window.shape), in_sl)
-        gw = gw.reshape(w.data.shape)
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, g.sum(axis=(0,) + tuple(range(2, xd.ndim))))
+        if len(taps) == 1:
+            gx = np.matmul(wk.reshape(c_out, c_in).T, g.reshape(n, c_out, math.prod(spatial)))
+        else:
+            flip = (slice(None),) * 2 + (slice(None, None, -1),) * len(spatial)
+            gx, _ = _conv_forward(op, g, wk.swapaxes(0, 1)[flip].copy(), None)
+        grads = (gx.reshape(x_shape), gw.reshape(w_shape))
+        if not has_bias:
+            return grads
+        return grads + (g.sum(axis=(0,) + tuple(range(2, g.ndim))),)
 
     inputs = (x, w) if b is None else (x, w, b)
     record(inputs, result, vjp)
@@ -425,7 +424,8 @@ def pointwise_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     wd = w.data
     if wd.ndim != 2:
         raise ShapeError(f"pointwise_conv: weight must be (C_out, C_in), got {wd.shape}")
-    return _conv("pointwise_conv", x, w, wd.reshape(wd.shape + (1,) * (x.data.ndim - 2)), b)
+    return _conv("pointwise_conv", x, _c_array(x.data), w,
+                 wd.reshape(wd.shape + (1,) * (x.data.ndim - 2)), b)
 
 
 def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -439,7 +439,7 @@ def standard_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     if w.data.ndim not in (4, 5):
         raise ShapeError(f"standard_conv: weight rank {w.data.ndim} not supported")
-    return _conv("standard_conv", x, w, w.data, b)
+    return _conv("standard_conv", x, _c_array(x.data), w, w.data, b)
 
 
 # ---------------------------------------------------------------------------
@@ -453,36 +453,16 @@ def shared_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     ``w`` is (K, K) for 2D inputs or (K, K, K) for 3D inputs; ``b`` is a
     single-element tensor added to every output. This is the ablation
     stand-in for the dynamic operators: a position-agnostic, channel-shared
-    filter. Its forward is the exact-order core's one-channel case, on the
-    (N*C, 1, *spatial) planes of ``x`` with ``w`` as a (1, 1, *K) kernel: taps
-    sum row-major from +0, bias last; reads outside the input are absent.
+    filter. It is the conv core's one-channel case (``_conv``), forward and
+    VJP, on the (N*C, 1, *spatial) planes of ``x`` with ``w`` as a (1, 1, *K)
+    kernel: taps sum row-major from +0, bias last; reads outside the input
+    are absent.
     """
     xd, wd = _c_array(x.data), w.data
     if wd.ndim not in (2, 3):
         raise ShapeError(f"shared_conv: filter rank {wd.ndim} not supported")
     planes = xd.reshape((math.prod(xd.shape[:2]), 1) + xd.shape[2:])
-    out, taps = _conv_forward("shared_conv", planes, wd.reshape((1, 1) + wd.shape), b)
-    result = Tensor._wrap(out.reshape(xd.shape))
-    w_flat = wd.reshape(-1)
-
-    # Not the core's VJP: on the planes its input gradient is one batched
-    # (1, 1) @ (1, positions) matmul per plane and tap, 2.3-3.0 ms per tap
-    # against 0.4 ms for ``w * g`` at 4,096 planes of 16x16 (2 vCPUs): 41-47
-    # against 25-34 ms per VJP in 2D, 133-140 against 73-84 ms in 3D.
-    def vjp(g):
-        gw = np.empty_like(w_flat)
-        gx = None
-        for i, _, out_sl, in_sl in _centre_first(taps):
-            gw[i] = np.sum(g[out_sl] * xd[in_sl])
-            gx = _add_tap(gx, w_flat[i] * g[out_sl], in_sl)
-        gw = gw.reshape(wd.shape)
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, np.array([g.sum()], dtype=g.dtype))
-
-    inputs = (x, w) if b is None else (x, w, b)
-    record(inputs, result, vjp)
-    return result
+    return _conv("shared_conv", x, planes, w, wd.reshape((1, 1) + wd.shape), b)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +637,7 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
     conv pool.
 
     The VJP's input gradient takes the centre tap's ``g * k`` and adds every
-    other tap's in ``_centre_first`` order into its clipped region; the
+    other tap's in row-major order into its clipped region; the
     kernel gradient of tap i sums ``g * x`` over the group's channels in
     ascending order from +0, and is +0 where the tap is clipped. The bias
     gradient is one whole-batch numpy sum on the calling thread, which a

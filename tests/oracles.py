@@ -79,6 +79,38 @@ def shared_conv_oracle(x, w, b=None):
     return out
 
 
+def conv_vjp_oracle(x, w, g, shared=False):
+    """The gradients of a fixed-weight conv at output gradient ``g``, in
+    float64: the input gradient, the weight gradient and the bias gradient.
+    ``w`` is (C_out, C_in, *K), or (C_out, C_in) for a pointwise conv; with
+    ``shared``, ``w`` is one (*K) filter slid over every channel, with one
+    bias. A loop over outputs, each spreading its gradient over the row-major
+    taps whose read stays in the input."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    n, c_in = x.shape[:2]
+    spatial = x.shape[2:]
+    kernel = w if shared else w.reshape(w.shape[:2] + (w.shape[2:] or (1,) * len(spatial)))
+    ksizes = kernel.shape if shared else kernel.shape[2:]
+    c_out = c_in if shared else w.shape[0]
+    halves = tuple((k - 1) // 2 for k in ksizes)
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(kernel)
+    gb = np.zeros(1 if shared else c_out)
+    for ni in range(n):
+        for oi in range(c_out):
+            for pos in np.ndindex(*spatial):
+                go = g[(ni, oi) + pos]
+                gb[0 if shared else oi] += go
+                for ci in [oi] if shared else range(c_in):
+                    for tap in np.ndindex(*ksizes):
+                        src = tuple(p + t - h for p, t, h in zip(pos, tap, halves))
+                        if all(0 <= s < dim for s, dim in zip(src, spatial)):
+                            wi = tap if shared else (oi, ci) + tap
+                            gx[(ni, ci) + src] += go * kernel[wi]
+                            gw[wi] += go * x[(ni, ci) + src]
+    return gx, gw.reshape(w.shape), gb
+
+
 def bilinear_oracle(plane, r, q):
     """Interpolate a 2D plane at fractional (row, col) with zero padding."""
     h, w = plane.shape

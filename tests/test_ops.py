@@ -1,6 +1,7 @@
 """Operator correctness: identities, degeneracies, exact oracle equivalence."""
 
 import functools
+import gc
 import io
 import itertools
 import os
@@ -8,16 +9,28 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddcn import cli, ops
-from ddcn.numerics import KinkProbe, Param, ShapeError, Tape, Tensor, backward, mul, reduce_sum
+from ddcn.numerics import (
+    FlopCounter,
+    KinkProbe,
+    Param,
+    ShapeError,
+    Tape,
+    Tensor,
+    backward,
+    mul,
+    reduce_sum,
+)
 from ddcn.train import finite_difference, max_relative_error
 from oracles import (
     bilinear_oracle,
+    conv_vjp_oracle,
     ddc_oracle,
     involution3d_oracle,
     involution3d_vjp_oracle,
@@ -558,8 +571,7 @@ def _every_entry_point(rng) -> int:
     in 1 and 2 forced shards, for batches of 0, 1 and 3, on planes of 1x1,
     2x3 and 5x13 with K=3 and K=5 taps (clipped on the small planes), each
     op's first input as made and transposed (copied before a kernel reads
-    it). The involution's and the DDC's VJPs run too; the fixed-weight
-    convs' VJPs are numpy. Returns the number of op calls."""
+    it). Every op's VJP runs too. Returns the number of op calls."""
     calls, vjps = 0, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
@@ -567,27 +579,25 @@ def _every_entry_point(rng) -> int:
         for dtype, shards, n, (h, w), k in itertools.product(
                 (np.float32, np.float64), (1, 2), (0, 1, 3), ((1, 1), (2, 3), (5, 13)), (3, 5)):
             mp.setattr(ops, "_POOL_SIZE", shards)
-            cases = [  # (op, input shapes, whether its VJP is compiled)
-                (ops.pointwise_conv, [(n, 3, w), (4, 3), (4,)], False),
-                (ops.standard_conv, [(n, 3, h, w), (5, 3, k, k), (5,)], False),
-                (ops.standard_conv, [(n, 2, 2, h, w), (3, 2, k, k, k), (3,)], False),
-                (ops.shared_conv, [(n, 3, h, w), (k, k), (1,)], False),
+            cases = [  # (op, input shapes)
+                (ops.pointwise_conv, [(n, 3, w), (4, 3), (4,)]),
+                (ops.standard_conv, [(n, 3, h, w), (5, 3, k, k), (5,)]),
+                (ops.standard_conv, [(n, 2, 2, h, w), (3, 2, k, k, k), (3,)]),
+                (ops.shared_conv, [(n, 3, h, w), (k, k), (1,)]),
                 (lambda x, kern, b: ops.involution3d_forward(x, kern, b, k),
-                 [(n, 4, 2, h, w), (n, 2, k ** 3, 2, h, w), (4,)], True),
+                 [(n, 4, 2, h, w), (n, 2, k ** 3, 2, h, w), (4,)]),
                 (lambda x, off, kern: ops.ddc_forward(x, off, kern, k),
-                 [(n, 4, h, w), (n, 2 * k * k, h, w), (n, 2, k * k, h, w)], True),
+                 [(n, 4, h, w), (n, 2 * k * k, h, w), (n, 2, k * k, h, w)]),
             ]
             if n:
                 cases.append((lambda x: ops.bilinear_sample(x, n - 1, 3, h - 0.5, -0.25),
-                              [(n, 4, h, w)], True))
-            for (op, shapes, compiled_vjp), transposed in itertools.product(cases, (False, True)):
+                              [(n, 4, h, w)]))
+            for (op, shapes), transposed in itertools.product(cases, (False, True)):
                 args = [rng.uniform(-2, 2, s).astype(dtype) for s in shapes]
                 if transposed:
                     args[0] = np.ascontiguousarray(args[0].swapaxes(0, 1)).swapaxes(0, 1)
                 out = op(*(Tensor._wrap(a) for a in args)).data
-                vjp = vjps.pop()
-                if compiled_vjp:
-                    vjp(rng.uniform(-1, 1, out.shape).astype(dtype))
+                vjps.pop()(rng.uniform(-1, 1, out.shape).astype(dtype))
                 calls += 1
     return calls
 
@@ -931,6 +941,19 @@ def test_ddc_under_a_kink_probe_reports_its_nearest_lattice_distance():
     assert probe.margins == {"bilinear_coord": min(1.3 - 1.0, 2.45 - 2.0)}
 
 
+def _grads(op, args, g, shards=None):
+    """The gradients of one taped ``op`` of the arrays ``args`` at output
+    gradient ``g``, run in ``shards`` forced shards."""
+    vjps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
+        if shards is not None:
+            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+            mp.setattr(ops, "_POOL_SIZE", shards)
+        op(*(Tensor._wrap(a) for a in args))
+        return vjps[0](g)
+
+
 @pytest.mark.parametrize("op, shapes", [
     (lambda x, w: ops.standard_conv(x, w), [(2, 16, 12, 12), (18, 16, 3, 3)]),
     (lambda x, w: ops.shared_conv(x, w), [(2, 8, 4, 8, 8), (3, 3, 3)]),
@@ -967,13 +990,15 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
 @pytest.mark.usefixtures("layout")
 def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     # Peak bytes a VJP allocates, as a multiple of its input's bytes. Taps
-    # are clipped to the input, so no zero-padded input or gradient exists:
-    # the peak is the input gradient plus one tap's temporaries, 2.2-4.1x at
-    # these shapes (the standard conv's output gradient and the involution's
-    # kernel gradient outsize the input here), and 1.07x for the pointwise
-    # conv, whose one tap is its input gradient. A padded input and gradient
-    # take the first four to 3.5-7x; reducing the pointwise weight gradient
-    # while its input gradient is live takes the last to 1.57x.
+    # are clipped to the input, so no zero-padded input or gradient exists.
+    # The fixed-weight convs form the weight gradient tap by tap, then the
+    # input gradient in one compiled call: 1.9-2.1x at these shapes (the
+    # standard conv's output gradient outsizes the input here). The
+    # involution peaks at its two gradients, 2.7x (its kernel gradient
+    # outsizes the input), and the pointwise conv at 1.07x, its one tap
+    # being its input gradient. A padded input and gradient take the first
+    # four to 3.5-7x. Forming the weight gradient while the input gradient is
+    # live takes the shared convs to 2.95x and the pointwise conv to 1.64x.
     vjps = []
     monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
     rng = np.random.default_rng(32)
@@ -987,6 +1012,86 @@ def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
         tracemalloc.stop()
     x_bytes = args[0].data.nbytes
     assert peak < bound * x_bytes, f"VJP peak is {peak / x_bytes:.2f}x the input bytes"
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ops.pointwise_conv, [(0, 3, 4, 5), (2, 3), (2,)]),
+    (ops.standard_conv, [(0, 3, 4, 5), (2, 3, 3, 3), (2,)]),
+    (ops.standard_conv, [(0, 3, 2, 4, 5), (2, 3, 3, 3, 3), (2,)]),
+    (ops.shared_conv, [(0, 3, 4, 5), (3, 3), (1,)]),
+], ids=["pointwise_conv", "standard_conv2d", "standard_conv3d", "shared_conv"])
+def test_conv_vjps_return_empty_gradients_for_an_empty_batch(op, shapes):
+    # An empty batch gives an empty input gradient and zero weight and bias
+    # gradients, each in its input's shape and dtype.
+    rng = np.random.default_rng(61)
+    args = [rng.uniform(-1, 1, s).astype(np.float32) for s in shapes]
+    g = np.zeros(op(*(Tensor._wrap(a) for a in args)).shape, dtype=np.float32)
+    grads = _grads(op, args, g)
+    for got, arg in zip(grads, args, strict=True):
+        assert got.shape == arg.shape and got.dtype == arg.dtype
+        assert not got.any()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_conv_vjp_bits_match_for_any_shards_and_layout_and_stay_near_the_loop_oracle(n):
+    # One order whatever the shard count or the output gradient's layout:
+    # a transposed gradient or one with a strided plane is copied to C order
+    # first. Pointwise convs over one to three spatial axes; standard convs
+    # with K=5 on 2x3 planes, so most taps are clipped, in 2D and 3D; shared
+    # convs in 2D and 3D. Within rounding of the float64 loop oracle.
+    rng = np.random.default_rng(62)
+    cases = [  # (op, x, w, b shapes, whether w is one shared filter)
+        (ops.pointwise_conv, [(n, 3, 7), (4, 3), (4,)], False),
+        (ops.pointwise_conv, [(n, 5, 2, 3), (2, 5), (2,)], False),
+        (ops.pointwise_conv, [(n, 4, 2, 3, 4), (3, 4), (3,)], False),
+        (ops.standard_conv, [(n, 3, 2, 3), (4, 3, 5, 5), (4,)], False),
+        (ops.standard_conv, [(n, 2, 2, 2, 3), (3, 2, 5, 5, 5), (3,)], False),
+        (ops.shared_conv, [(n, 3, 4, 5), (3, 3), (1,)], True),
+        (ops.shared_conv, [(n, 2, 2, 3, 4), (3, 3, 3), (1,)], True),
+    ]
+    for (op, shapes, shared), (dtype, tol) in itertools.product(
+            cases, [(np.float32, 1e-5), (np.float64, 1e-12)]):
+        args = [_signed_zeros(rng, s, dtype) for s in shapes]
+        g = _signed_zeros(rng, op(*(Tensor._wrap(a) for a in args)).shape, dtype)
+        serial = _grads(op, args, g, shards=1)
+        transposed = np.ascontiguousarray(g.swapaxes(0, 1)).swapaxes(0, 1)
+        strided = np.repeat(g, 2, axis=-1)[..., ::2]
+        assert n == 0 or not strided.flags.c_contiguous
+        for shards, g_run in [(2, g), (3, g), (1, transposed), (3, strided)]:
+            for got, want in zip(_grads(op, args, g_run, shards=shards), serial, strict=True):
+                assert np.array_equal(_bits(got), _bits(want))
+        for got, want in zip(serial, conv_vjp_oracle(args[0], args[1], g, shared), strict=True):
+            assert got.shape == want.shape and got.dtype == dtype
+            assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (ops.pointwise_conv, [(2, 8, 6, 6), (4, 8), (4,)]),
+    (ops.pointwise_conv, [(2, 8, 3, 6, 6), (4, 8), (4,)]),
+    (ops.standard_conv, [(2, 8, 6, 6), (4, 8, 3, 3), (4,)]),
+    (ops.standard_conv, [(2, 8, 3, 6, 6), (4, 8, 3, 3, 3), (4,)]),
+    (ops.shared_conv, [(2, 8, 6, 6), (3, 3), (1,)]),
+    (ops.shared_conv, [(2, 8, 3, 6, 6), (3, 3, 3), (1,)]),
+], ids=["pointwise_conv2d", "pointwise_conv3d", "standard_conv2d", "standard_conv3d",
+        "shared_conv2d", "shared_conv3d"])
+def test_taped_conv_keeps_no_output_and_its_backward_counts_no_flops(op, shapes):
+    # The VJP keeps the input, the kernel and shapes, never the output: with
+    # the tape alive, dropping the output frees its array (and the array it
+    # views). The backward pass's compiled input gradient is not counted as
+    # forward FLOPs.
+    rng = np.random.default_rng(63)
+    args = [_t(rng, s, dtype=np.float32) for s in shapes]
+    with Tape():
+        out = op(*args)
+        refs = [weakref.ref(a) for a in (out.data, out.data.base) if a is not None]
+        del out
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+    with Tape() as tape:
+        loss = reduce_sum(op(*args))
+    with FlopCounter() as counter:
+        backward(loss, tape)
+    assert counter.flops == 0
 
 
 @pytest.mark.usefixtures("layout")
@@ -1039,19 +1144,6 @@ def test_ddc_gradients_batched_grouped_far_offsets():
     assert max_relative_error(x.grad, fd[0]) < 1e-4
     assert max_relative_error(offsets.grad, fd[1]) < 1e-4
     assert max_relative_error(kernels.grad, fd[2]) < 1e-4
-
-
-def _grads(op, args, g, shards=None):
-    """The gradients of one taped ``op`` of the arrays ``args`` at output
-    gradient ``g``, run in ``shards`` forced shards."""
-    vjps = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
-        if shards is not None:
-            mp.setattr(ops, "_SHARD_MIN_MACS", 0)
-            mp.setattr(ops, "_POOL_SIZE", shards)
-        op(*(Tensor._wrap(a) for a in args))
-        return vjps[0](g)
 
 
 def _ddc(x, offsets, kernels):
