@@ -22,13 +22,15 @@
    so each output element has the bits of the scalar loop, whatever the
    vector width.
 
-   Positions are walked in blocks of TILE within one plane (the last two
-   spatial axes). Each block's input is packed for every k into ``panel``,
-   then the output channels are swept four at a time, with a 4 x TILE
-   accumulator tile held in registers across all k (Goto and van de Geijn,
-   "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34(3),
-   2008). ``x`` is (N, C, S0, S1, S2), ``w`` (C_out, C * taps), ``out`` (N,
-   C_out, S0, S1, S2) and ``bias`` (C_out,) or NULL. */
+   A batch element's S0 * S1 * S2 positions are walked flat, in blocks of
+   TILE that run across the planes of axis 0; one byte mask per (tap,
+   position), built once per call, says which reads stay in the input. Each
+   block's input is packed for every k into ``panel``, then the output
+   channels are swept four at a time, with a 4 x TILE accumulator tile held
+   in registers across all k (Goto and van de Geijn, "Anatomy of
+   High-Performance Matrix Multiplication", ACM TOMS 34(3), 2008). ``x`` is
+   (N, C, S0, S1, S2), ``w`` (C_out, C * taps), ``out`` (N, C_out, S0, S1,
+   S2) and ``bias`` (C_out,) or NULL. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,22 +41,21 @@
 
 enum { G_N, G_C, G_COUT, G_GROUPS = G_COUT, G_TAPS, G_SIZE, G_TAP = G_SIZE + 3 };
 
-static int64_t clamp(int64_t v, int64_t lo, int64_t hi) { return v < lo ? lo : v > hi ? hi : v; }
-
-/* mask[t * plane + q]: whether tap t reads inside the input along the plane's two
-   axes at in-plane position q. */
-static unsigned char *plane_masks(const int64_t *geo)
+/* mask[t * positions + q]: whether tap t reads inside the input at flat position q
+   of a batch element, along all three axes. */
+static unsigned char *position_masks(const int64_t *geo)
 {
-    const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], plane = s1 * s2;
-    unsigned char *mask = malloc(geo[G_TAPS] * plane + 1);
+    const int64_t s0 = geo[G_SIZE], s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2];
+    unsigned char *mask = malloc(geo[G_TAPS] * s0 * s1 * s2 + 1), *m = mask;
     if (!mask)
         return 0;
     for (int64_t t = 0; t < geo[G_TAPS]; t++) {
         const int64_t *tap = geo + G_TAP + t * 9;
-        for (int64_t i1 = 0; i1 < s1; i1++)
-            for (int64_t i2 = 0; i2 < s2; i2++)
-                mask[t * plane + i1 * s2 + i2] = i1 >= tap[4] && i1 < tap[5]
-                                                 && i2 >= tap[7] && i2 < tap[8];
+        for (int64_t i0 = 0; i0 < s0; i0++)
+            for (int64_t i1 = 0; i1 < s1; i1++)
+                for (int64_t i2 = 0; i2 < s2; i2++)
+                    *m++ = i0 >= tap[1] && i0 < tap[2] && i1 >= tap[4] && i1 < tap[5]
+                           && i2 >= tap[7] && i2 < tap[8];
     }
     return mask;
 }
@@ -83,32 +84,24 @@ tile_##SUFFIX(int rows, const T *w, int64_t kk, const vec_##SUFFIX *panel, const
     }                                                                                       \
 }                                                                                           \
                                                                                             \
-/* Panel row ci * taps + t: channel ci of batch element xn through tap t at in-plane   \
-   positions [q0, q0 + np) of plane i0; +0 where the tap leaves the input and past     \
-   np. Within a plane a tap reads one flat span, shifted by d1 * s2 + d2. */           \
+/* Panel row ci * taps + t: channel ci of batch element xn through tap t at flat            \
+   positions [q0, q0 + np); +0 where the tap leaves the input and past np. Tap t            \
+   reads position q + (d0 * S1 + d1) * S2 + d2. */                                          \
 static void pack_##SUFFIX(const int64_t *geo, const unsigned char *mask, const T *xn,       \
-                          int64_t i0, int64_t q0, int64_t np, T *panel)                     \
+                          int64_t q0, int64_t np, T *panel)                                 \
 {                                                                                           \
-    const int64_t plane = geo[G_SIZE + 1] * geo[G_SIZE + 2], taps = geo[G_TAPS];            \
+    const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], taps = geo[G_TAPS];           \
+    const int64_t positions = geo[G_SIZE] * s1 * s2;                                        \
     for (int64_t t = 0; t < taps; t++) {                                                    \
         const int64_t *tap = geo + G_TAP + t * 9;                                           \
-        const int64_t shift = q0 + tap[3] * geo[G_SIZE + 2] + tap[6];                       \
-        const unsigned char *ok = mask + t * plane + q0;                                    \
-        int64_t lo = 0, hi = 0; /* the part of the block whose read stays in the plane */  \
-        if (i0 >= tap[1] && i0 < tap[2]) {                                                  \
-            lo = clamp(-shift, 0, np);                                                      \
-            hi = clamp(plane - shift, lo, np);                                              \
-        }                                                                                   \
+        const int64_t shift = q0 + (tap[0] * s1 + tap[3]) * s2 + tap[6];                    \
+        const unsigned char *ok = mask + t * positions + q0;                                \
         for (int64_t ci = 0; ci < geo[G_C]; ci++) {                                         \
             T *row = panel + (ci * taps + t) * TILE_##SUFFIX;                               \
-            for (int64_t j = 0; j < lo; j++)                                                \
-                row[j] = 0;                                                                 \
-            if (lo < hi) {                                                                  \
-                const T *src = xn + (ci * geo[G_SIZE] + i0 + tap[0]) * plane + shift + lo;  \
-                for (int64_t j = lo; j < hi; j++)                                           \
-                    row[j] = ok[j] ? src[j - lo] : 0;                                       \
-            }                                                                               \
-            for (int64_t j = hi; j < TILE_##SUFFIX; j++)                                    \
+            const T *xc = xn + ci * positions;                                              \
+            for (int64_t j = 0; j < np; j++)                                                \
+                row[j] = ok[j] ? xc[shift + j] : 0;                                         \
+            for (int64_t j = np; j < TILE_##SUFFIX; j++)                                    \
                 row[j] = 0;                                                                 \
         }                                                                                   \
     }                                                                                       \
@@ -118,12 +111,11 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,       
                           const int64_t *geo)                                               \
 {                                                                                           \
     const int64_t c_out = geo[G_COUT], kk = geo[G_C] * geo[G_TAPS];                         \
-    const int64_t plane = geo[G_SIZE + 1] * geo[G_SIZE + 2];                                \
-    const int64_t positions = geo[G_SIZE] * plane;                                          \
+    const int64_t positions = geo[G_SIZE] * geo[G_SIZE + 1] * geo[G_SIZE + 2];              \
     if (geo[G_N] == 0 || positions == 0)                                                    \
         return 0;                                                                           \
     T *panel = aligned_alloc(VBYTES, (kk + 1) * TILE_##SUFFIX * sizeof(T));                 \
-    unsigned char *mask = plane_masks(geo);                                                 \
+    unsigned char *mask = position_masks(geo);                                              \
     if (!panel || !mask) {                                                                  \
         free(panel);                                                                        \
         free(mask);                                                                         \
@@ -131,19 +123,18 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,       
     }                                                                                       \
     const vec_##SUFFIX *pv = (const vec_##SUFFIX *)panel;                                   \
     for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
-        for (int64_t i0 = 0; i0 < geo[G_SIZE]; i0++)                                        \
-            for (int64_t q0 = 0; q0 < plane; q0 += TILE_##SUFFIX) {                         \
-                int64_t np = plane - q0 < TILE_##SUFFIX ? plane - q0 : TILE_##SUFFIX;       \
-                T *o = out + n * c_out * positions + i0 * plane + q0;                       \
-                pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, i0, q0, np, panel);  \
-                int64_t co = 0;                                                             \
-                for (; co + 4 <= c_out; co += 4)                                            \
-                    tile_##SUFFIX(4, w + co * kk, kk, pv, bias ? bias + co : 0,             \
-                                  o + co * positions, positions, np);                       \
-                for (; co < c_out; co++)                                                    \
-                    tile_##SUFFIX(1, w + co * kk, kk, pv, bias ? bias + co : 0,             \
-                                  o + co * positions, positions, np);                       \
-            }                                                                               \
+        for (int64_t q0 = 0; q0 < positions; q0 += TILE_##SUFFIX) {                         \
+            int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
+            T *o = out + n * c_out * positions + q0;                                        \
+            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, q0, np, panel);          \
+            int64_t co = 0;                                                                 \
+            for (; co + 4 <= c_out; co += 4)                                                \
+                tile_##SUFFIX(4, w + co * kk, kk, pv, bias ? bias + co : 0,                 \
+                              o + co * positions, positions, np);                           \
+            for (; co < c_out; co++)                                                        \
+                tile_##SUFFIX(1, w + co * kk, kk, pv, bias ? bias + co : 0,                 \
+                              o + co * positions, positions, np);                           \
+        }                                                                                   \
     free(mask);                                                                             \
     free(panel);                                                                            \
     return 0;                                                                               \

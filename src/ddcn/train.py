@@ -108,12 +108,10 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute difference; gradient is sign(pred - target)/n.
 
     The subgradient at exact ties is 0 (ties are measure-zero under
-    continuous data and this keeps updates finite).
+    continuous data and this keeps updates finite). Shapes and dtypes must
+    match, as for ``numerics.add``.
     """
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(
-            f"l1_loss: shapes differ: {pred.data.shape} vs {target.data.shape}"
-        )
+    numerics._check_binary("l1_loss", pred, target)
     diff = pred.data - target.data
     if probing_active():
         probe_kink("l1_tie", float(np.abs(diff).min()))
@@ -611,8 +609,12 @@ _OP_CASES = {
 
 def gradcheck_ops(tol: float | None = None, instances: int = 20, seed: int = 0,
                   names: Sequence[str] | None = None) -> GradCheckReport:
-    """Analytic-vs-finite-difference check for every operator, aggregated
-    over ``instances`` well-conditioned random instances each."""
+    """Analytic-vs-finite-difference check for every operator, or for the
+    ``names`` cases, aggregated over ``instances`` well-conditioned random
+    instances each. Raises ValueError for a name with no case."""
+    unknown = sorted(set(names or ()) - _OP_CASES.keys())
+    if unknown:
+        raise ValueError(f"gradcheck_ops: unknown cases {unknown}; known: {', '.join(_OP_CASES)}")
     results = []
     for name, (builder, default_tol) in _OP_CASES.items():
         if names is not None and name not in names:

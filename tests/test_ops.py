@@ -380,6 +380,45 @@ def test_conv_bits_match_oracle_across_channel_blocks_and_position_tiles(dtype, 
     assert np.array_equal(_bits(out), _bits(standard_conv_oracle(x.data, w.data, b.data)))
 
 
+# Planes of 1, 4, 16 and 15 positions, under one tile: T of them make one
+# tile or several, so tiles start and end inside planes.
+@pytest.mark.parametrize("index, plane", [
+    pytest.param(i, p, id=f"plane{p[0]}x{p[1]}")
+    for i, p in enumerate([(1, 1), (2, 2), (4, 4), (3, 5)])
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bits_match_oracle_when_position_tiles_cross_planes(dtype, index, plane):
+    # The compiled contraction walks a batch element's T*H*W positions flat,
+    # in tiles of 64 float32 or 32 float64 positions that run across the T
+    # planes. A tap whose read leaves the volume along T, H or W adds no
+    # term, wherever its position falls in a tile: no walk changes a bit.
+    rng = np.random.default_rng(61)
+
+    def draw(shape):  # signed zeros, about half of the rest subnormal
+        return _subnormal(rng, _signed_zeros(rng, shape, dtype))
+
+    def check(op, oracle, x, w, b):
+        ref = oracle(x, w, b)
+        for count in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ops, "_SHARD_MIN_MACS", 0)
+                mp.setattr(ops, "_POOL_SIZE", count)
+                out = op(*(Tensor._wrap(a) for a in (x, w, b))).data
+            assert np.array_equal(_bits(out), _bits(ref)), (op.__name__, x.shape, w.shape, count)
+
+    c_outs = (1, 3, 4, 5)
+    for i, t in enumerate((1, 3, 5, 17)):
+        x = draw((2, 2, t, *plane))
+        for c_out in c_outs:
+            check(ops.pointwise_conv, pointwise_conv_oracle, x, draw((c_out, 2)), draw((c_out,)))
+        # each plane pairs its T values with another output-channel count
+        c_out = c_outs[(i + index) % len(c_outs)]
+        for k in (3, 5):
+            check(ops.standard_conv, standard_conv_oracle, x, draw((c_out, 2, k, k, k)),
+                  draw((c_out,)))
+        check(ops.shared_conv, shared_conv_oracle, x, draw((3, 3, 3)), draw((1,)))
+
+
 def test_compiled_forward_peak_is_its_result(monkeypatch):
     # The compiled kernel allocates no accumulator, product or row buffer in
     # Python: serial or sharded, a forward peaks at its result plus small
@@ -584,6 +623,7 @@ def _every_entry_point(rng) -> int:
                 (ops.standard_conv, [(n, 3, h, w), (5, 3, k, k), (5,)]),
                 (ops.standard_conv, [(n, 2, 2, h, w), (3, 2, k, k, k), (3,)]),
                 (ops.shared_conv, [(n, 3, h, w), (k, k), (1,)]),
+                (ops.shared_conv, [(n, 3, 2, h, w), (k, k, k), (1,)]),
                 (lambda x, kern, b: ops.involution3d_forward(x, kern, b, k),
                  [(n, 4, 2, h, w), (n, 2, k ** 3, 2, h, w), (4,)]),
                 (lambda x, off, kern: ops.ddc_forward(x, off, kern, k),
@@ -624,8 +664,8 @@ def test_every_entry_point_runs_clean_under_address_and_undefined_behavior_sanit
     proc = subprocess.run([sys.executable, "-c", script, *paths], env=env, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    # 72 settings of 6 ops, two layouts each, plus bilinear_sample where n > 0
-    assert int(proc.stdout) == 72 * 6 * 2 + 48 * 2
+    # 72 settings of 7 ops, two layouts each, plus bilinear_sample where n > 0
+    assert int(proc.stdout) == 72 * 7 * 2 + 48 * 2
     assert len(list((tmp_path / "ddcn").glob("*.so"))) == 1
 
 
@@ -967,6 +1007,7 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
     # than 1x.
     rng = np.random.default_rng(31)
     args = [_t(rng, s, dtype=np.float32) for s in shapes]
+    ops._load_kernel()  # count the op, not the loader's first-call objects
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1190,6 +1231,7 @@ def test_compiled_ddc_tape_holds_only_its_inputs():
     x = _t(rng, (n, c, h, w), dtype=np.float32)
     offsets = _t(rng, (n, 18, h, w), dtype=np.float32)
     kernels = _t(rng, (n, 1, 9, h, w), dtype=np.float32)
+    ops._load_kernel()  # count the op, not the loader's first-call objects
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -98,6 +98,13 @@ def test_l1_shape_mismatch():
         l1_loss(Tensor([1.0, 2.0]), Tensor([1.0]))
 
 
+def test_l1_dtype_mismatch():
+    # Like add, sub and mul: a float64 target would send a float64 gradient
+    # into a float32 graph.
+    with pytest.raises(ShapeError, match="dtypes differ"):
+        l1_loss(Tensor([1.0, 2.0], dtype=np.float32), Tensor([1.0, 0.0], dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 # ---------------------------------------------------------------------------
@@ -358,6 +365,13 @@ def test_gradcheck_ops_subset_passes():
     report = gradcheck_ops(instances=2, seed=100, names=("pointwise_conv", "gelu", "l1_loss"))
     assert report.passed
     assert any("pointwise_conv" in r.name for r in report.results)
+
+
+@pytest.mark.parametrize("names", [["nope"], ["gelu", "glue"]])
+def test_gradcheck_ops_rejects_a_name_with_no_case(names):
+    # A misspelt name would otherwise check nothing and pass.
+    with pytest.raises(ValueError, match=r"unknown cases \['(nope|glue)'\]; known: pointwise_conv"):
+        gradcheck_ops(names=names, instances=1)
 
 
 def test_gradcheck_ops_reaches_operators_through_module_attributes(monkeypatch):
