@@ -84,11 +84,12 @@ tile_##SUFFIX(int rows, const T *w, int64_t kk, const vec_##SUFFIX *panel, const
     }                                                                                       \
 }                                                                                           \
                                                                                             \
-/* Panel row ci * taps + t: channel ci of batch element xn through tap t at flat            \
-   positions [q0, q0 + np); +0 where the tap leaves the input and past np. Tap t            \
-   reads position q + (d0 * S1 + d1) * S2 + d2. */                                          \
+/* Panel row ci * taps + t for each of the ``channels`` channels ci of xn: channel ci       \
+   through tap t at flat positions [q0, q0 + np); +0 where the tap leaves the input and     \
+   past np. Tap t reads position q + (d0 * S1 + d1) * S2 + d2. The contraction packs all    \
+   C input channels at once, the involution one channel at a time. */                       \
 static void pack_##SUFFIX(const int64_t *geo, const unsigned char *mask, const T *xn,       \
-                          int64_t q0, int64_t np, T *panel)                                 \
+                          int64_t channels, int64_t q0, int64_t np, T *panel)               \
 {                                                                                           \
     const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], taps = geo[G_TAPS];           \
     const int64_t positions = geo[G_SIZE] * s1 * s2;                                        \
@@ -96,7 +97,7 @@ static void pack_##SUFFIX(const int64_t *geo, const unsigned char *mask, const T
         const int64_t *tap = geo + G_TAP + t * 9;                                           \
         const int64_t shift = q0 + (tap[0] * s1 + tap[3]) * s2 + tap[6];                    \
         const unsigned char *ok = mask + t * positions + q0;                                \
-        for (int64_t ci = 0; ci < geo[G_C]; ci++) {                                         \
+        for (int64_t ci = 0; ci < channels; ci++) {                                         \
             T *row = panel + (ci * taps + t) * TILE_##SUFFIX;                               \
             const T *xc = xn + ci * positions;                                              \
             for (int64_t j = 0; j < np; j++)                                                \
@@ -126,7 +127,8 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,       
         for (int64_t q0 = 0; q0 < positions; q0 += TILE_##SUFFIX) {                         \
             int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
             T *o = out + n * c_out * positions + q0;                                        \
-            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, q0, np, panel);          \
+            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, geo[G_C], q0, np,        \
+                          panel);                                                           \
             int64_t co = 0;                                                                 \
             for (; co + 4 <= c_out; co += 4)                                                \
                 tile_##SUFFIX(4, w + co * kk, kk, pv, bias ? bias + co : 0,                 \
@@ -148,9 +150,9 @@ DEFINE_CONTRACT(double, f64)
    out[n, c, p] = (...((+0 + k[n, g, 0, p] * x[n, c, p + d_0]) + ...) + bias[c]
 
    over the row-major taps whose read p + d_i stays in the (T, H, W) volume;
-   the other taps are skipped, not multiplied by zero, so a non-finite kernel
-   value at a clipped tap reaches no output. The VJP sums every element in
-   one fixed order, which no shard count changes:
+   the other taps are skipped, so a non-finite kernel value at a clipped tap
+   reaches no output. The VJP sums every element in one fixed order, which no
+   shard count changes:
 
    gx[n, c, p]        = g[n, c, p] * k[n, g, centre, p], then + g[n, c, p - d_i]
                         * k[n, g, i, p - d_i] for the other taps in ascending i
@@ -159,209 +161,139 @@ DEFINE_CONTRACT(double, f64)
                         group's channels c in ascending order if the read is in
                         the volume, else +0.
 
-   Per (batch element, group), the kernels and the group's channels of x (and
-   g) are copied into zero-bordered rows, so every tap reads whole vectors of
-   a row, shifted by its x displacement, without leaving the buffer; a lane
-   whose tap is clipped along x keeps its sum (``blend``). ``x``, ``g``,
-   ``out`` and ``gx`` are (N, C, T, H, W), ``k`` and ``g_kern`` (N, G, taps,
-   T, H, W) and ``bias`` (C,). */
+   Both walk a batch element's positions flat, in blocks of TILE, on the
+   contraction's position mask. Per block and group, ``kernel_tile_`` masks
+   the group's kernels, -0 where a tap is clipped; ``pack_`` then packs one
+   channel of x (or g) through every tap, +0 where a tap is clipped. A clipped
+   tap thus adds (+0) * (-0) = -0, and s + (-0) = s for every s, -0 included,
+   so it is skipped bit for bit, whatever its kernel value, in every sum.
+   Output p - d_i lies in the volume exactly where the mirrored tap
+   taps - 1 - i, whose displacement is -d_i, reads inside it: the input
+   gradient masks tap i's kernels with the mirrored tap's mask and reads the
+   mirrored row of the packed g. The kernel gradient sums g * (packed x) over
+   the group's channels in a tile of ``sums``, then stores +0 where the tap is
+   clipped, since inf * (+0) is NaN.
 
-/* Whether tap ``tap`` feeds output row (t, y). */
-static int feeds(const int64_t *tap, int64_t t, int64_t y)
-{
-    return t >= tap[1] && t < tap[2] && y >= tap[4] && y < tap[5];
-}
+   ``x``, ``g``, ``out`` and ``gx`` are (N, C, T, H, W), ``k`` and ``g_kern``
+   (N, G, taps, T, H, W) and ``bias`` (C,). */
 
-/* The largest x displacement of any tap: the zero border of a copied row. */
-static int64_t reach(const int64_t *geo)
-{
-    int64_t r = 0;
-    for (int64_t i = 0; i < geo[G_TAPS]; i++) {
-        const int64_t dx = geo[G_TAP + i * 9 + 6];
-        r = dx > r ? dx : -dx > r ? -dx : r;
-    }
-    return r;
-}
-
-#define DEFINE_INVOLUTION(T, I, SUFFIX)                                                     \
-typedef I ivec_##SUFFIX __attribute__((vector_size(VBYTES)));                               \
-enum { VL_##SUFFIX = VBYTES / sizeof(T) };                                                  \
-                                                                                            \
-static inline vec_##SUFFIX load_##SUFFIX(const T *p)                                        \
+#define DEFINE_INVOLUTION(T, SUFFIX)                                                        \
+/* Row i of ``tile``: tap i's kernels kn at flat positions q = q0 + j for j < np where      \
+   tap r's mask is set, -0 elsewhere and past np. Unmirrored, r = i and the row reads q;    \
+   ``mirrored``, r = taps - 1 - i and the row reads q + d_r = q - d_i. */                   \
+static void kernel_tile_##SUFFIX(const int64_t *geo, const unsigned char *mask,             \
+                                 const T *kn, int mirrored, int64_t q0, int64_t np,         \
+                                 T *tile)                                                   \
 {                                                                                           \
-    vec_##SUFFIX v;                                                                         \
-    memcpy(&v, p, sizeof v);                                                                \
-    return v;                                                                               \
+    const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], taps = geo[G_TAPS];           \
+    const int64_t positions = geo[G_SIZE] * s1 * s2;                                        \
+    for (int64_t i = 0; i < taps; i++) {                                                    \
+        const int64_t r = mirrored ? taps - 1 - i : i, *tap = geo + G_TAP + r * 9;          \
+        const int64_t shift = q0 + (mirrored ? (tap[0] * s1 + tap[3]) * s2 + tap[6] : 0);   \
+        const unsigned char *ok = mask + r * positions + q0;                                \
+        const T *kr = kn + i * positions;                                                   \
+        T *row = tile + i * TILE_##SUFFIX;                                                  \
+        for (int64_t j = 0; j < np; j++)                                                    \
+            row[j] = ok[j] ? kr[shift + j] : -(T)0;                                         \
+        for (int64_t j = np; j < TILE_##SUFFIX; j++)                                        \
+            row[j] = -(T)0;                                                                 \
+    }                                                                                       \
 }                                                                                           \
                                                                                             \
-/* The first ``len`` lanes of ``v`` to p. */                                               \
-static inline void store_##SUFFIX(T *p, vec_##SUFFIX v, int64_t len)                        \
-{                                                                                           \
-    if (len >= VL_##SUFFIX)                                                                 \
-        memcpy(p, &v, sizeof v);                                                            \
-    else                                                                                    \
-        memcpy(p, &v, len * sizeof(T));                                                     \
-}                                                                                           \
-                                                                                            \
-/* Lane l of ``in`` where j0 + l lies in [lo, hi), else lane l of ``out``. */              \
-static inline vec_##SUFFIX blend_##SUFFIX(int64_t j0, int64_t lo, int64_t hi,               \
-                                          vec_##SUFFIX in, vec_##SUFFIX out)                \
-{                                                                                           \
-    static const I iota[16] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};       \
-    ivec_##SUFFIX j;                                                                        \
-    memcpy(&j, iota, sizeof j);                                                             \
-    j += (I)j0;                                                                             \
-    const ivec_##SUFFIX m = (j >= (I)lo) & (j < (I)hi);                                     \
-    return (vec_##SUFFIX)((m & (ivec_##SUFFIX)in) | (~m & (ivec_##SUFFIX)out));             \
-}                                                                                           \
-                                                                                            \
-/* acc + prod in the lanes j0 + l of a row of w that lie in [lo, hi), acc elsewhere. */     \
-static inline vec_##SUFFIX add_in_##SUFFIX(int64_t j0, int64_t w, int64_t lo, int64_t hi,   \
-                                           vec_##SUFFIX acc, vec_##SUFFIX prod)             \
-{                                                                                           \
-    const int64_t end = j0 + VL_##SUFFIX < w ? j0 + VL_##SUFFIX : w;                        \
-    if (lo <= j0 && end <= hi)                                                              \
-        return acc + prod;                                                                  \
-    return blend_##SUFFIX(j0, lo, hi, acc + prod, acc);                                     \
-}                                                                                           \
-                                                                                            \
-/* The ``volumes`` consecutive (T, H, W) volumes at ``src`` into the zero-bordered rows     \
-   of ``dst``: row r, the W values at src + r * W, at dst + r * wp + rx. */                 \
-static void pad_##SUFFIX(const T *src, int64_t volumes, const int64_t *geo, int64_t rx,     \
-                         int64_t wp, T *dst)                                                \
-{                                                                                           \
-    const int64_t rows = volumes * geo[G_SIZE] * geo[G_SIZE + 1], w = geo[G_SIZE + 2];      \
-    for (int64_t r = 0; r < rows; r++)                                                      \
-        memcpy(dst + r * wp + rx, src + r * w, w * sizeof(T));                              \
-}                                                                                           \
-                                                                                            \
-int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,                \
+int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,                 \
                              const int64_t *geo)                                            \
 {                                                                                           \
-    const int64_t c_all = geo[G_C], groups = geo[G_GROUPS], rep = c_all / groups;           \
-    const int64_t taps = geo[G_TAPS], tt = geo[G_SIZE], h = geo[G_SIZE + 1];                \
-    const int64_t w = geo[G_SIZE + 2], volume = tt * h * w;                                 \
-    const int64_t rx = reach(geo), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                \
-    const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
-    if (geo[G_N] == 0 || plane == 0 || nv == 0)                                             \
+    const int64_t groups = geo[G_GROUPS], rep = geo[G_C] / groups;                          \
+    const int64_t taps = geo[G_TAPS], tl = taps * TILE_##SUFFIX;                            \
+    const int64_t positions = geo[G_SIZE] * geo[G_SIZE + 1] * geo[G_SIZE + 2];              \
+    if (geo[G_N] == 0 || positions == 0)                                                    \
         return 0;                                                                           \
-    T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
-    if (!kp || !xp) {                                                                       \
-        free(kp);                                                                           \
-        free(xp);                                                                           \
+    T *kt = aligned_alloc(VBYTES, 2 * tl * sizeof(T)), *xt = kt + tl;                       \
+    unsigned char *mask = position_masks(geo);                                              \
+    if (!kt || !mask) {                                                                     \
+        free(kt);                                                                           \
+        free(mask);                                                                         \
         return -1;                                                                          \
     }                                                                                       \
-    for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
-        for (int64_t grp = 0; grp < groups; grp++) {                                        \
-            pad_##SUFFIX(k + (n * groups + grp) * taps * volume, taps, geo, rx, wp, kp);    \
-            pad_##SUFFIX(x + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, xp);       \
-            for (int64_t t = 0; t < tt; t++)                                                \
-                for (int64_t y = 0; y < h; y++)                                             \
-                    for (int64_t r = 0; r < rep; r++) {                                     \
-                        const int64_t c = grp * rep + r;                                    \
-                        T *o = out + ((n * c_all + c) * tt + t) * h * w + y * w;            \
-                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
-                            vec_##SUFFIX acc = {0};                                         \
-                            for (int64_t i = 0; i < taps; i++) {                            \
-                                const int64_t *tap = geo + G_TAP + i * 9;                   \
-                                if (!feeds(tap, t, y) || tap[8] <= j0                       \
-                                    || tap[7] >= j0 + VL_##SUFFIX)                          \
-                                    continue;                                               \
-                                const T *kr = kp + i * plane + (t * h + y) * wp + rx + j0;  \
-                                const T *xr = xp + r * plane                                \
-                                              + ((t + tap[0]) * h + y + tap[3]) * wp + rx   \
-                                              + j0 + tap[6];                                \
-                                acc = add_in_##SUFFIX(j0, w, tap[7], tap[8], acc,           \
-                                                      load_##SUFFIX(kr)                     \
-                                                      * load_##SUFFIX(xr));                 \
-                            }                                                               \
-                            store_##SUFFIX(o + j0, acc + bias[c], w - j0);                  \
-                        }                                                                   \
-                    }                                                                       \
+    const vec_##SUFFIX *kv = (const vec_##SUFFIX *)kt, *xv = (const vec_##SUFFIX *)xt;      \
+    for (int64_t ng = 0; ng < geo[G_N] * groups; ng++)                                      \
+        for (int64_t q0 = 0; q0 < positions; q0 += TILE_##SUFFIX) {                         \
+            int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
+            kernel_tile_##SUFFIX(geo, mask, k + ng * taps * positions, 0, q0, np, kt);      \
+            for (int64_t r = 0; r < rep; r++) {                                             \
+                const int64_t at = (ng * rep + r) * positions;                              \
+                pack_##SUFFIX(geo, mask, x + at, 1, q0, np, xt);                            \
+                vec_##SUFFIX acc[LANES] = {{0}};                                            \
+                for (int64_t i = 0; i < taps; i++)                                          \
+                    for (int v = 0; v < LANES; v++)                                         \
+                        acc[v] = acc[v] + kv[i * LANES + v] * xv[i * LANES + v];            \
+                for (int v = 0; v < LANES; v++)                                             \
+                    acc[v] = acc[v] + bias[ng % groups * rep + r];                          \
+                memcpy(out + at + q0, acc, np * sizeof(T));                                 \
+            }                                                                               \
         }                                                                                   \
-    free(kp);                                                                               \
-    free(xp);                                                                               \
+    free(mask);                                                                             \
+    free(kt);                                                                               \
     return 0;                                                                               \
 }                                                                                           \
                                                                                             \
-int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g_kern,     \
+int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g_kern,      \
                                  const int64_t *geo)                                        \
 {                                                                                           \
-    const int64_t c_all = geo[G_C], groups = geo[G_GROUPS], rep = c_all / groups;           \
-    const int64_t taps = geo[G_TAPS], centre = taps / 2, tt = geo[G_SIZE];                  \
-    const int64_t h = geo[G_SIZE + 1], w = geo[G_SIZE + 2], volume = tt * h * w;            \
-    const int64_t rx = reach(geo), nv = (w + VL_##SUFFIX - 1) / VL_##SUFFIX;                \
-    const int64_t wp = nv * VL_##SUFFIX + 2 * rx, plane = tt * h * wp;                      \
-    if (geo[G_N] == 0 || plane == 0 || nv == 0)                                             \
+    const int64_t groups = geo[G_GROUPS], rep = geo[G_C] / groups;                          \
+    const int64_t taps = geo[G_TAPS], centre = taps / 2, tl = taps * TILE_##SUFFIX;         \
+    const int64_t positions = geo[G_SIZE] * geo[G_SIZE + 1] * geo[G_SIZE + 2];              \
+    if (geo[G_N] == 0 || positions == 0)                                                    \
         return 0;                                                                           \
-    T *kp = calloc(taps * plane, sizeof(T)), *xp = calloc(rep * plane, sizeof(T));          \
-    T *gp = calloc(rep * plane, sizeof(T));                                                 \
-    if (!kp || !xp || !gp) {                                                                \
-        free(kp);                                                                           \
-        free(xp);                                                                           \
-        free(gp);                                                                           \
+    T *kt = aligned_alloc(VBYTES, 4 * tl * sizeof(T)), *gt = kt + tl, *xt = gt + tl;        \
+    T *sums = xt + tl;                                                                      \
+    unsigned char *mask = position_masks(geo);                                              \
+    if (!kt || !mask) {                                                                     \
+        free(kt);                                                                           \
+        free(mask);                                                                         \
         return -1;                                                                          \
     }                                                                                       \
-    const vec_##SUFFIX zero = {0};                                                          \
-    for (int64_t n = 0; n < geo[G_N]; n++)                                                  \
-        for (int64_t grp = 0; grp < groups; grp++) {                                        \
-            pad_##SUFFIX(k + (n * groups + grp) * taps * volume, taps, geo, rx, wp, kp);    \
-            pad_##SUFFIX(x + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, xp);       \
-            pad_##SUFFIX(g + (n * c_all + grp * rep) * volume, rep, geo, rx, wp, gp);       \
-            for (int64_t t = 0; t < tt; t++)                                                \
-                for (int64_t y = 0; y < h; y++) {                                           \
-                    const int64_t row = (t * h + y) * wp + rx;                              \
-                    for (int64_t r = 0; r < rep; r++) {                                     \
-                        const int64_t c = grp * rep + r;                                    \
-                        T *o = gx + ((n * c_all + c) * tt + t) * h * w + y * w;             \
-                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
-                            vec_##SUFFIX acc = load_##SUFFIX(gp + r * plane + row + j0)     \
-                                               * load_##SUFFIX(kp + centre * plane + row    \
-                                                               + j0);                       \
-                            for (int64_t i = 0; i < taps; i++) {                            \
-                                const int64_t *tap = geo + G_TAP + i * 9;                   \
-                                const int64_t ot = t - tap[0], oy = y - tap[3];             \
-                                const int64_t lo = tap[7] + tap[6], hi = tap[8] + tap[6];   \
-                                if (i == centre || !feeds(tap, ot, oy) || hi <= j0          \
-                                    || lo >= j0 + VL_##SUFFIX)                              \
-                                    continue;                                               \
-                                const int64_t at = (ot * h + oy) * wp + rx + j0 - tap[6];   \
-                                acc = add_in_##SUFFIX(j0, w, lo, hi, acc,                   \
-                                                      load_##SUFFIX(gp + r * plane + at)    \
-                                                      * load_##SUFFIX(kp + i * plane + at));\
-                            }                                                               \
-                            store_##SUFFIX(o + j0, acc, w - j0);                            \
-                        }                                                                   \
-                    }                                                                       \
-                    for (int64_t i = 0; i < taps; i++) {                                    \
-                        const int64_t *tap = geo + G_TAP + i * 9;                           \
-                        T *o = g_kern + (((n * groups + grp) * taps + i) * tt + t) * h * w  \
-                               + y * w;                                                     \
-                        if (!feeds(tap, t, y)) {                                            \
-                            memset(o, 0, w * sizeof(T));                                    \
-                            continue;                                                       \
-                        }                                                                   \
-                        const int64_t at = ((t + tap[0]) * h + y + tap[3]) * wp + rx        \
-                                           + tap[6];                                        \
-                        for (int64_t j0 = 0; j0 < w; j0 += VL_##SUFFIX) {                   \
-                            vec_##SUFFIX acc = zero;                                        \
-                            for (int64_t r = 0; r < rep; r++)                               \
-                                acc = acc + load_##SUFFIX(gp + r * plane + row + j0)        \
-                                            * load_##SUFFIX(xp + r * plane + at + j0);      \
-                            store_##SUFFIX(o + j0, blend_##SUFFIX(j0, tap[7], tap[8], acc,  \
-                                                                  zero), w - j0);           \
-                        }                                                                   \
-                    }                                                                       \
+    const vec_##SUFFIX *kv = (const vec_##SUFFIX *)kt, *gv = (const vec_##SUFFIX *)gt;      \
+    const vec_##SUFFIX *xv = (const vec_##SUFFIX *)xt, *gc = gv + centre * LANES;           \
+    vec_##SUFFIX *sv = (vec_##SUFFIX *)sums;                                                \
+    for (int64_t ng = 0; ng < geo[G_N] * groups; ng++)                                      \
+        for (int64_t q0 = 0; q0 < positions; q0 += TILE_##SUFFIX) {                         \
+            int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
+            kernel_tile_##SUFFIX(geo, mask, k + ng * taps * positions, 1, q0, np, kt);      \
+            memset(sums, 0, tl * sizeof(T));                                                \
+            for (int64_t r = 0; r < rep; r++) {                                             \
+                const int64_t at = (ng * rep + r) * positions;                              \
+                pack_##SUFFIX(geo, mask, g + at, 1, q0, np, gt);                            \
+                pack_##SUFFIX(geo, mask, x + at, 1, q0, np, xt);                            \
+                vec_##SUFFIX acc[LANES];                                                    \
+                for (int v = 0; v < LANES; v++)                                             \
+                    acc[v] = gc[v] * kv[centre * LANES + v];                                \
+                for (int64_t i = 0; i < taps; i++) {                                        \
+                    if (i == centre)                                                        \
+                        continue;                                                           \
+                    const vec_##SUFFIX *gm = gv + (taps - 1 - i) * LANES;                   \
+                    for (int v = 0; v < LANES; v++)                                         \
+                        acc[v] = acc[v] + gm[v] * kv[i * LANES + v];                        \
                 }                                                                           \
+                memcpy(gx + at + q0, acc, np * sizeof(T));                                  \
+                for (int64_t i = 0; i < taps * LANES; i += LANES)                           \
+                    for (int v = 0; v < LANES; v++)                                         \
+                        sv[i + v] = sv[i + v] + gc[v] * xv[i + v];                          \
+            }                                                                               \
+            for (int64_t i = 0; i < taps; i++) {                                            \
+                const unsigned char *ok = mask + i * positions + q0;                        \
+                T *o = g_kern + (ng * taps + i) * positions + q0;                           \
+                for (int64_t j = 0; j < np; j++)                                            \
+                    o[j] = ok[j] ? sums[i * TILE_##SUFFIX + j] : 0;                         \
+            }                                                                               \
         }                                                                                   \
-    free(kp);                                                                               \
-    free(xp);                                                                               \
-    free(gp);                                                                               \
+    free(mask);                                                                             \
+    free(kt);                                                                               \
     return 0;                                                                               \
 }
 
-DEFINE_INVOLUTION(float, int32_t, f32)
-DEFINE_INVOLUTION(double, int64_t, f64)
+DEFINE_INVOLUTION(float, f32)
+DEFINE_INVOLUTION(double, f64)
 
 /* The deformable dynamic convolution (DDC): per-position kernels applied at
    offset-displaced bilinear samples.
@@ -396,6 +328,15 @@ DEFINE_INVOLUTION(double, int64_t, f64)
    (N, 2 taps, H, W), ``k`` and ``g_kern`` (N, G, taps, H, W). */
 
 #define DEFINE_DDC(T, FLOOR, SUFFIX)                                                        \
+enum { VL_##SUFFIX = VBYTES / sizeof(T) };                                                  \
+                                                                                            \
+static inline vec_##SUFFIX load_##SUFFIX(const T *p)                                        \
+{                                                                                           \
+    vec_##SUFFIX v;                                                                         \
+    memcpy(&v, p, sizeof v);                                                                \
+    return v;                                                                               \
+}                                                                                           \
+                                                                                            \
 /* The width of a channel-last row: each group's channels padded with zeros to ``repp``,  \
    a whole number of vectors. */                                                            \
 static int64_t row_width_##SUFFIX(const int64_t *geo, int64_t *repp)                        \

@@ -203,13 +203,16 @@ class DDCNBlock(Module):
 class DDCN(Module):
     """Grid traffic forecaster: (B, T, C, H, W) history -> (B, C, H, W) next frame.
 
-    Construction validates the patch size against the grid, so shape errors
-    surface before any forward pass. A model instance is immutable during
-    inference; training mutates its Params and must be externally serialized.
+    Construction validates the grid (two integers >= 1) and the patch size
+    against it, so shape errors surface before any forward pass. A model
+    instance is immutable during inference; training mutates its Params and
+    must be externally serialized.
     """
 
     def __init__(self, config: ModelConfig, grid_size: tuple, dtype=F32, seed: int = 0):
         config.validate()
+        if len(grid_size) != 2 or not all(_is_int(s) and s >= 1 for s in grid_size):
+            raise ShapeError(f"DDCN: grid_size must be two integers >= 1, got {grid_size}")
         h, w = grid_size
         if h % config.patch_size != 0 or w % config.patch_size != 0:
             raise ShapeError(f"patch size {config.patch_size} must divide grid H={h} and W={w}")

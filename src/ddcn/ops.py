@@ -35,13 +35,15 @@ and owns their centred, row-major tap order: it gives each tap's displacement,
 which the deformable convolution samples around, and its window clipped to the
 input, so no zero-padded input or gradient is ever built. A read from the
 padding is the term ``w * (+0)``: for a finite weight an exact zero, which
-never changes a sum that starts at +0. The involution skips such a term, so
-a non-finite kernel value at a clipped tap reaches no output. Bilinear
-sampling sums each point's four corner terms from +0 in the contracted
-corner order, an off-grid corner's term being ``w * (+0)``. The deformable
-convolution samples every tap of a position in one pass over the channels,
-and accumulates the taps left to right; ``bilinear_sample``, the
-gradient-checked scalar op, is its K=1 case on one plane.
+never changes a sum that starts at +0. The involution masks its kernel
+there to -0, so the term is (+0) * (-0) = -0, which leaves every sum's
+bits as skipping it would: a non-finite kernel value at a clipped tap
+reaches no output. Bilinear sampling sums each point's four corner terms
+from +0 in the contracted corner order, an off-grid corner's term being
+``w * (+0)``. The deformable convolution samples every tap of a position in
+one pass over the channels, and accumulates the taps left to right;
+``bilinear_sample``, the gradient-checked scalar op, is its K=1 case on one
+plane.
 
 A taped call keeps only what its backward pass reads. The deformable
 convolution keeps nothing but its three input fields: its VJP recomputes
@@ -59,12 +61,15 @@ guide to convolution arithmetic for deep learning", arXiv:1603.07285), so it
 runs on ``_conv_forward``; at one tap it is one BLAS ``matmul``. A backward
 pass counts no FLOPs. The deformable convolution scatters its input gradient
 corner by corner in one fixed order for any shard count (``ddc_forward``).
-The involution VJP's input gradient takes the centre tap's ``g * k`` and
-adds every other tap's in row-major order; its kernel gradient sums
-``g * x`` over each group's channels in ascending order from +0, +0 where
-the tap is clipped; its bias gradient is one whole-batch sum on the calling
-thread. Each sums in the same order on every call for a fixed thread count,
-so training stays bit-reproducible per seed.
+The involution runs on the contraction's flat position walk, tap mask and
+packed panel, one channel at a time. Its VJP's input gradient takes the
+centre tap's ``g * k`` and adds every other tap's in row-major order, under
+the mask of the mirrored tap (``_clipped_taps`` pairs tap i with tap
+taps - 1 - i, displaced by -d_i); its kernel gradient sums ``g * x`` over
+each group's channels in ascending order from +0, +0 where the tap is
+clipped; its bias gradient is one whole-batch sum on the calling thread.
+Each sums in the same order on every call for a fixed thread count, so
+training stays bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -631,10 +636,10 @@ def involution3d_forward(x: Tensor, kernels: Tensor, bias: Tensor, kernel_size: 
 
     Exact order (matched by the quintuple-loop oracle): each output element
     sums from +0 over the taps in row-major order, then adds the bias. A tap
-    whose read leaves the volume is skipped, not multiplied by a zero, so a
-    non-finite kernel value there reaches no output. The compiled kernels
-    (``exact_conv.c``) run the forward and the VJP in batch shards on the
-    conv pool.
+    whose read leaves the volume leaves the sum's bits as they were: its
+    kernel value is never read, so a non-finite one reaches no output. The
+    compiled kernels (``exact_conv.c``) run the forward and the VJP in batch
+    shards on the conv pool.
 
     The VJP's input gradient takes the centre tap's ``g * k`` and adds every
     other tap's in row-major order into its clipped region; the

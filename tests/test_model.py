@@ -124,6 +124,13 @@ def test_indivisible_patch_rejected_at_construction():
         DDCN(small_config(patch_size=2), (9, 8))
 
 
+@pytest.mark.parametrize("grid", [(0, 0), (-2, -2), (8, 0), (2.0, 2.0), (8,), (8, 8, 8),
+                                  (True, 8)])
+def test_impossible_grid_rejected_at_construction(grid):
+    with pytest.raises(ShapeError, match="grid_size must be two integers >= 1"):
+        DDCN(small_config(patch_size=2), grid)
+
+
 def test_forward_rejects_wrong_input_shape():
     model = DDCN(small_config(), (8, 8))
     with pytest.raises(ShapeError):

@@ -1489,9 +1489,10 @@ def test_involution_bits_match_oracle_on_transposed_input_with_signed_zeros(dtyp
     # Taps clipped on a size-2 axis (T) and a size-1 axis (H) of a strided
     # input with all-zero regions, met by batch 0's non-positive kernels, so
     # some outputs sum only -0.0 products; then subnormal inputs and weights.
+    # The last volume's 80 positions run past one float32 position tile.
     rng = np.random.default_rng(47)
     for subnormal in (False, True):
-        for shape in ((3, 4, 2, 1, 5), (2, 4, 3, 4, 5)):
+        for shape in ((3, 4, 2, 1, 5), (2, 4, 3, 4, 5), (2, 4, 5, 4, 4)):
             x = _signed_zero_case(rng, shape, dtype, subnormal)
             kernels = _weight(rng, (shape[0], groups, 27) + shape[2:], dtype, subnormal)
             bias = _weight(rng, shape[1:2], dtype, subnormal, negative_first=False)
@@ -1529,12 +1530,14 @@ def test_involution_vjp_bits_match_for_any_shards_and_layout_and_stay_near_the_l
     # first, so even the bias gradient's numpy sum keeps its bits. Batches
     # smaller than, equal to and not divisible by the shard count, and an
     # empty one; one and several groups; taps clipped on size-1 and size-2
-    # axes; and a group of 8 channels over one-position tap regions. Within
+    # axes; a group of 8 channels over one-position tap regions; and volumes
+    # past one position tile (64 float32 or 32 float64 positions). Within
     # rounding of the float64 loop oracle.
     rng = np.random.default_rng(49)
     for dtype, (c, t, h, w), groups, tol in [
         (np.float32, (4, 3, 4, 5), 1, 1e-5), (np.float64, (6, 1, 2, 5), 2, 1e-12),
         (np.float32, (9, 2, 3, 4), 3, 1e-5), (np.float64, (8, 2, 2, 2), 1, 1e-12),
+        (np.float32, (4, 5, 4, 4), 2, 1e-5), (np.float64, (6, 3, 5, 7), 3, 1e-12),
     ]:
         args = (_signed_zeros(rng, (n, c, t, h, w), dtype),
                 _signed_zeros(rng, (n, groups, 27, t, h, w), dtype),
@@ -1552,6 +1555,53 @@ def test_involution_vjp_bits_match_for_any_shards_and_layout_and_stay_near_the_l
                              strict=True):
             assert got.shape == want.shape and got.dtype == dtype
             assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dtype, shards", FORCED_SHARDS, indirect=["shards"])
+def test_involution_vjp_keeps_non_finite_values_at_clipped_taps_out_of_its_gradients(
+        dtype, shards, value):
+    # A non-finite kernel at a clipped (tap, position) pair leaves the input
+    # gradient as a zero there would; a non-finite output gradient, met by
+    # a clipped read's absent input, leaves the kernel gradient +0 there.
+    # The 90 positions run past one position tile in both dtypes.
+    rng = np.random.default_rng(52)
+    n, c, groups, spatial = 3, 4, 2, (3, 5, 6)
+    # True at each (tap, position) pair whose read leaves the volume.
+    clipped = np.ones((27,) + spatial, dtype=bool)
+    for i, _, out_sl, _ in ops._clipped_taps("test", spatial, (3, 3, 3)):
+        clipped[i][out_sl] = False
+    assert clipped.any() and not clipped.all()
+    x = _signed_zeros(rng, (n, c) + spatial, dtype)
+    kernels = _signed_zeros(rng, (n, groups, 27) + spatial, dtype)
+    bias = _signed_zeros(rng, (c,), dtype)
+    g = _signed_zeros(rng, x.shape, dtype)
+    poisoned = kernels.copy()
+    poisoned[:, :, clipped] = value
+    zeroed = kernels.copy()
+    zeroed[:, :, clipped] = 0
+    got = _grads(_involution, (x, poisoned, bias), g)
+    for a, b in zip(got, _grads(_involution, (x, zeroed, bias), g), strict=True):
+        assert np.array_equal(_bits(a), _bits(b))
+    _, g_kern, _ = _grads(_involution, (x, poisoned, bias), np.full_like(g, value))
+    assert not _bits(g_kern)[:, :, clipped].any()  # +0: every bit clear
+
+
+def test_clipped_taps_mirror_each_other():
+    # Tap taps - 1 - i is displaced by -d_i and feeds exactly the outputs
+    # that tap i reads: output p - d_i is inside the input exactly where the
+    # mirrored tap reads inside it at p, which the involution VJP's input
+    # gradient relies on.
+    violations = []
+    for rank in (1, 2, 3):
+        for k in (1, 3, 5):
+            for spatial in itertools.product((1, 2, 3, 6), repeat=rank):
+                taps = ops._clipped_taps("test", spatial, (k,) * rank)
+                for i, ds, _, in_sl in taps:
+                    _, ds_m, out_m, _ = taps[len(taps) - 1 - i]
+                    if ds_m != tuple(-d for d in ds) or out_m != in_sl:
+                        violations.append((spatial, k, i))
+    assert violations == []
 
 
 def test_compiled_involution_vjp_peak_is_its_gradients(monkeypatch):
