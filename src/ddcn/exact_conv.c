@@ -8,8 +8,9 @@
    S2, then per tap and axis (displacement d, first output, end output):
    outputs [first, end) read input o + d. Spatial ranks below three lead with
    axes of size 1; the DDC's plane is (1, H, W). Every offset into an array
-   follows from these sizes. One call runs one shard of the batch, and
-   returns 0, or -1 if a buffer cannot be allocated.
+   follows from these sizes. One call runs one shard of the batch (of the
+   panel rows, for the weight gradient), and returns 0, or -1 if a buffer
+   cannot be allocated.
 
    The contraction:
 
@@ -30,7 +31,26 @@
    in registers across all k (Goto and van de Geijn, "Anatomy of
    High-Performance Matrix Multiplication", ACM TOMS 34(3), 2008). ``x`` is
    (N, C, S0, S1, S2), ``w`` (C_out, C * taps), ``out`` (N, C_out, S0, S1,
-   S2) and ``bias`` (C_out,) or NULL. */
+   S2) and ``bias`` (C_out,) or NULL.
+
+   The contraction's weight gradient (``contract_wgrad``) is the output
+   gradient ``g`` (N, C_out, S0, S1, S2) times the transposed panel. It
+   writes ``gw`` (C_out, C * taps) at the panel rows k in [rows[0],
+   rows[1]) only, and packs only those rows, so shards split the rows, not
+   the batch:
+
+   gw[co, k] = (...((+0 + a[0]) + a[1]) ...) + a[VL - 1]
+
+   where lane l of the vector accumulator ``a`` sums g[n, co, q] * v_k from
+   +0 over the positions q it holds: batch elements ascending, their tiles
+   ascending, each tile's LANES vectors ascending. A shard owns every term
+   of its rows, so each element of gw has the same bits for any shard
+   count. The panel and a copy of g, both +0 past a tile's end, are swept
+   SLABS tiles at a time in 4 x 4 register blocks of (output channel, row).
+   A clipped read packs +0 and its term is still added: a finite g adds an
+   exact zero, but an infinite or NaN g at an output where tap t's read
+   leaves the input makes gw[co, ci * taps + t] NaN for every ci (inf *
+   (+0) is NaN): a term that skipping the read would leave out. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -38,6 +58,7 @@
 
 #define VBYTES 64
 #define LANES 4 /* vectors per tile row: 64 float32 or 32 float64 positions */
+#define SLABS 4 /* position tiles per pass of the weight gradient */
 
 enum { G_N, G_C, G_COUT, G_GROUPS = G_COUT, G_TAPS, G_SIZE, G_TAP = G_SIZE + 3 };
 
@@ -84,27 +105,27 @@ tile_##SUFFIX(int rows, const T *w, int64_t kk, const vec_##SUFFIX *panel, const
     }                                                                                       \
 }                                                                                           \
                                                                                             \
-/* Panel row ci * taps + t for each of the ``channels`` channels ci of xn: channel ci       \
-   through tap t at flat positions [q0, q0 + np); +0 where the tap leaves the input and     \
+/* Panel rows [k0, k1) of xn, row k = ci * taps + t at panel + (k - k0) * TILE: channel   \
+   ci through tap t at flat positions [q0, q0 + np); +0 where the tap leaves the input and  \
    past np. Tap t reads position q + (d0 * S1 + d1) * S2 + d2. The contraction packs all    \
-   C input channels at once, the involution one channel at a time. */                       \
+   C * taps rows, a weight-gradient shard its own rows, the involution one channel's. */    \
 static void pack_##SUFFIX(const int64_t *geo, const unsigned char *mask, const T *xn,       \
-                          int64_t channels, int64_t q0, int64_t np, T *panel)               \
+                          int64_t k0, int64_t k1, int64_t q0, int64_t np, T *panel)         \
 {                                                                                           \
     const int64_t s1 = geo[G_SIZE + 1], s2 = geo[G_SIZE + 2], taps = geo[G_TAPS];           \
     const int64_t positions = geo[G_SIZE] * s1 * s2;                                        \
-    for (int64_t t = 0; t < taps; t++) {                                                    \
+    for (int64_t k = k0, ci = k0 / taps, t = k0 % taps; k < k1; k++, t++) {                 \
+        if (t == taps)                                                                      \
+            ci++, t = 0;                                                                    \
         const int64_t *tap = geo + G_TAP + t * 9;                                           \
         const int64_t shift = q0 + (tap[0] * s1 + tap[3]) * s2 + tap[6];                    \
         const unsigned char *ok = mask + t * positions + q0;                                \
-        for (int64_t ci = 0; ci < channels; ci++) {                                         \
-            T *row = panel + (ci * taps + t) * TILE_##SUFFIX;                               \
-            const T *xc = xn + ci * positions;                                              \
-            for (int64_t j = 0; j < np; j++)                                                \
-                row[j] = ok[j] ? xc[shift + j] : 0;                                         \
-            for (int64_t j = np; j < TILE_##SUFFIX; j++)                                    \
-                row[j] = 0;                                                                 \
-        }                                                                                   \
+        const T *xc = xn + ci * positions;                                                  \
+        T *row = panel + (k - k0) * TILE_##SUFFIX;                                          \
+        for (int64_t j = 0; j < np; j++)                                                    \
+            row[j] = ok[j] ? xc[shift + j] : 0;                                             \
+        for (int64_t j = np; j < TILE_##SUFFIX; j++)                                        \
+            row[j] = 0;                                                                     \
     }                                                                                       \
 }                                                                                           \
                                                                                             \
@@ -127,8 +148,7 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,       
         for (int64_t q0 = 0; q0 < positions; q0 += TILE_##SUFFIX) {                         \
             int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
             T *o = out + n * c_out * positions + q0;                                        \
-            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, geo[G_C], q0, np,        \
-                          panel);                                                           \
+            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, 0, kk, q0, np, panel); \
             int64_t co = 0;                                                                 \
             for (; co + 4 <= c_out; co += 4)                                                \
                 tile_##SUFFIX(4, w + co * kk, kk, pv, bias ? bias + co : 0,                 \
@@ -136,6 +156,94 @@ int ddcn_contract_##SUFFIX(const T *x, const T *w, const T *bias, T *out,       
             for (; co < c_out; co++)                                                        \
                 tile_##SUFFIX(1, w + co * kk, kk, pv, bias ? bias + co : 0,                 \
                               o + co * positions, positions, np);                           \
+        }                                                                                   \
+    free(mask);                                                                             \
+    free(panel);                                                                            \
+    return 0;                                                                               \
+}                                                                                           \
+                                                                                            \
+/* acc[c * nk + i] += g row c * panel row i over ns slabs, lane by lane: tile s of the      \
+   slabs, then its LANES vectors, in ascending order, for c < cs and i < ks. Inlined with   \
+   constant cs and ks, the block stays in registers across the slabs. */                    \
+static inline __attribute__((always_inline)) void                                           \
+wgrad_tile_##SUFFIX(int cs, int ks, const vec_##SUFFIX *gt, int64_t c_out,                  \
+                    const vec_##SUFFIX *panel, int64_t nk, int64_t ns, vec_##SUFFIX *acc)   \
+{                                                                                           \
+    vec_##SUFFIX a[4][4];                                                                   \
+    for (int c = 0; c < cs; c++)                                                            \
+        for (int i = 0; i < ks; i++)                                                        \
+            a[c][i] = acc[c * nk + i];                                                      \
+    for (int64_t s = 0; s < ns; s++)                                                        \
+        for (int v = 0; v < LANES; v++)                                                     \
+            for (int c = 0; c < cs; c++)                                                    \
+                for (int i = 0; i < ks; i++)                                                \
+                    a[c][i] = a[c][i] + gt[(s * c_out + c) * LANES + v]                     \
+                                        * panel[(s * nk + i) * LANES + v];                  \
+    for (int c = 0; c < cs; c++)                                                            \
+        for (int i = 0; i < ks; i++)                                                        \
+            acc[c * nk + i] = a[c][i];                                                      \
+}                                                                                           \
+                                                                                            \
+/* Panel rows [i, i + ks) of the slabs against every output channel, four at a time. */     \
+static inline __attribute__((always_inline)) void                                           \
+wgrad_rows_##SUFFIX(int ks, const vec_##SUFFIX *gt, int64_t c_out,                          \
+                    const vec_##SUFFIX *panel, int64_t nk, int64_t ns, vec_##SUFFIX *acc)   \
+{                                                                                           \
+    int64_t co = 0;                                                                         \
+    for (; co + 4 <= c_out; co += 4)                                                        \
+        wgrad_tile_##SUFFIX(4, ks, gt + co * LANES, c_out, panel, nk, ns, acc + co * nk);   \
+    for (; co < c_out; co++)                                                                \
+        wgrad_tile_##SUFFIX(1, ks, gt + co * LANES, c_out, panel, nk, ns, acc + co * nk);   \
+}                                                                                           \
+                                                                                            \
+int ddcn_contract_wgrad_##SUFFIX(const T *x, const T *g, T *gw, const int64_t *rows,        \
+                                 const int64_t *geo)                                        \
+{                                                                                           \
+    enum { VL = TILE_##SUFFIX / LANES };                                                    \
+    const int64_t c_out = geo[G_COUT], kk = geo[G_C] * geo[G_TAPS];                         \
+    const int64_t k0 = rows[0], nk = rows[1] - rows[0];                                     \
+    const int64_t positions = geo[G_SIZE] * geo[G_SIZE + 1] * geo[G_SIZE + 2];              \
+    const int64_t tiles = (positions + TILE_##SUFFIX - 1) / TILE_##SUFFIX;                  \
+    const int64_t all = geo[G_N] * tiles;                                                   \
+    if (geo[G_N] == 0 || positions == 0 || c_out == 0 || nk <= 0)                           \
+        return 0;                                                                           \
+    T *panel = aligned_alloc(VBYTES, (SLABS * (nk + c_out) * TILE_##SUFFIX                  \
+                                      + c_out * nk * VL) * sizeof(T));                      \
+    unsigned char *mask = position_masks(geo);                                              \
+    if (!panel || !mask) {                                                                  \
+        free(panel);                                                                        \
+        free(mask);                                                                         \
+        return -1;                                                                          \
+    }                                                                                       \
+    T *gt = panel + SLABS * nk * TILE_##SUFFIX;                                             \
+    vec_##SUFFIX *acc = (vec_##SUFFIX *)(gt + SLABS * c_out * TILE_##SUFFIX);               \
+    const vec_##SUFFIX *pv = (const vec_##SUFFIX *)panel, *gv = (const vec_##SUFFIX *)gt;   \
+    memset(acc, 0, c_out * nk * sizeof *acc);                                               \
+    for (int64_t t0 = 0; t0 < all; t0 += SLABS) {                                           \
+        const int64_t ns = all - t0 < SLABS ? all - t0 : SLABS;                             \
+        for (int64_t s = 0; s < ns; s++) {                                                  \
+            const int64_t n = (t0 + s) / tiles, q0 = (t0 + s) % tiles * TILE_##SUFFIX;      \
+            int64_t np = positions - q0 < TILE_##SUFFIX ? positions - q0 : TILE_##SUFFIX;   \
+            pack_##SUFFIX(geo, mask, x + n * geo[G_C] * positions, k0, k0 + nk, q0, np,     \
+                          panel + s * nk * TILE_##SUFFIX);                                  \
+            for (int64_t co = 0; co < c_out; co++) {                                        \
+                T *row = gt + (s * c_out + co) * TILE_##SUFFIX;                             \
+                memcpy(row, g + (n * c_out + co) * positions + q0, np * sizeof(T));         \
+                memset(row + np, 0, (TILE_##SUFFIX - np) * sizeof(T));                      \
+            }                                                                               \
+        }                                                                                   \
+        int64_t i = 0;                                                                      \
+        for (; i + 4 <= nk; i += 4)                                                         \
+            wgrad_rows_##SUFFIX(4, gv, c_out, pv + i * LANES, nk, ns, acc + i);             \
+        for (; i < nk; i++)                                                                 \
+            wgrad_rows_##SUFFIX(1, gv, c_out, pv + i * LANES, nk, ns, acc + i);             \
+    }                                                                                       \
+    for (int64_t co = 0; co < c_out; co++)                                                  \
+        for (int64_t i = 0; i < nk; i++) {                                                  \
+            T sum = 0;                                                                      \
+            for (int l = 0; l < VL; l++)                                                    \
+                sum = sum + acc[co * nk + i][l];                                            \
+            gw[co * kk + k0 + i] = sum;                                                     \
         }                                                                                   \
     free(mask);                                                                             \
     free(panel);                                                                            \
@@ -222,7 +330,7 @@ int ddcn_involution_##SUFFIX(const T *x, const T *k, const T *bias, T *out,     
             kernel_tile_##SUFFIX(geo, mask, k + ng * taps * positions, 0, q0, np, kt);      \
             for (int64_t r = 0; r < rep; r++) {                                             \
                 const int64_t at = (ng * rep + r) * positions;                              \
-                pack_##SUFFIX(geo, mask, x + at, 1, q0, np, xt);                            \
+                pack_##SUFFIX(geo, mask, x + at, 0, taps, q0, np, xt);                      \
                 vec_##SUFFIX acc[LANES] = {{0}};                                            \
                 for (int64_t i = 0; i < taps; i++)                                          \
                     for (int v = 0; v < LANES; v++)                                         \
@@ -263,8 +371,8 @@ int ddcn_involution_vjp_##SUFFIX(const T *x, const T *k, const T *g, T *gx, T *g
             memset(sums, 0, tl * sizeof(T));                                                \
             for (int64_t r = 0; r < rep; r++) {                                             \
                 const int64_t at = (ng * rep + r) * positions;                              \
-                pack_##SUFFIX(geo, mask, g + at, 1, q0, np, gt);                            \
-                pack_##SUFFIX(geo, mask, x + at, 1, q0, np, xt);                            \
+                pack_##SUFFIX(geo, mask, g + at, 0, taps, q0, np, gt);                      \
+                pack_##SUFFIX(geo, mask, x + at, 0, taps, q0, np, xt);                      \
                 vec_##SUFFIX acc[LANES];                                                    \
                 for (int v = 0; v < LANES; v++)                                             \
                     acc[v] = gc[v] * kv[centre * LANES + v];                                \

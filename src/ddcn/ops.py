@@ -8,8 +8,8 @@ Parameter and FLOP counts live in ``profile`` (``count_params``,
 
 Forward accumulation orders are fixed and documented per operation so that
 independent nested-loop oracles can reproduce outputs bit-for-bit. Every
-fixed-weight conv's forward and input gradient, and the involution's and
-the deformable convolution's forwards and VJPs, run on one compiled file
+fixed-weight conv's forward and multi-tap VJP, and the involution's and the
+deformable convolution's forwards and VJPs, run on one compiled file
 (``exact_conv.c``, built with the system C compiler and cached per user by
 ``_load_kernel``). There is no numpy twin: where the file cannot be built,
 each of these ops raises ``KernelBuildError``. The kernels take aligned,
@@ -23,16 +23,16 @@ shared-filter convolution its one-channel case on the input's (N*C, 1,
 output element, from +0 over (input channel, tap) with the bias last. It
 holds a tile of accumulators in registers across all terms, with one
 rounded multiply and one rounded add per term, so it has the bits of the
-scalar loop. Above a work threshold every compiled call splits the batch
-into shards, one per CPU up to 8, on one module-level thread pool
-(``_compiled_shards``). Shards are partitions, not orders: each output
-element sums within its own batch element, so the bits do not depend on the
-shard count. The calling thread allocates every result and keeps all tape,
-FLOP and probe bookkeeping; pool threads run the kernels only.
-One helper (``_clipped_taps``) checks the kernel sizes of every tap operator
-(by ``_check_kernel_sizes``, which the layers' constructors call too)
-and owns their centred, row-major tap order: it gives each tap's displacement,
-which the deformable convolution samples around, and its window clipped to the
+scalar loop. Above a work threshold every compiled call splits the batch (the
+weight gradient: its panel rows) into shards, one per CPU up to 8, on one
+module-level thread pool (``_compiled_shards``). Shards are partitions, not
+orders: each output element sums within one shard, so the bits do not depend
+on the shard count. The calling thread allocates every result and keeps all
+tape, FLOP and probe bookkeeping; pool threads run the kernels only. One
+helper (``_clipped_taps``) checks the kernel sizes of every tap operator (by
+``_check_kernel_sizes``, which the layers' constructors call too) and owns
+their centred, row-major tap order: it gives each tap's displacement, which
+the deformable convolution samples around, and its window clipped to the
 input, so no zero-padded input or gradient is ever built. A read from the
 padding is the term ``w * (+0)``: for a finite weight an exact zero, which
 never changes a sum that starts at +0. The involution masks its kernel
@@ -54,12 +54,12 @@ and the clipped tap slices, never their output.
 
 Backward passes are free to use faster reductions since gradients are
 validated against finite differences rather than an exact summation order.
-A fixed-weight conv's weight gradient is one BLAS ``matmul`` per tap. Its
-input gradient is the same convolution of the output gradient with the
-kernel spatially flipped and its channels swapped (Dumoulin and Visin, "A
-guide to convolution arithmetic for deep learning", arXiv:1603.07285), so it
-runs on ``_conv_forward``; at one tap it is one BLAS ``matmul``. A backward
-pass counts no FLOPs. The deformable convolution scatters its input gradient
+A fixed-weight conv's weight gradient is ``g`` times its forward's packed
+panel, transposed (``contract_wgrad``, arXiv:1410.0759). Its input gradient
+is the same convolution of ``g`` with the kernel flipped and its channels
+swapped (Dumoulin and Visin, arXiv:1603.07285), so it runs on
+``_conv_forward``. At one tap both are one BLAS ``matmul``. A backward pass
+counts no FLOPs. The deformable convolution scatters its input gradient
 corner by corner in one fixed order for any shard count (``ddc_forward``).
 The involution runs on the contraction's flat position walk, tap mask and
 packed panel, one channel at a time. Its VJP's input gradient takes the
@@ -130,9 +130,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=F32) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-# Every compiled call shards its batch over one pool, created once; its
-# threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds run
-# inline as one shard. Tests force sharding by patching these constants.
+# Every compiled call shards its batch (or rows) over one pool, created once;
+# its threads start on first use. Calls below _SHARD_MIN_MACS multiply-adds
+# run inline as one shard. Tests force sharding by patching these constants.
 _SHARD_MIN_MACS = 1 << 22
 _POOL_SIZE = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1, 8)
@@ -146,7 +146,8 @@ _KERNEL_SOURCE = Path(__file__).with_name("exact_conv.c")
 # The entry points of exact_conv.c, each built per dtype as ddcn_<name>_f32
 # and _f64, and their pointer-argument counts. Each returns 0, or -1 where it
 # could not allocate a buffer.
-_ENTRY_POINTS = {"contract": 5, "involution": 5, "involution_vjp": 6, "ddc": 5, "ddc_vjp": 8}
+_ENTRY_POINTS = {"contract": 5, "contract_wgrad": 5, "involution": 5, "involution_vjp": 6,
+                 "ddc": 5, "ddc_vjp": 8}
 
 
 class KernelBuildError(OSError):
@@ -221,9 +222,9 @@ def _c_array(a: np.ndarray, dtype=None) -> np.ndarray:
 
 
 def _shard_bounds(n: int, macs: int) -> list:
-    """The batch bounds of the shards that a call of ``macs`` multiply-adds
-    over ``n`` batch elements runs in: one per pool thread (at most ``n``)
-    from _SHARD_MIN_MACS up, else one."""
+    """The bounds of the shards that a call of ``macs`` multiply-adds over
+    ``n`` batch elements (or panel rows) runs in: one per pool thread (at
+    most ``n``) from _SHARD_MIN_MACS up, else one."""
     shards = max(1, min(n, _POOL_SIZE)) if macs >= _SHARD_MIN_MACS else 1
     return [n * i // shards for i in range(shards + 1)]
 
@@ -239,27 +240,28 @@ def _run_shards(fn, jobs: list):
             f.result()
 
 
-def _compiled_shards(name: str, macs: int, geom: list, *arrays):
+def _compiled_shards(name: str, macs: int, geom: list, *arrays, rows: int = 0):
     """Runs entry point ``name`` of ``exact_conv.c`` on ``(*arrays, geom)``
-    in batch shards (``_shard_bounds`` of ``macs``). Every array is aligned
-    and C-contiguous (``_c_array``), so the kernel finds each element from
-    the sizes in ``geom`` (``_geometry``), whose batch size each shard
-    replaces with its own. Each shard gets its batch slice of every array
-    but a 1-D one, and a null pointer for None; the calling thread allocated
-    every result, so shards write disjoint slices. Looks the kernel up on
-    the calling thread, so a failed build raises there
-    (``KernelBuildError``)."""
+    in shards (``_shard_bounds`` of ``macs``). Every array is aligned and
+    C-contiguous (``_c_array``), so the kernel finds each element from the
+    sizes in ``geom`` (``_geometry``). A batch shard gets its slice of every
+    array but a 1-D one (None as a null pointer) and its batch size in
+    ``geom``; a row shard (given ``rows``) every array whole and its rows
+    [k0, k1) of [0, rows) as an int64 pair. The calling thread allocated
+    every result, so shards write disjoint parts, and looks the kernel up,
+    so a failed build raises there (``KernelBuildError``)."""
     fn = _load_kernel()[name, arrays[0].dtype]
     geom = np.array(geom, dtype=np.int64)
 
     def shard(lo, hi):
-        shard_geom = geom.copy()
-        shard_geom[0] = hi - lo
-        if fn(*(None if a is None else (a[lo:hi] if a.ndim > 1 else a).ctypes.data
-                for a in arrays), shard_geom.ctypes.data):
+        shard_geom, span = geom.copy(), np.array([lo, hi], dtype=np.int64)
+        shard_geom[0] = geom[0] if rows else hi - lo
+        parts = [*arrays, span] if rows else [a if a is None or a.ndim == 1 else a[lo:hi]
+                                              for a in arrays]
+        if fn(*(None if a is None else a.ctypes.data for a in parts), shard_geom.ctypes.data):
             raise MemoryError(f"{name} kernel: buffer allocation failed")
 
-    bounds = _shard_bounds(len(arrays[0]), macs)
+    bounds = _shard_bounds(rows or len(arrays[0]), macs)
     _run_shards(shard, list(zip(bounds, bounds[1:])))
 
 
@@ -373,12 +375,12 @@ def _conv(op: str, x: Tensor, xd: np.ndarray, w: Tensor, wk: np.ndarray,
     the forward is ``_conv_forward``. The shared conv's ``xd`` is x's (N*C,
     1, *spatial) planes, and its result takes x's shape.
 
-    The VJP returns gradients in ``x``'s and ``w``'s own shapes. It forms the
-    weight gradient first, one batched ``matmul`` per tap over its clipped
-    windows. The input gradient is the same convolution of ``g`` with the
-    kernel spatially flipped and its channels swapped: ``_conv_forward``,
-    or at one tap ``wk.T @ g`` on BLAS. The VJP keeps ``xd``, ``wk`` and
-    shapes, never the output."""
+    The VJP returns gradients in ``x``'s and ``w``'s own shapes: first the
+    weight gradient, ``g`` times ``xd``'s transposed tap panel
+    (``contract_wgrad``), then the input gradient, the conv of ``g`` with the
+    kernel flipped and its channels swapped (``_conv_forward``); at one tap,
+    ``g @ xd.T`` and ``wk.T @ g`` on BLAS. It keeps ``xd`` and ``wk``, never
+    the output."""
     if not 3 <= x.data.ndim <= 5:
         raise ShapeError(f"{op}: input must be (N, C, *spatial) with 1 to 3 spatial axes, "
                          f"got {x.data.shape}")
@@ -388,23 +390,21 @@ def _conv(op: str, x: Tensor, xd: np.ndarray, w: Tensor, wk: np.ndarray,
             f"{op}: channel mismatch: input has {xd.shape[1]} channels, weight expects {c_in}"
         )
     out, taps = _conv_forward(op, xd, wk, b)
-    add_flops(2 * out.size * c_in * len(taps))
+    add_flops(2 * (macs := out.size * c_in * len(taps)))
     x_shape, w_shape, has_bias = x.data.shape, w.data.shape, b is not None
     n, spatial, out_shape = xd.shape[0], xd.shape[2:], out.shape
     result = Tensor._wrap(out if xd.shape == x_shape else out.reshape(x_shape))
 
     def vjp(g):
         g = _c_array(g.reshape(out_shape), xd.dtype)
-        gw = np.empty((c_out, c_in, len(taps)), dtype=xd.dtype)
-        for i, _, out_sl, in_sl in taps:
-            window = xd[in_sl]
-            rows = math.prod(window.shape[2:])
-            gw[:, :, i] = np.matmul(
-                g[out_sl].reshape(n, c_out, rows), window.reshape(n, c_in, rows).transpose(0, 2, 1)
-            ).sum(axis=0)
         if len(taps) == 1:
-            gx = np.matmul(wk.reshape(c_out, c_in).T, g.reshape(n, c_out, math.prod(spatial)))
+            g_rows = g.reshape(n, c_out, math.prod(spatial))
+            gw = np.matmul(g_rows, xd.reshape(n, c_in, g_rows.shape[2]).swapaxes(1, 2)).sum(0)
+            gx = np.matmul(wk.reshape(c_out, c_in).T, g_rows)
         else:
+            gw = np.zeros((c_out, c_in * len(taps)), dtype=xd.dtype)
+            _compiled_shards("contract_wgrad", macs, _geometry(xd, c_out, taps), xd, g, gw,
+                             rows=gw.shape[1])
             flip = (slice(None),) * 2 + (slice(None, None, -1),) * len(spatial)
             gx, _ = _conv_forward(op, g, wk.swapaxes(0, 1)[flip].copy(), None)
         grads = (gx.reshape(x_shape), gw.reshape(w_shape))

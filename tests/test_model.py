@@ -331,10 +331,10 @@ def test_model_hands_the_kernels_contiguous_arrays_and_copies_none(flags, monkey
             copies.append(a.shape)
         return out
 
-    def compiled_shards_spy(name, macs, geom, *arrays):
+    def compiled_shards_spy(name, macs, geom, *arrays, **rows):
         fed.extend((name, a.flags.c_contiguous and a.flags.aligned)
                    for a in arrays if a is not None)
-        compiled_shards(name, macs, geom, *arrays)
+        compiled_shards(name, macs, geom, *arrays, **rows)
 
     monkeypatch.setattr(ops, "_c_array", c_array_spy)
     monkeypatch.setattr(ops, "_compiled_shards", compiled_shards_spy)
@@ -348,8 +348,9 @@ def test_model_hands_the_kernels_contiguous_arrays_and_copies_none(flags, monkey
     model.predict(x)
     assert copies == []
     assert fed and all(ok for _, ok in fed)
+    fixed = {"contract", "contract_wgrad"}
     dynamic = {"ddc", "ddc_vjp", "involution", "involution_vjp"}
-    assert {name for name, _ in fed} == {"contract"} | (set() if flags else dynamic)
+    assert {name for name, _ in fed} == fixed | (set() if flags else dynamic)
 
 
 def test_construction_deterministic_per_seed():

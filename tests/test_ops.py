@@ -4,6 +4,7 @@ import functools
 import gc
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -501,8 +502,8 @@ def test_kernel_is_built_once_then_loaded_from_the_cache(fresh_loader, monkeypat
     monkeypatch.setattr(subprocess, "run", spy)
     kernels = ops._load_kernel()
     assert set(kernels) == {(name, np.dtype(dtype))
-                            for name in ("contract", "involution", "involution_vjp", "ddc",
-                                         "ddc_vjp")
+                            for name in ("contract", "contract_wgrad", "involution",
+                                         "involution_vjp", "ddc", "ddc_vjp")
                             for dtype in (np.float32, np.float64)}
     assert any("-o" in argv for argv in calls)
     built = sorted(fresh_loader.iterdir())
@@ -649,23 +650,38 @@ def test_every_entry_point_runs_clean_under_address_and_undefined_behavior_sanit
                              text=True, timeout=60).stdout.strip()
     if not (os.path.isabs(runtime) and os.path.isfile(runtime)):
         pytest.skip(f"{ops._CC} has no AddressSanitizer runtime")
+    # The kernels are counted per (entry point, dtype) through the dict that
+    # _load_kernel returns, so an entry point that no op reaches fails here.
     script = (
-        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import collections, json, sys; sys.path[:0] = sys.argv[2:]\n"
         "import numpy as np\n"
         "from ddcn import ops\n"
         "ops._CFLAGS += ('-fsanitize=address,undefined', '-fno-sanitize-recover=all',\n"
         "                '-fno-omit-frame-pointer')\n"
+        "calls = collections.Counter()\n"
+        "def counted(key, fn):\n"
+        "    def run(*args):\n"
+        "        calls[key] += 1\n"
+        "        return fn(*args)\n"
+        "    return run\n"
+        "kernels = {key: counted(key, fn) for key, fn in ops._load_kernel().items()}\n"
+        "ops._load_kernel = lambda: kernels\n"
         "import test_ops\n"
         "print(test_ops._every_entry_point(np.random.default_rng(60)))\n"
+        "with open(sys.argv[1], 'w') as f:\n"
+        "    json.dump([[name, str(dtype), n] for (name, dtype), n in calls.items()], f)\n"
     )
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), LD_PRELOAD=runtime,
                ASAN_OPTIONS="detect_leaks=0")
     paths = [str(Path(ops.__file__).parents[1]), str(Path(__file__).parent)]
-    proc = subprocess.run([sys.executable, "-c", script, *paths], env=env, capture_output=True,
-                          text=True, timeout=600)
+    calls = tmp_path / "calls.json"
+    proc = subprocess.run([sys.executable, "-c", script, str(calls), *paths], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
     # 72 settings of 7 ops, two layouts each, plus bilinear_sample where n > 0
     assert int(proc.stdout) == 72 * 7 * 2 + 48 * 2
+    ran = {(name, dtype) for name, dtype, n in json.loads(calls.read_text()) if n}
+    assert ran == {(name, dtype) for name in ops._ENTRY_POINTS for dtype in ("float32", "float64")}
     assert len(list((tmp_path / "ddcn").glob("*.so"))) == 1
 
 
@@ -1032,14 +1048,14 @@ def test_conv_tape_holds_no_padded_copy(op, shapes):
 def test_conv_vjp_peak_bytes_bounded(op, shapes, bound, monkeypatch):
     # Peak bytes a VJP allocates, as a multiple of its input's bytes. Taps
     # are clipped to the input, so no zero-padded input or gradient exists.
-    # The fixed-weight convs form the weight gradient tap by tap, then the
-    # input gradient in one compiled call: 1.9-2.1x at these shapes (the
-    # standard conv's output gradient outsizes the input here). The
-    # involution peaks at its two gradients, 2.7x (its kernel gradient
-    # outsizes the input), and the pointwise conv at 1.07x, its one tap
-    # being its input gradient. A padded input and gradient take the first
-    # four to 3.5-7x. Forming the weight gradient while the input gradient is
-    # live takes the shared convs to 2.95x and the pointwise conv to 1.64x.
+    # The multi-tap fixed-weight convs form the weight gradient in compiled
+    # calls that allocate only its small result, then the input gradient in
+    # one compiled call: 1.0-1.1x at these shapes. The involution peaks at
+    # its two gradients, 2.7x (its kernel gradient outsizes the input), and
+    # the pointwise conv at 1.07x, its one tap being its input gradient. A
+    # padded input and gradient take the first four to 3.5-7x. Forming the
+    # pointwise weight gradient while its input gradient is live takes it to
+    # 1.64x.
     vjps = []
     monkeypatch.setattr(ops, "record", lambda inputs, out, vjp: vjps.append(vjp))
     rng = np.random.default_rng(32)
@@ -1104,6 +1120,50 @@ def test_conv_vjp_bits_match_for_any_shards_and_layout_and_stay_near_the_loop_or
         for got, want in zip(serial, conv_vjp_oracle(args[0], args[1], g, shared), strict=True):
             assert got.shape == want.shape and got.dtype == dtype
             assert np.abs(got - want).max(initial=0) <= tol * np.abs(want).max(initial=0)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("op, shapes, shared", [
+    (ops.shared_conv, [(3, 2, 5, 6), (3, 3), (1,)], True),
+    (ops.shared_conv, [(2, 2, 3, 4, 5), (3, 3, 3), (1,)], True),
+    (ops.standard_conv, [(2, 2, 5, 6), (3, 2, 3, 3), (3,)], False),
+], ids=["shared_conv2d", "shared_conv3d", "standard_conv"])
+def test_conv_weight_gradient_bits_match_for_any_row_split(op, shapes, shared, dtype, tol):
+    # The weight gradient shards over its panel rows (input channel, tap):
+    # 9, 27 and 2 * 9 here. Every element sums all its terms in one shard, so
+    # 1, 2, 3, 4 and 16 shards give the same bits; a count above the rows
+    # runs one row per shard. Within rounding of the float64 loop oracle. An
+    # empty batch's weight gradient is zero, not the kernel's untouched buffer.
+    rng = np.random.default_rng(64)
+    args = [_signed_zeros(rng, s, dtype) for s in shapes]
+    g = _signed_zeros(rng, op(*(Tensor._wrap(a) for a in args)).shape, dtype)
+    serial = _grads(op, args, g, shards=1)[1]
+    for shards in (2, 3, 4, 16):
+        assert np.array_equal(_bits(_grads(op, args, g, shards=shards)[1]), _bits(serial))
+    want = conv_vjp_oracle(args[0], args[1], g, shared)[1]
+    assert serial.shape == want.shape and serial.dtype == dtype
+    assert np.abs(serial - want).max() <= tol * np.abs(want).max()
+    for shards in (1, 2):
+        np.full(serial.shape, np.nan, dtype)  # leave NaN in a freed buffer of gw's size
+        empty = [np.zeros((0,) + a.shape[1:], dtype) for a in (args[0], g)]
+        gw = _grads(op, [empty[0], *args[1:]], empty[1], shards=shards)[1]
+        assert gw.shape == serial.shape and not gw.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_weight_gradient_is_nan_where_an_infinite_gradient_meets_a_clipped_tap(dtype):
+    # A clipped read packs +0 and its term is still added: an infinite g at
+    # output (0, 0) of channel 1 makes gw[1, ci, t] NaN (inf * (+0)) for the
+    # taps t that read above or left of the plane there, and +inf for the
+    # others, which read x = 1. Channel 0's gradient stays zero.
+    x = np.ones((1, 2, 3, 4), dtype)
+    w = np.ones((2, 2, 3, 3), dtype)
+    g = np.zeros((1, 2, 3, 4), dtype)
+    g[0, 1, 0, 0] = np.inf
+    gw = _grads(ops.standard_conv, [x, w], g)[1]
+    clipped = np.broadcast_to([[True] * 3, [True, False, False], [True, False, False]], (2, 3, 3))
+    assert np.array_equal(np.isnan(gw[1]), clipped)
+    assert np.isposinf(gw[1][~clipped]).all() and not gw[0].any()
 
 
 @pytest.mark.parametrize("op, shapes", [
